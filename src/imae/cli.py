@@ -4,7 +4,9 @@ Experiments are described by INI-style config files (flat ``key = value``
 under sections). Every run writes a fully resolved snapshot of its config so
 results stay diffable and re-runnable. One master seed drives every random
 choice: sub-seeds for init, batching, corruption, and evaluation are derived
-from it by label, so equal seeds give bit-identical artifacts.
+from it by label, so equal seeds give bit-identical artifacts at the same BLAS
+thread count (OpenBLAS splits its sums by thread, so checkpoints trained with
+OPENBLAS_NUM_THREADS=1 and =2 differ in their last bits).
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
@@ -14,7 +16,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import evaluation, gradcheck, nn, objectives, reference, training
@@ -35,6 +37,10 @@ class UsageError(Exception):
 
 # --- experiment config -------------------------------------------------
 
+def _grid_text(grid):
+    return ",".join(f"{v:g}" for v in grid)
+
+
 # section -> ordered keys; None defaults are resolved in resolve_config
 _SCHEMA = {
     "experiment": {"seed": "12345", "out": "runs/experiment", "scale": "desk"},
@@ -53,7 +59,8 @@ _SCHEMA = {
               "shuffle": "false", "train_limit": None},
     "eval": {"protocol": "robustness", "iterations": "50", "n": "1000",
              "k": "10", "noise_kind": "gaussian", "noise_level": None,
-             "mask_grid": "0,0.3,0.5,0.75", "gaussian_grid": "0.03,0.15,0.35,0.45"},
+             "mask_grid": _grid_text(reference.MASK_GRID),
+             "gaussian_grid": _grid_text(reference.GAUSSIAN_GRID)},
 }
 
 
@@ -210,8 +217,8 @@ def snapshot_text(cfg: ExperimentConfig) -> str:
               f"iterations = {cfg.eval_iterations}", f"n = {cfg.eval_n}",
               f"k = {cfg.eval_k}", f"noise_kind = {cfg.eval_noise_kind}",
               f"noise_level = {cfg.eval_noise_level!r}",
-              f"mask_grid = {','.join(f'{v:g}' for v in cfg.mask_grid)}",
-              f"gaussian_grid = {','.join(f'{v:g}' for v in cfg.gaussian_grid)}"]
+              f"mask_grid = {_grid_text(cfg.mask_grid)}",
+              f"gaussian_grid = {_grid_text(cfg.gaussian_grid)}"]
     return "\n".join(lines) + "\n"
 
 
@@ -235,15 +242,38 @@ def make_loss(cfg: ExperimentConfig) -> objectives.LossSpec:
     return objectives.LossSpec(cfg.variant, lam=cfg.lam)
 
 
-def make_train_config(cfg: ExperimentConfig, seed) -> training.TrainConfig:
-    tied = cfg.tied and cfg.preset.startswith("shallow")
-    if cfg.variant == objectives.VAE:
-        tied = False
+def make_train_config(cfg: ExperimentConfig, loss, seed) -> training.TrainConfig:
+    """Training setup for one model; only shallow non-VAE decoders are tied."""
+    tied = cfg.tied and cfg.preset.startswith("shallow") and loss.variant != objectives.VAE
     return training.TrainConfig(
-        arch=preset_arch(cfg), loss=make_loss(cfg),
+        arch=preset_arch(cfg), loss=loss,
         learning_rate=cfg.learning_rate, epochs=cfg.epochs,
         batch_size=cfg.batch_size, tied=tied, seed=seed,
         biases=cfg.biases, shuffle=cfg.shuffle)
+
+
+def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
+    """The [model] settings a checkpoint was trained with, as raw config values.
+
+    The preset is the one whose architecture equals the checkpoint's, with
+    the deep preset's code size read from the latent width.
+    """
+    arch = tcfg.arch
+    nh = arch.layers[arch.latent_index][0]
+    base = resolve_config({})
+    preset = next((p for p in PRESETS
+                   if preset_arch(replace(base, preset=p, nh=nh)) == arch), None)
+    if preset is None:
+        raise UsageError(f"checkpoint architecture {arch.widths()} (latent index "
+                         f"{arch.latent_index}) matches no preset of {PRESETS}")
+    trained = dict(line.split(" = ", 1)
+                   for line in training.config_to_text(tcfg).splitlines())
+    section = {f"model.{k}": trained[k]
+               for k in ("variant", "lambda", "noise_kind", "noise_level", "tied", "biases")}
+    section["model.preset"] = preset
+    if preset == "deep":
+        section["model.nh"] = str(nh)
+    return section
 
 
 def model_tag(loss: objectives.LossSpec) -> str:
@@ -314,7 +344,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     snapshot_config(cfg, out / "config.resolved.ini")
     train_ds = load_split(cfg, "train")
-    tcfg = make_train_config(cfg, derive_seed(cfg.seed, "train"))
+    tcfg = make_train_config(cfg, make_loss(cfg), derive_seed(cfg.seed, "train"))
     net, history = training.train(tcfg, train_ds)
     training.save_checkpoint(net, tcfg, out / "model.ckpt")
     history.to_csv(out / "history.csv")
@@ -342,10 +372,7 @@ def cmd_eval(args) -> int:
     if args.noise_level is not None:
         raw["eval.noise_level"] = str(args.noise_level)
     net, tcfg = training.load_checkpoint(args.checkpoint)
-    deep = len(tcfg.arch.layers) > 2
-    raw.setdefault("model.preset", "deep" if deep else
-                   ("shallow1000" if tcfg.arch.layers[0][0] == 1000 else "shallow200"))
-    raw.setdefault("model.variant", tcfg.loss.variant)
+    raw.update(checkpoint_model_section(tcfg))
     cfg = resolve_config(raw)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -402,12 +429,7 @@ def cmd_gradcheck(args) -> int:
 def _train_and_eval_model(cfg, loss, train_ds, test_ds, out, cluster_iters,
                           cluster_noise, resolved=None):
     tag = model_tag(loss)
-    tcfg = training.TrainConfig(
-        arch=preset_arch(cfg), loss=loss, learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs, batch_size=cfg.batch_size,
-        tied=cfg.tied and loss.variant != objectives.VAE and cfg.preset.startswith("shallow"),
-        seed=derive_seed(cfg.seed, "train", tag), biases=cfg.biases,
-        shuffle=cfg.shuffle)
+    tcfg = make_train_config(cfg, loss, derive_seed(cfg.seed, "train", tag))
     print(f"training {tag} ({cfg.preset}, {cfg.epochs} epochs, "
           f"lr {cfg.learning_rate:g}, batch {cfg.batch_size}) ...", flush=True)
     net, history = training.train(tcfg, train_ds)
@@ -432,6 +454,26 @@ def _shallow_losses(cfg):
 
 def _fmt(value, digits=6):
     return "" if value is None else f"{value:.{digits}g}"
+
+
+def _pct(fraction):
+    return f"{100 * fraction:.2f}"
+
+
+def _write_metric_table(path, reports, metrics, published):
+    """One column per model; each metric row is followed by its published value.
+
+    ``metrics`` holds (label, report -> cell) pairs; ``published`` maps a model
+    tag to {label: reference value}.
+    """
+    tags = list(reports)
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["metric"] + tags)
+        for label, cell in metrics:
+            writer.writerow([label] + [cell(reports[t]) for t in tags])
+            writer.writerow([f"{label}_reference"]
+                            + [_fmt(published.get(t, {}).get(label)) for t in tags])
 
 
 def cmd_reproduce(args) -> int:
@@ -475,52 +517,31 @@ def cmd_reproduce(args) -> int:
                     writer.writerow([tag, row.noise.kind, f"{row.noise.level:g}",
                                      f"{row.mean_l2:.6g}", ref_cell])
         print(f"wrote {out / 'table1.csv'}")
-    elif args.table == "table2":
-        ref = reference.TABLE2.get(hidden, {})
+        return 0
+
+    if args.table == "table2":
+        published = reference.TABLE2.get(hidden, {})
         noise = NoiseSpec("gaussian", cfg.eval_noise_level)
         iters = cfg.eval_iterations
-        reports = {}
-        for loss in _shallow_losses(cfg):
-            _, report = _train_and_eval_model(
-                cfg, loss, train_ds, test_ds, out, cluster_iters=iters,
-                cluster_noise=noise, resolved=resolved)
-            reports[report.model] = report
-        tags = list(reports)
-        with open(out / "table2.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["metric"] + tags)
-            writer.writerow(["R"] + [f"{100 * reports[t].rand_clean:.2f}" for t in tags])
-            writer.writerow(["R_reference"] + [_fmt(ref.get(t, {}).get("R")) for t in tags])
-            writer.writerow(["R_nu"] + [f"{100 * reports[t].rand_noisy:.2f}" for t in tags])
-            writer.writerow(["R_nu_reference"] + [_fmt(ref.get(t, {}).get("R_nu")) for t in tags])
-            writer.writerow(["sigma_prime"] + [_fmt(reports[t].sigma_prime) for t in tags])
-            writer.writerow(["sigma_prime_reference"]
-                            + [_fmt(ref.get(t, {}).get("sigma_prime")) for t in tags])
-        print(f"wrote {out / 'table2.csv'}")
+        losses = _shallow_losses(cfg)
+        metrics = (("R", lambda r: _pct(r.rand_clean)), ("R_nu", lambda r: _pct(r.rand_noisy)),
+                   ("sigma_prime", lambda r: _fmt(r.sigma_prime)))
     else:  # table3
-        ref = reference.TABLE3[cfg.dataset]
+        published = {tag: dict(zip(("R", "R_noisy"), by_nh[cfg.nh]))
+                     for tag, by_nh in reference.TABLE3[cfg.dataset].items() if cfg.nh in by_nh}
         noise = NoiseSpec("gaussian", reference.TABLE3_NOISE_STD[cfg.dataset])
         iters = cfg.eval_iterations if cfg.scale == "paper" else min(cfg.eval_iterations, 10)
         losses = [objectives.LossSpec.vae(), objectives.LossSpec.imae(1.0)]
-        reports = {}
-        for loss in losses:
-            _, report = _train_and_eval_model(
-                cfg, loss, train_ds, test_ds, out, cluster_iters=iters,
-                cluster_noise=noise, resolved=resolved)
-            reports[report.model] = report
-        tags = list(reports)
-        with open(out / "table3.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["metric"] + tags)
-            writer.writerow(["R"] + [f"{100 * reports[t].rand_clean:.2f}" for t in tags])
-            writer.writerow(["R_reference"]
-                            + [_fmt(ref[t][cfg.nh][0]) if cfg.nh in ref.get(t, {}) else ""
-                               for t in tags])
-            writer.writerow(["R_noisy"] + [f"{100 * reports[t].rand_noisy:.2f}" for t in tags])
-            writer.writerow(["R_noisy_reference"]
-                            + [_fmt(ref[t][cfg.nh][1]) if cfg.nh in ref.get(t, {}) else ""
-                               for t in tags])
-        print(f"wrote {out / 'table3.csv'}")
+        metrics = (("R", lambda r: _pct(r.rand_clean)), ("R_noisy", lambda r: _pct(r.rand_noisy)))
+    reports = {}
+    for loss in losses:
+        _, report = _train_and_eval_model(
+            cfg, loss, train_ds, test_ds, out, cluster_iters=iters,
+            cluster_noise=noise, resolved=resolved)
+        reports[report.model] = report
+    path = out / f"{args.table}.csv"
+    _write_metric_table(path, reports, metrics, published)
+    print(f"wrote {path}")
     return 0
 
 

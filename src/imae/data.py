@@ -71,15 +71,17 @@ class NoiseSpec:
         return "clean" if self.kind == "none" else f"{self.kind} {self.level:g}"
 
 
-def _read_exact(f, n, what):
+def read_exact(f, n, what):
+    """Exactly n bytes from binary file f; IOError naming the file and ``what`` if short."""
     buf = f.read(n)
     if len(buf) != n:
-        raise IOError(f"truncated IDX file: expected {n} bytes for {what}, got {len(buf)}")
+        raise IOError(f"truncated file {f.name}: expected {n} bytes for {what}, "
+                      f"got {len(buf)}")
     return buf
 
 
 def _read_u32(f, what):
-    return struct.unpack(">I", _read_exact(f, 4, what))[0]
+    return struct.unpack(">I", read_exact(f, 4, what))[0]
 
 
 def read_idx_images(path) -> np.ndarray:
@@ -92,7 +94,7 @@ def read_idx_images(path) -> np.ndarray:
         count = _read_u32(f, "count")
         rows = _read_u32(f, "rows")
         cols = _read_u32(f, "cols")
-        payload = _read_exact(f, count * rows * cols, "pixels")
+        payload = read_exact(f, count * rows * cols, "pixels")
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
 
@@ -103,7 +105,7 @@ def read_idx_labels(path) -> np.ndarray:
             raise IdxFormatError(
                 f"bad label magic in {path}: got 0x{magic:08x}, want 0x{LABELS_MAGIC:08x}")
         count = _read_u32(f, "count")
-        payload = _read_exact(f, count, "labels")
+        payload = read_exact(f, count, "labels")
     return np.frombuffer(payload, dtype=np.uint8)
 
 

@@ -88,7 +88,7 @@ def compare_grads(analytic, numeric, rtol=1e-5, atol=1e-8) -> list:
     return blocks
 
 
-def _spec_for(variant, noise_rng):
+def _spec_for(variant):
     if variant == objectives.AE:
         return objectives.LossSpec.ae()
     if variant == objectives.CAE:
@@ -114,7 +114,7 @@ def check_variant(variant, seed, widths=DEFAULT_WIDTHS, batch=DEFAULT_BATCH,
         if name.endswith(".b"):
             arr += 0.1 * rng.standard_normal(arr.shape)
     x_clean = rng.random((batch, d))
-    spec = _spec_for(variant, rng)
+    spec = _spec_for(variant)
     x_in = corrupt(x_clean, spec.noise, rng) if variant == objectives.DAE else x_clean
     eps = rng.standard_normal((batch, l)) if variant == objectives.VAE else None
     trace = nn.forward(net, x_in, eps=eps)

@@ -1,9 +1,9 @@
-"""Dense float64 matrix arithmetic and deterministic random number generation.
+"""Float64 matrix coercion, random draws and deterministic generator plumbing.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64, row-major,
-one data sample per row. All operations return new arrays; inputs are never
-mutated. Randomness always flows through an explicit generator created by
-:func:`make_rng` or :func:`derive_rng`, never through module-level numpy state.
+one data sample per row. Randomness always flows through an explicit generator
+created by :func:`make_rng` or :func:`derive_rng`, never through module-level
+numpy state.
 """
 
 import hashlib
@@ -23,46 +23,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with explicit shape checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T
-
-
-def elementwise(op, a, b=None, *, scalar=None, fn=None) -> np.ndarray:
-    """Per-entry arithmetic.
-
-    op is one of ``add``, ``sub``, ``mul`` (binary, equal shapes), ``scale``
-    (matrix times scalar) or ``map-unary`` (apply ``fn`` entrywise).
-    """
-    a = as_matrix(a)
-    if op in ("add", "sub", "mul"):
-        b = as_matrix(b)
-        if a.shape != b.shape:
-            raise ShapeError(f"elementwise {op}: shapes differ, {a.shape} vs {b.shape}")
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        return a * b
-    if op == "scale":
-        if scalar is None:
-            raise ValueError("elementwise scale: scalar required")
-        return a * float(scalar)
-    if op == "map-unary":
-        if fn is None:
-            raise ValueError("elementwise map-unary: fn required")
-        return np.asarray(fn(a), dtype=np.float64)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 def make_rng(seed) -> np.random.Generator:

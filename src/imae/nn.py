@@ -19,20 +19,9 @@ from .ndcore import as_matrix
 ACTIVATIONS = ("sigmoid", "softplus", "identity")
 
 
-def sigmoid(x):
-    """Logistic function, overflow-safe for any finite input."""
-    return expit(x)
-
-
 def softplus(x):
     """log(1 + exp(x)) computed without overflow for |x| up to ~700."""
     return np.logaddexp(0.0, x)
-
-
-def sigmoid_derivative(y):
-    """Derivative of the logistic function expressed in its output y: y(1-y)."""
-    y = np.asarray(y, dtype=np.float64)
-    return y * (1.0 - y)
 
 
 def _activate(tag, z):
@@ -176,8 +165,7 @@ def _glorot(rng, out_dim, in_dim):
     return rng.uniform(-s, s, size=(out_dim, in_dim))
 
 
-def init_params(arch: Arch, rng, scheme="glorot", *, vae=False, tied=False,
-                biases=True) -> Network:
+def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Network:
     """Build a network with freshly initialized parameters.
 
     Weights are uniform in +-sqrt(6/(fan_in+fan_out)); biases start at zero.
@@ -185,8 +173,6 @@ def init_params(arch: Arch, rng, scheme="glorot", *, vae=False, tied=False,
     ``tied=True`` stores encoder weights once and exposes decoder weights as
     transpose views of them.
     """
-    if scheme != "glorot":
-        raise ValueError(f"unknown init scheme {scheme!r}")
     if not arch.layers:
         raise ValueError("empty architecture")
     widths = arch.widths()
@@ -275,19 +261,16 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
     """Gradient of the total loss w.r.t. every trainable parameter.
 
     ``batch_clean`` is the reconstruction target; for denoising training it
-    differs from the (corrupted) forward input. Returns a dict keyed like
-    ``Network.param_items``; gradients are means over the batch. For tied
+    differs from the (corrupted) forward input. The loss gradients w.r.t. the
+    trace come from ``objectives.loss_grads``; this function only chains them
+    through the layers and the reparameterized sample. Returns a dict keyed
+    like ``Network.param_items``; gradients are means over the batch. For tied
     networks the decoder contribution is accumulated, transposed, into the
     shared encoder entry.
     """
-    objectives.check_spec_matches_net(spec, net)
-    clean = as_matrix(batch_clean)
-    if trace.act[-1].shape != clean.shape:
-        raise ShapeError(
-            f"target shape {clean.shape} does not match output {trace.act[-1].shape}")
+    loss = objectives.loss_grads(spec, trace, batch_clean)
     n_layers = len(net.layers)
     half = n_layers // 2
-    batch = clean.shape[0]
     grads = {}
 
     def accumulate(key, value):
@@ -296,24 +279,15 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
         else:
             grads[key] = value
 
-    g = (2.0 / batch) * (trace.act[-1] - clean)  # d(loss)/d(output activations)
+    g = loss.pop("xhat")  # d(loss)/d(output activations); freed once chained
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
         dz = g * _activation_deriv(layer.activation, trace.pre[k], trace.act[k])
-        if k == net.latent_index and net.vae_heads is None:
-            if spec.variant == objectives.IMAE:
-                # total loss carries -lambda * entropy
-                dz -= (spec.lam / batch) * objectives.entropy_grad_y0(trace.pre[k])
-            elif spec.variant == objectives.CAE:
-                y = trace.act[k]
-                d = y * (1.0 - y)
-                w0 = layer.weights
-                row_sq = np.einsum("ij,ij->i", w0, w0)
-                dz += (2.0 * spec.lam / batch) * d * d * (1.0 - 2.0 * y) * row_sq
-                # dependence of the penalty on the encoder weights themselves
-                wkey = f"layers.{k}.W"
-                accumulate(wkey, (2.0 * spec.lam / batch)
-                           * (d * d).sum(axis=0)[:, None] * w0)
+        if k == net.latent_index:
+            if "latent_pre" in loss:
+                dz += loss["latent_pre"]
+            if "latent_W" in loss:
+                accumulate(f"layers.{k}.W", loss["latent_W"])
         a_prev = trace.layer_input(k)
         if net.tied and k >= half:
             accumulate(f"layers.{n_layers - 1 - k}.W", (dz.T @ a_prev).T)
@@ -326,8 +300,8 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
             # g is now d(loss)/d(sampled code); route through the heads
             mu_head, lv_head = net.vae_heads
             std = np.exp(0.5 * trace.logvar)
-            dmu = g + (2.0 / batch) * trace.mu
-            dlv = 0.5 * g * trace.eps * std + (np.exp(trace.logvar) - 1.0) / batch
+            dmu = g + loss["mu"]
+            dlv = 0.5 * g * trace.eps * std + loss["logvar"]
             h = trace.trunk_out
             accumulate("heads.mu.W", dmu.T @ h)
             accumulate("heads.logvar.W", dlv.T @ h)

@@ -1,7 +1,9 @@
-"""Loss terms for the five autoencoder variants and total-loss assembly.
+"""Loss terms for the five autoencoder variants: values, gradients, assembly.
 
 All reductions follow one convention: sum over latent units / pixels,
-mean over the samples of the batch.
+mean over the samples of the batch. The variants differ only in their latent
+term; this module is the one place that knows each term's formula and its
+gradient, so backpropagation in ``nn`` stays a generic dense chain.
 """
 
 from dataclasses import dataclass
@@ -150,16 +152,6 @@ def vae_kl(mu, logvar) -> float:
     return float(per_unit.sum(axis=1).mean())
 
 
-def reparameterize(mu, logvar, rng) -> np.ndarray:
-    """Sample mu + exp(logvar/2) * eps with eps ~ N(0, I)."""
-    mu = as_matrix(mu)
-    logvar = as_matrix(logvar)
-    if mu.shape != logvar.shape:
-        raise ShapeError(f"reparameterize: shapes differ, {mu.shape} vs {logvar.shape}")
-    eps = rng.standard_normal(mu.shape)
-    return mu + np.exp(0.5 * logvar) * eps
-
-
 def total_loss(spec: LossSpec, trace, x_clean):
     """Total objective and its term breakdown for one forward trace.
 
@@ -178,3 +170,33 @@ def total_loss(spec: LossSpec, trace, x_clean):
     else:  # AE and DAE are pure reconstruction
         latent = 0.0
     return rec + latent, {"reconstruction": rec, "latent": latent}
+
+
+def loss_grads(spec: LossSpec, trace, x_clean) -> dict:
+    """Gradient of ``total_loss`` w.r.t. the trace arrays it reads.
+
+    Keys say where each gradient enters backpropagation: ``"xhat"`` (output
+    activations, always present), ``"latent_pre"`` (latent pre-activations;
+    IMAE, CAE), ``"latent_W"`` (the latent layer's own weights; CAE) and
+    ``"mu"``/``"logvar"`` (the Gaussian-latent heads; VAE).
+    """
+    check_spec_matches_net(spec, trace.net)
+    x_clean = as_matrix(x_clean)
+    if trace.xhat.shape != x_clean.shape:
+        raise ShapeError(
+            f"target shape {x_clean.shape} does not match output {trace.xhat.shape}")
+    batch = x_clean.shape[0]
+    grads = {"xhat": (2.0 / batch) * (trace.xhat - x_clean)}
+    if spec.variant == IMAE:
+        grads["latent_pre"] = -(spec.lam / batch) * entropy_grad_y0(trace.latent_pre)
+    elif spec.variant == CAE:
+        y = trace.latent_act
+        d = y * (1.0 - y)
+        w0 = trace.net.layers[trace.net.latent_index].weights
+        row_sq = np.einsum("ij,ij->i", w0, w0)
+        grads["latent_pre"] = (2.0 * spec.lam / batch) * d * d * (1.0 - 2.0 * y) * row_sq
+        grads["latent_W"] = (2.0 * spec.lam / batch) * (d * d).sum(axis=0)[:, None] * w0
+    elif spec.variant == VAE:
+        grads["mu"] = (2.0 / batch) * trace.mu
+        grads["logvar"] = (np.exp(trace.logvar) - 1.0) / batch
+    return grads

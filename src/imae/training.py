@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn, objectives
-from .data import Dataset, NoiseSpec, batches, corrupt
+from .data import Dataset, NoiseSpec, batches, corrupt, read_exact
 from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged
 from .ndcore import derive_rng
 
@@ -171,13 +171,6 @@ def config_from_text(text: str) -> TrainConfig:
 
 # --- checkpoint io ---
 
-def _read_exact(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise IOError(f"truncated checkpoint: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
-
-
 def save_checkpoint(net: nn.Network, cfg: TrainConfig, path) -> None:
     cfg_bytes = config_to_text(cfg).encode("utf-8")
     params = net.param_items()
@@ -199,31 +192,31 @@ def save_checkpoint(net: nn.Network, cfg: TrainConfig, path) -> None:
 def load_checkpoint(path):
     """Rebuild (network, config) from a checkpoint; exact round trip."""
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        magic = read_exact(f, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"bad checkpoint magic: {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        cfg = config_from_text(_read_exact(f, cfg_len, "config").decode("utf-8"))
+        (cfg_len,) = struct.unpack("<I", read_exact(f, 4, "config length"))
+        cfg = config_from_text(read_exact(f, cfg_len, "config").decode("utf-8"))
         net = build_network(cfg, derive_rng(0, "checkpoint-skeleton"))
         params = net.param_items()
-        (count,) = struct.unpack("<I", _read_exact(f, 4, "array count"))
+        (count,) = struct.unpack("<I", read_exact(f, 4, "array count"))
         if count != len(params):
             raise CheckpointFormatError(
                 f"checkpoint holds {count} arrays, network needs {len(params)}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-            name = _read_exact(f, name_len, "name").decode("ascii")
+            (name_len,) = struct.unpack("<I", read_exact(f, 4, "name length"))
+            name = read_exact(f, name_len, "name").decode("ascii")
             if name not in params:
                 raise CheckpointFormatError(f"unexpected array {name!r} in checkpoint")
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
+            (ndim,) = struct.unpack("<I", read_exact(f, 4, "ndim"))
+            shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "shape"))
             dst = params[name]
             if shape != dst.shape:
                 raise CheckpointFormatError(
                     f"array {name!r} has shape {shape}, network needs {dst.shape}")
-            payload = _read_exact(f, 8 * dst.size, f"data of {name}")
+            payload = read_exact(f, 8 * dst.size, f"data of {name}")
             np.copyto(dst, np.frombuffer(payload, dtype="<f8").reshape(shape))
     return net, cfg

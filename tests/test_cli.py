@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from imae import cli, nn
+from imae import cli, nn, objectives, training
 from imae.cli import UsageError, read_config_file, resolve_config
 from imae.data import CANONICAL_FILES, write_idx_images, write_idx_labels
+from imae.ndcore import make_rng
 
 from conftest import make_synthetic_digits
 
@@ -174,6 +175,29 @@ class TestEvalCommand:
             header = f.readline().strip().split(",")
         assert len(header) == 201  # label + n_h columns
         assert header[:2] == ["label", "z0"]
+
+    def test_model_section_comes_from_checkpoint(self, idx_dir, tmp_path):
+        trained, out = tmp_path / "deep5", tmp_path / "deep5eval"
+        assert cli.main(["train", "--data-dir", str(idx_dir), "--seed", "4", "--out", str(trained),
+                         "--nh", "5", "--set", "model.preset=deep", "--set", "model.lambda=0.5"]
+                        + fast_overrides(["train.epochs=1"])) == 0
+        assert cli.main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--protocol",
+                         "cluster", "--data-dir", str(idx_dir), "--out", str(out),
+                         "--iterations", "1", "--n", "100"]) == 0
+        snapshot = (out / "config.resolved.ini").read_text()
+        for line in ("variant = IMAE", "preset = deep", "nh = 5", "lambda = 0.5",
+                     "noise_kind = none", "tied = false", "biases = true"):
+            assert f"\n{line}\n" in snapshot
+        assert json.loads((out / "report.json").read_text())["resolved_config"] == snapshot
+
+    def test_checkpoint_matching_no_preset_exits_one(self, tmp_path, capsys):
+        tcfg = training.TrainConfig(arch=nn.shallow_arch(7), loss=objectives.LossSpec.ae(),
+                                    learning_rate=0.1, epochs=1, batch_size=1)
+        path = tmp_path / "odd.ckpt"
+        training.save_checkpoint(training.build_network(tcfg, make_rng(1)), tcfg, path)
+        assert cli.main(["eval", "--checkpoint", str(path), "--protocol", "codes",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "(784, 7, 784)" in capsys.readouterr().err
 
     def test_bad_checkpoint_exits_one(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

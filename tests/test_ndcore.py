@@ -1,87 +1,7 @@
 import numpy as np
 import pytest
 
-from imae.errors import ShapeError
-from imae.ndcore import (bernoulli_mask, derive_rng, derive_seed, elementwise,
-                         gaussian, make_rng, matmul, transpose)
-
-
-def matmul_oracle(a, b):
-    """Independent elementwise triple loop."""
-    n, m = a.shape
-    m2, p = b.shape
-    assert m == m2
-    out = np.zeros((n, p))
-    for i in range(n):
-        for j in range(p):
-            s = 0.0
-            for k in range(m):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.standard_normal((3, 5))
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_checked_2x2(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        assert np.array_equal(out, [[2.0], [4.0]])
-
-    def test_against_triple_loop(self, rng):
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b),
-                                   rtol=0, atol=1e-12)
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity_vs_oracle(self, rng):
-        for _ in range(5):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((3, 5))
-            c = rng.standard_normal((5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            oracle = matmul_oracle(matmul_oracle(a, b), c)
-            np.testing.assert_allclose(left, right, rtol=1e-10)
-            np.testing.assert_allclose(left, oracle, rtol=1e-10)
-
-
-class TestElementwise:
-    def test_add_zero(self, rng):
-        a = rng.standard_normal((3, 4))
-        assert np.array_equal(elementwise("add", a, np.zeros((3, 4))), a)
-
-    def test_mul(self):
-        out = elementwise("mul", [[2.0, 3.0]], [[4.0, 5.0]])
-        assert np.array_equal(out, [[8.0, 15.0]])
-
-    def test_scale_zero(self, rng):
-        a = rng.standard_normal((3, 4))
-        assert np.array_equal(elementwise("scale", a, scalar=0.0), np.zeros((3, 4)))
-
-    def test_map_unary(self):
-        out = elementwise("map-unary", [[1.0, -2.0]], fn=np.abs)
-        assert np.array_equal(out, [[1.0, 2.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            elementwise("sub", np.zeros((2, 2)), np.zeros((3, 2)))
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            elementwise("pow", np.zeros((2, 2)), np.zeros((2, 2)))
-
-
-class TestTranspose:
-    def test_involution_exact(self, rng):
-        a = rng.standard_normal((3, 7))
-        assert np.array_equal(transpose(transpose(a)), a)
+from imae.ndcore import bernoulli_mask, derive_rng, derive_seed, gaussian, make_rng
 
 
 class TestGaussian:

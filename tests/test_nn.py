@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from imae import gradcheck, nn, objectives
+from imae.data import corrupt
 from imae.errors import ConfigurationError, ShapeError
 from imae.ndcore import derive_rng, make_rng
 
@@ -12,13 +13,20 @@ def zeroed(net):
     return net
 
 
+def unit_sigmoid(x):
+    """The sigmoid of each entry of a 1-D array, through a 1-1 sigmoid layer."""
+    net = nn.init_params(nn.Arch(1, ((1, "sigmoid"),), 0), make_rng(1))
+    net.layers[0].weights[:] = 1.0
+    return nn.forward(net, np.asarray(x, dtype=np.float64)[:, None]).act[0][:, 0]
+
+
 class TestActivations:
     def test_sigmoid_bounded_monotone(self):
         x = np.linspace(-800, 800, 4001)
-        y = nn.sigmoid(x)
+        y = unit_sigmoid(x)
         assert np.all((y > 0) & (y < 1) | np.isin(y, [0.0, 1.0]))
         assert np.all(np.diff(y) >= 0)
-        assert np.all((nn.sigmoid(np.array([-700.0, 700.0])) >= 0))
+        assert np.all((unit_sigmoid(np.array([-700.0, 700.0])) >= 0))
 
     def test_softplus_overflow_safe(self):
         x = np.array([-700.0, -1.0, 0.0, 1.0, 700.0])
@@ -29,16 +37,19 @@ class TestActivations:
         np.testing.assert_allclose(y[2], np.log(2.0), rtol=1e-12)
 
     def test_sigmoid_derivative_peak_and_tails(self):
-        assert nn.sigmoid_derivative(np.array([[0.5]]))[0, 0] == 0.25
-        small = nn.sigmoid_derivative(np.array([[1e-9, 1 - 1e-9]]))
-        assert np.all(small < 1e-8)
+        def deriv(y):
+            y = np.array(y)
+            return nn._activation_deriv("sigmoid", np.log(y / (1 - y)), y)
+
+        assert deriv([[0.5]])[0, 0] == 0.25
+        assert np.all(deriv([[1e-9, 1 - 1e-9]]) < 1e-8)
 
     def test_sigmoid_derivative_vs_finite_difference(self, rng):
-        y = rng.uniform(0.05, 0.95, size=(4, 6))
-        x = np.log(y / (1 - y))  # logit
+        x = rng.uniform(-3.0, 3.0, size=24)
         h = 1e-6
-        fd = (nn.sigmoid(x + h) - nn.sigmoid(x - h)) / (2 * h)
-        np.testing.assert_allclose(nn.sigmoid_derivative(y), fd, rtol=1e-6)
+        fd = (unit_sigmoid(x + h) - unit_sigmoid(x - h)) / (2 * h)
+        analytic = nn._activation_deriv("sigmoid", x, unit_sigmoid(x))
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6)
 
 
 class TestInitParams:
@@ -191,7 +202,7 @@ class TestGradientsAgainstFiniteDifferences:
                 if name.endswith(".b"):
                     arr += 0.05 * rng.standard_normal(arr.shape)
             x = rng.random((4, 12))
-            spec = gradcheck._spec_for(variant, rng)
+            spec = gradcheck._spec_for(variant)
             x_in = x if variant != "DAE" else x * (rng.random(x.shape) > 0.3)
             eps = rng.standard_normal((4, 3)) if vae else None
             trace = nn.forward(net, x_in, eps=eps)
@@ -208,12 +219,41 @@ class TestGradientsAgainstFiniteDifferences:
                                  vae=(variant == "VAE"))
             assert not any(k.endswith(".b") for k in net.param_items())
             x = r.random((4, 8))
-            spec = gradcheck._spec_for(variant, r)
+            spec = gradcheck._spec_for(variant)
             eps = r.standard_normal((4, 5)) if variant == "VAE" else None
             trace = nn.forward(net, x, eps=eps)
             analytic = nn.backward(net, trace, spec, x)
             numeric = gradcheck.finite_difference_grads(net, spec, x, x, eps=eps)
             assert all(b.passed for b in gradcheck.compare_grads(analytic, numeric))
+
+    @pytest.mark.parametrize("variant,preset,tied", [
+        ("AE", "shallow200", True), ("CAE", "shallow200", True),
+        ("DAE", "shallow200", True), ("IMAE", "shallow200", True),
+        ("VAE", "shallow200", False), ("IMAE", "deep10", False), ("VAE", "deep10", False)])
+    def test_directional_derivative_at_preset_shapes(self, variant, preset, tied):
+        # full 784-pixel presets at batch 500: <grad, v> against the central
+        # difference of the total loss along a random direction v
+        rng = derive_rng(17, "preset-direction", variant, preset)
+        arch = nn.shallow_arch(200) if preset == "shallow200" else nn.deep_arch(10)
+        net = nn.init_params(arch, rng, vae=(variant == "VAE"), tied=tied)
+        spec = gradcheck._spec_for(variant)
+        x = rng.random((500, 784))
+        x_in = corrupt(x, spec.noise, rng) if variant == "DAE" else x
+        latent = arch.layers[arch.latent_index][0]
+        eps = rng.standard_normal((500, latent)) if variant == "VAE" else None
+        grads = nn.backward(net, nn.forward(net, x_in, eps=eps), spec, x)
+        direction = {k: rng.standard_normal(a.shape) for k, a in net.param_items().items()}
+        along = sum(float(np.vdot(grads[k], v)) for k, v in direction.items())
+
+        def loss_moved(t):
+            moved = net.clone()
+            for k, arr in moved.param_items().items():
+                arr += t * direction[k]
+            return gradcheck.loss_at(moved, spec, x_in, x, eps)
+
+        h = 1e-6
+        central = (loss_moved(h) - loss_moved(-h)) / (2 * h)
+        assert abs(along - central) <= 1e-7 * max(abs(along), abs(central)), (along, central)
 
     def test_broken_gradient_is_detected(self, rng):
         # negative control: a sign flip must fail the comparison

@@ -5,8 +5,7 @@ from imae import nn
 from imae.errors import ConfigurationError, ShapeError
 from imae.ndcore import make_rng
 from imae.objectives import (LossSpec, cae_penalty, imae_latent_entropy,
-                             log_cosh, reconstruction_l2, reparameterize,
-                             total_loss, vae_kl)
+                             log_cosh, reconstruction_l2, total_loss, vae_kl)
 
 # single-unit entropy term at y0 = 1, frozen from a 40-digit mpmath evaluation
 # of sigma(1)(1 - sigma(1)) - log(cosh(1))^2
@@ -43,6 +42,14 @@ def jacobian_frobenius_oracle(w0, b, x, h=1e-5):
             jac[:, j] = (enc(up) - enc(down)) / (2 * h)
         total += (jac ** 2).sum()
     return total / x.shape[0]
+
+
+def zeroed_vae(latent, d):
+    """Gaussian-latent net whose heads output exactly their biases."""
+    net = nn.init_params(nn.shallow_arch(latent, d), make_rng(3), vae=True)
+    for arr in net.param_items().values():
+        arr[:] = 0.0
+    return net
 
 
 class TestLossSpec:
@@ -166,20 +173,29 @@ class TestVaeKl:
 
 
 class TestReparameterize:
+    """The sampled code of a Gaussian-latent forward pass, mu + exp(logvar/2) * eps."""
+
+    def _sample(self, mu_bias, logvar_bias, draw_rng, batch=4):
+        latent = len(mu_bias)
+        net = zeroed_vae(latent, d=5)
+        net.vae_heads[0].bias[:] = mu_bias
+        net.vae_heads[1].bias[:] = logvar_bias
+        return nn.forward(net, np.zeros((batch, 5)), rng=draw_rng)
+
     def test_tiny_variance_returns_mean(self, rng):
-        mu = rng.standard_normal((4, 6))
-        out = reparameterize(mu, np.full((4, 6), -60.0), make_rng(1))
-        np.testing.assert_allclose(out, mu, rtol=0, atol=1e-12)
+        mu = rng.standard_normal(6)
+        trace = self._sample(mu, np.full(6, -60.0), make_rng(1))
+        np.testing.assert_allclose(trace.z, np.tile(mu, (4, 1)), rtol=0, atol=1e-12)
 
     def test_unit_variance_moments(self):
-        out = reparameterize(np.zeros((1000, 100)), np.zeros((1000, 100)), make_rng(2))
-        assert abs(out.std() - 1.0) < 0.01
+        trace = self._sample(np.zeros(100), np.zeros(100), make_rng(2), batch=1000)
+        assert abs(trace.z.std() - 1.0) < 0.01
 
     def test_same_seed_identical(self, rng):
-        mu = rng.standard_normal((3, 3))
-        lv = rng.standard_normal((3, 3))
-        a = reparameterize(mu, lv, make_rng(7))
-        b = reparameterize(mu, lv, make_rng(7))
+        mu = rng.standard_normal(3)
+        lv = rng.standard_normal(3)
+        a = self._sample(mu, lv, make_rng(7)).z
+        b = self._sample(mu, lv, make_rng(7)).z
         assert np.array_equal(a, b)
 
 
