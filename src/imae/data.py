@@ -143,9 +143,10 @@ def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:
     if noise is None or noise.kind == "none":
         return batch.copy()
     if noise.kind == "mask":
-        keep = bernoulli_mask(rng, batch.shape[0], batch.shape[1], 1.0 - noise.level)
-        return batch * keep
-    return batch + gaussian(rng, batch.shape[0], batch.shape[1], 0.0, noise.level)
+        out = bernoulli_mask(rng, batch.shape[0], batch.shape[1], 1.0 - noise.level)
+        return np.multiply(batch, out, out=out)
+    out = gaussian(rng, batch.shape[0], batch.shape[1], 0.0, noise.level)
+    return np.add(batch, out, out=out)
 
 
 def batch_indices(n, batch_size, rng=None, shuffle=False):

@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 from . import nn, objectives
 from .data import Dataset, NoiseSpec, corrupt, sample_subset
 from .errors import ConfigurationError
-from .ndcore import as_matrix, derive_rng
+from .ndcore import as_matrix, derive_rng, row_blocks
 
 
 @dataclass
@@ -27,6 +27,23 @@ class ClusterResult:
     inertia: float
     n_iter: int = 0
     inertia_history: list = field(default_factory=list)
+
+
+def _cluster_sums(codes, assign, counts):
+    """Sum of the codes in each cluster, adding its points in point order.
+
+    Points are grouped by a stable sort, so each cluster's rows stay in
+    point order. A reduction over the rows of a block adds them in row order
+    only when the block has more than one column (a single column is summed
+    pairwise); ``accumulate`` is sequential by definition.
+    """
+    grouped = codes[np.argsort(assign, kind="stable")]
+    ends = np.cumsum(counts)
+    sums = np.zeros((len(counts), codes.shape[1]))
+    for c in np.flatnonzero(counts):
+        block = grouped[ends[c] - counts[c]:ends[c]]
+        sums[c] = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block)[-1]
+    return sums
 
 
 def kmeans(codes, k, rng, max_iters=300) -> ClusterResult:
@@ -59,8 +76,7 @@ def kmeans(codes, k, rng, max_iters=300) -> ClusterResult:
     for _ in range(max_iters):
         n_iter += 1
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, codes)
+        sums = _cluster_sums(codes, assign, counts)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
@@ -95,8 +111,7 @@ def rand_index(assignments, labels, k) -> float:
     for name, v in (("assignments", a), ("labels", l)):
         if v.min() < 0 or v.max() >= k:
             raise ValueError(f"{name} outside [0,{k}): min={v.min()}, max={v.max()}")
-    contingency = np.zeros((k, k), dtype=np.int64)
-    np.add.at(contingency, (a, l), 1)
+    contingency = np.bincount(a * k + l, minlength=k * k).reshape(k, k)
     rows, cols = linear_sum_assignment(contingency, maximize=True)
     return float(contingency[rows, cols].sum()) / len(a)
 
@@ -145,12 +160,22 @@ class EvalReport:
 
 def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     """Mean per-image reconstruction L2 against clean originals, one row per
-    corruption spec (inputs corrupted once per spec from ``rng``)."""
+    corruption spec (inputs corrupted once per spec from ``rng``).
+
+    The network runs forward over row blocks and only the reconstruction is
+    kept, so memory holds one corrupted copy of the test set and one
+    reconstruction. Gaussian-latent samples drawn block by block, in row
+    order, are the same draws as one full-batch draw.
+    """
+    sample_rng = rng if net.vae_heads is not None else None
+    xhat = np.empty_like(test.images)
     rows = []
     for spec in specs:
         corrupted = corrupt(test.images, spec, rng)
-        trace = nn.forward(net, corrupted, rng=rng if net.vae_heads is not None else None)
-        rows.append(RobustnessRow(spec, objectives.reconstruction_l2(test.images, trace.xhat)))
+        for block in row_blocks(len(corrupted)):
+            xhat[block] = nn.forward(net, corrupted[block], rng=sample_rng).xhat
+        del corrupted  # free it before the next spec's copy is drawn
+        rows.append(RobustnessRow(spec, objectives.reconstruction_l2(test.images, xhat)))
     return rows
 
 

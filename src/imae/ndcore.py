@@ -16,6 +16,9 @@ from .errors import ShapeError
 # for the same seed on every platform numpy supports.
 RNG_ALGORITHM = "pcg64"
 
+# Most rows one forward-only chunk (or one row-wise reduction block) holds.
+ROW_BLOCK = 1000
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array (no copy when already one)."""
@@ -50,6 +53,15 @@ def derive_seed(seed, *labels) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def row_blocks(n):
+    """Consecutive slices covering rows 0..n-1 in order, each at most
+    ROW_BLOCK rows and of near-equal size (never a tiny tail block: BLAS
+    products on a handful of rows round differently from large ones)."""
+    count = max(1, -(-n // ROW_BLOCK))
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def gaussian(rng, rows, cols, mean=0.0, std=1.0) -> np.ndarray:
     """rows x cols matrix of i.i.d. normal draws."""
     if std < 0:
@@ -62,4 +74,4 @@ def bernoulli_mask(rng, rows, cols, keep_prob) -> np.ndarray:
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError(f"bernoulli_mask: keep_prob must be in [0,1], got {keep_prob}")
     u = rng.random(size=(int(rows), int(cols)))
-    return (u < keep_prob).astype(np.float64)
+    return np.less(u, keep_prob, out=u)

@@ -30,7 +30,7 @@ def _activate(tag, z):
     if tag == "softplus":
         return softplus(z)
     if tag == "identity":
-        return z.copy()
+        return z
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
@@ -39,8 +39,6 @@ def _activation_deriv(tag, pre, act):
         return act * (1.0 - act)
     if tag == "softplus":
         return expit(pre)
-    if tag == "identity":
-        return np.ones_like(pre)
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
@@ -282,7 +280,11 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
     g = loss.pop("xhat")  # d(loss)/d(output activations); freed once chained
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
-        dz = g * _activation_deriv(layer.activation, trace.pre[k], trace.act[k])
+        heads_here = net.vae_heads is not None and k == net.latent_index
+        if layer.activation == "identity":
+            dz = g
+        else:
+            dz = g * _activation_deriv(layer.activation, trace.pre[k], trace.act[k])
         if k == net.latent_index:
             if "latent_pre" in loss:
                 dz += loss["latent_pre"]
@@ -295,8 +297,10 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
             accumulate(f"layers.{k}.W", dz.T @ a_prev)
         if net.biases:
             accumulate(f"layers.{k}.b", dz.sum(axis=0))
+        if k == 0 and not heads_here:
+            break  # d(loss)/d(input) is never used
         g = dz @ layer.weights
-        if net.vae_heads is not None and k == net.latent_index:
+        if heads_here:
             # g is now d(loss)/d(sampled code); route through the heads
             mu_head, lv_head = net.vae_heads
             std = np.exp(0.5 * trace.logvar)
@@ -308,5 +312,6 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
             if net.biases:
                 accumulate("heads.mu.b", dmu.sum(axis=0))
                 accumulate("heads.logvar.b", dlv.sum(axis=0))
-            g = dmu @ mu_head.weights + dlv @ lv_head.weights
+            if k > 0:
+                g = dmu @ mu_head.weights + dlv @ lv_head.weights
     return grads

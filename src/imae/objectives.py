@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError, ShapeError
-from .ndcore import as_matrix
+from .ndcore import as_matrix, row_blocks
 
 AE = "AE"
 CAE = "CAE"
@@ -91,8 +91,11 @@ def reconstruction_l2(x, xhat) -> float:
     xhat = as_matrix(xhat)
     if x.shape != xhat.shape:
         raise ShapeError(f"reconstruction_l2: shapes differ, {x.shape} vs {xhat.shape}")
-    diff = x - xhat
-    return float(np.einsum("ij,ij->i", diff, diff).mean())
+    dist = np.empty(len(x))
+    for rows in row_blocks(len(x)):
+        diff = x[rows] - xhat[rows]
+        np.einsum("ij,ij->i", diff, diff, out=dist[rows])
+    return float(dist.mean())
 
 
 def log_cosh(x) -> np.ndarray:

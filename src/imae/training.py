@@ -7,6 +7,7 @@ Checkpoint layout (all integers little-endian u32 unless noted):
   untrained biases never hit the file; they are reconstructed on load.
 """
 
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -172,21 +173,30 @@ def config_from_text(text: str) -> TrainConfig:
 # --- checkpoint io ---
 
 def save_checkpoint(net: nn.Network, cfg: TrainConfig, path) -> None:
+    """Write the checkpoint atomically: to a temporary file beside ``path``,
+    renamed over it only once complete, so a failed write leaves any earlier
+    checkpoint untouched and no partial file behind."""
     cfg_bytes = config_to_text(cfg).encode("utf-8")
     params = net.param_items()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(cfg_bytes)))
-        f.write(cfg_bytes)
-        f.write(struct.pack("<I", len(params)))
-        for name, arr in params.items():
-            name_bytes = name.encode("ascii")
-            f.write(struct.pack("<I", len(name_bytes)))
-            f.write(name_bytes)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(cfg_bytes)))
+            f.write(cfg_bytes)
+            f.write(struct.pack("<I", len(params)))
+            for name, arr in params.items():
+                name_bytes = name.encode("ascii")
+                f.write(struct.pack("<I", len(name_bytes)))
+                f.write(name_bytes)
+                f.write(struct.pack("<I", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

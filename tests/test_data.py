@@ -110,6 +110,21 @@ class TestCorrupt:
             corrupt(x, spec, make_rng(3))
         assert np.array_equal(x, snapshot)
 
+    def test_mask_equals_product_formula(self, rng):
+        x = rng.random((300, 784))
+        snapshot = x.copy()
+        out = corrupt(x, NoiseSpec("mask", 0.3), make_rng(5))
+        keep = (make_rng(5).random(size=x.shape) < 0.7).astype(np.float64)
+        assert np.array_equal(out, x * keep)
+        assert np.array_equal(x, snapshot)
+
+    def test_gaussian_equals_normal_formula(self, rng):
+        x = rng.random((300, 784))
+        snapshot = x.copy()
+        out = corrupt(x, NoiseSpec("gaussian", 0.2), make_rng(6))
+        assert np.array_equal(out, x + make_rng(6).normal(loc=0.0, scale=0.2, size=x.shape))
+        assert np.array_equal(x, snapshot)
+
     def test_gaussian_leaves_unit_interval(self, digits_test):
         out = corrupt(digits_test.images, NoiseSpec("gaussian", 0.3), make_rng(4))
         assert (out < 0).any()  # no clipping

@@ -4,12 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
+from scipy.spatial.distance import cdist
+
 from imae import nn
-from imae.data import Dataset, NoiseSpec
+from imae.data import Dataset, NoiseSpec, corrupt
 from imae.errors import ConfigurationError
 from imae.evaluation import (cluster_eval, export_codes, kmeans, rand_index,
                              robustness_sweep, sigma_prime)
-from imae.ndcore import make_rng
+from imae.ndcore import ROW_BLOCK, make_rng
 from imae.objectives import reconstruction_l2
 
 
@@ -35,6 +37,55 @@ def greedy_row_max(assignments, labels, k):
                 matched += contingency[i, j]
                 break
     return matched / len(assignments)
+
+
+def kmeans_add_at(codes, k, rng, max_iters=300):
+    """The Lloyd loop with scatter-add centroid sums (np.add.at), kept as the
+    reference the sort-based sums must reproduce bit for bit. Also reports
+    whether an empty cluster was re-seeded."""
+    n = len(codes)
+    centroids = np.empty((k, codes.shape[1]))
+    centroids[0] = codes[int(rng.integers(n))]
+    closest = ((codes - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        idx = int(rng.choice(n, p=closest / total)) if total > 0 else int(rng.integers(n))
+        centroids[j] = codes[idx]
+        closest = np.minimum(closest, ((codes - centroids[j]) ** 2).sum(axis=1))
+    d2 = cdist(codes, centroids, "sqeuclidean")
+    assign = d2.argmin(axis=1)
+    history, n_iter, saw_empty = [], 0, False
+    for _ in range(max_iters):
+        n_iter += 1
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, codes)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        if not nonempty.all():
+            saw_empty = True
+            point_cost = d2[np.arange(n), assign].copy()
+            for c in np.flatnonzero(~nonempty):
+                far = int(point_cost.argmax())
+                centroids[c] = codes[far]
+                point_cost[far] = -1.0
+        d2 = cdist(codes, centroids, "sqeuclidean")
+        new_assign = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(n), new_assign].sum()))
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return assign, centroids, n_iter, history, saw_empty
+
+
+def assert_same_as_add_at(codes, k, seed):
+    assign, centroids, n_iter, history, saw_empty = kmeans_add_at(codes, k, make_rng(seed))
+    result = kmeans(codes, k, make_rng(seed))
+    assert np.array_equal(result.assignments, assign)
+    assert np.array_equal(result.centroids, centroids)
+    assert result.n_iter == n_iter
+    assert result.inertia_history == history
+    return saw_empty
 
 
 def identity_net(d):
@@ -79,6 +130,27 @@ class TestKmeans:
         result = kmeans(codes, 6, make_rng(7))
         d2 = ((codes[:, None, :] - result.centroids[None]) ** 2).sum(-1)
         assert np.array_equal(result.assignments, d2.argmin(axis=1))
+
+    def test_matches_add_at_reference_at_eval_shape(self):
+        # 1000 codes of 200 units: the cluster protocol's subset and the
+        # shallow200 latent width
+        rng = make_rng(11)
+        centers = rng.random((10, 200))
+        codes = centers[rng.integers(10, size=1000)] + 0.3 * rng.random((1000, 200))
+        assert_same_as_add_at(codes, 10, seed=12)
+
+    @pytest.mark.parametrize("width", [1, 10])
+    def test_matches_add_at_reference_narrow_codes(self, width):
+        # one column is summed by accumulate, ten by a row reduction
+        codes = make_rng(13).standard_normal((400, width)) * 10.0 ** np.arange(width)
+        assert_same_as_add_at(codes, 10, seed=14)
+
+    def test_matches_add_at_reference_with_empty_cluster(self):
+        # three distinct points, five clusters: seeding runs out of distance
+        # mass, duplicates a centroid and leaves a cluster empty
+        base = make_rng(15).random((3, 200))
+        codes = base[np.arange(60) % 3]
+        assert assert_same_as_add_at(codes, 5, seed=16)
 
     def test_bad_k(self, rng):
         codes = rng.standard_normal((5, 2))
@@ -179,6 +251,37 @@ class TestRobustnessSweep:
         rows = robustness_sweep(net, digits_test, [NoiseSpec("none")], make_rng(4))
         trace = nn.forward(net, digits_test.images)
         assert rows[0].mean_l2 == reconstruction_l2(digits_test.images, trace.xhat)
+
+
+def one_shot_sweep(net, test, specs, rng):
+    """The sweep as a single full-batch pass per spec, with the plain formula."""
+    values = []
+    for spec in specs:
+        corrupted = corrupt(test.images, spec, rng)
+        xhat = nn.forward(net, corrupted, rng=rng if net.vae_heads is not None else None).xhat
+        diff = test.images - xhat
+        values.append(float(np.einsum("ij,ij->i", diff, diff).mean()))
+    return values
+
+
+class TestChunkedSweep:
+    SPECS = [NoiseSpec("none"), NoiseSpec("mask", 0.3), NoiseSpec("gaussian", 0.2)]
+
+    @pytest.fixture(scope="class")
+    def odd_test_set(self):
+        # 784 pixels as in the presets; 2345 rows is not a multiple of the block
+        rng = make_rng(21)
+        n = 2 * ROW_BLOCK + 345
+        return Dataset(rng.random((n, 784)), rng.integers(10, size=n))
+
+    @pytest.mark.parametrize("vae,tied", [(False, True), (True, False)])
+    def test_equals_one_shot_sweep(self, odd_test_set, vae, tied):
+        net = nn.init_params(nn.shallow_arch(200), make_rng(22), vae=vae, tied=tied)
+        rng_chunked, rng_one_shot = make_rng(23), make_rng(23)
+        rows = robustness_sweep(net, odd_test_set, self.SPECS, rng_chunked)
+        expected = one_shot_sweep(net, odd_test_set, self.SPECS, rng_one_shot)
+        assert [r.mean_l2 for r in rows] == expected
+        assert rng_chunked.bit_generator.state == rng_one_shot.bit_generator.state
 
 
 class TestClusterEval:

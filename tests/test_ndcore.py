@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from imae.ndcore import bernoulli_mask, derive_rng, derive_seed, gaussian, make_rng
+from imae.ndcore import (ROW_BLOCK, bernoulli_mask, derive_rng, derive_seed, gaussian,
+                         make_rng, row_blocks)
 
 
 class TestGaussian:
@@ -36,9 +37,29 @@ class TestBernoulliMask:
         assert set(np.unique(mask)) <= {0.0, 1.0}
         assert abs(mask.mean() - 0.7) < 0.01
 
+    def test_equals_threshold_formula(self):
+        mask = bernoulli_mask(make_rng(6), 300, 784, 0.7)
+        expected = (make_rng(6).random(size=(300, 784)) < 0.7).astype(np.float64)
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, expected)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_mask(make_rng(1), 2, 2, 1.5)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 7, ROW_BLOCK, ROW_BLOCK + 1, 2345, 10 * ROW_BLOCK])
+    def test_cover_rows_in_order(self, n):
+        blocks = row_blocks(n)
+        assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+        assert all(b.stop - b.start <= ROW_BLOCK for b in blocks)
+
+    def test_no_small_tail_block(self):
+        # BLAS products on a handful of rows round differently from large ones
+        sizes = [b.stop - b.start for b in row_blocks(ROW_BLOCK + 3)]
+        assert min(sizes) >= ROW_BLOCK // 2
+        assert [b.stop - b.start for b in row_blocks(10 * ROW_BLOCK)] == [ROW_BLOCK] * 10
 
 
 class TestRngPlumbing:

@@ -3,7 +3,7 @@ import pytest
 
 from imae import nn
 from imae.errors import ConfigurationError, ShapeError
-from imae.ndcore import make_rng
+from imae.ndcore import ROW_BLOCK, make_rng
 from imae.objectives import (LossSpec, cae_penalty, imae_latent_entropy,
                              log_cosh, reconstruction_l2, total_loss, vae_kl)
 
@@ -88,6 +88,12 @@ class TestReconstructionL2:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             reconstruction_l2(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_row_blocks_equal_one_full_reduction(self, rng):
+        x = rng.random((2 * ROW_BLOCK + 500, 784))
+        xhat = rng.random(x.shape)
+        d = x - xhat
+        assert reconstruction_l2(x, xhat) == np.einsum("ij,ij->i", d, d).mean()
 
     def test_row_permutation_invariant(self, rng):
         x = rng.random((8, 4))

@@ -161,6 +161,29 @@ class TestCheckpoints:
         loaded.layers[0].weights[0, 0] = 123.0
         assert loaded.layers[1].weights[0, 0] == 123.0
 
+    def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        net, _ = train(cfg, tiny_dataset())
+        path = tmp_path / "model.ckpt"
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("write failed halfway")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "ascontiguousarray", fail)
+            with pytest.raises(RuntimeError, match="halfway"):
+                save_checkpoint(net, cfg, path)
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no temporary file
+
+        save_checkpoint(net, cfg, path)
+        before = path.read_bytes()
+        net.layers[0].weights += 1.0
+        monkeypatch.setattr(np, "ascontiguousarray", fail)
+        with pytest.raises(RuntimeError, match="halfway"):
+            save_checkpoint(net, cfg, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_corrupted_magic_is_format_error(self, tmp_path):
         cfg = tiny_config()
         net, _ = train(cfg, tiny_dataset())
