@@ -6,8 +6,9 @@ and scores them with noise-robust reconstruction sweeps and K-means
 clusterization of the hidden codes.
 """
 
-from . import (cli, data, evaluation, gradcheck, ndcore, nn, objectives,
-               reference, training)
+# cli is left to be imported on use, so `python -m imae.cli` runs it once
+from . import (data, evaluation, gradcheck, ndcore, nn, objectives, reference,
+               training)
 from .data import Dataset, NoiseSpec
 from .nn import Arch, Network, deep_arch, shallow_arch
 from .objectives import LossSpec

@@ -16,7 +16,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass
 from pathlib import Path
 
 from . import evaluation, gradcheck, nn, objectives, reference, training
@@ -24,11 +24,13 @@ from .data import CANONICAL_FILES, Dataset, NoiseSpec, load_idx
 from .errors import (CheckpointFormatError, ConfigurationError, IdxFormatError,
                      TrainingDiverged)
 from .ndcore import derive_rng, derive_seed
+from .training import BOOL, FLOAT, INT, TEXT
 
 ENV_DATA_DIR = "IMAE_DATA_DIR"
 PRESETS = ("shallow200", "shallow1000", "deep")
 SCALES = ("desk", "paper")
 PROTOCOLS = ("robustness", "cluster", "codes")
+DATASETS = ("mnist", "fashion")
 
 
 class UsageError(Exception):
@@ -37,74 +39,77 @@ class UsageError(Exception):
 
 # --- experiment config -------------------------------------------------
 
-def _grid_text(grid):
-    return ",".join(f"{v:g}" for v in grid)
+GRID = (lambda text: tuple(float(v) for v in text.split(",") if v.strip() != ""),
+        lambda grid: ",".join(f"{v:g}" for v in grid))
+VARIANT = (str.upper, str)
 
-
-# section -> ordered keys; None defaults are resolved in resolve_config
+# section -> key -> (ExperimentConfig field, (parse, format), default). Every
+# config text goes through this one table: INI files, --set, the flags (each
+# an alias of one key) and the resolved snapshot. None defaults depend on
+# other keys and are filled by _derived_defaults.
 _SCHEMA = {
-    "experiment": {"seed": "12345", "out": "runs/experiment", "scale": "desk"},
-    "data": {
-        "dir": None,
-        "dataset": "mnist",
-        "train_images": CANONICAL_FILES["train_images"],
-        "train_labels": CANONICAL_FILES["train_labels"],
-        "test_images": CANONICAL_FILES["test_images"],
-        "test_labels": CANONICAL_FILES["test_labels"],
+    "experiment": {
+        "seed": ("seed", INT, 12345),
+        "out": ("out", TEXT, "runs/experiment"),
+        "scale": ("scale", TEXT, "desk"),
     },
-    "model": {"variant": "IMAE", "preset": "shallow200", "nh": "10",
-              "lambda": None, "noise_kind": "mask", "noise_level": "0.3",
-              "tied": None, "biases": "true"},
-    "train": {"learning_rate": None, "epochs": None, "batch_size": "500",
-              "shuffle": "false", "train_limit": None},
-    "eval": {"protocol": "robustness", "iterations": "50", "n": "1000",
-             "k": "10", "noise_kind": "gaussian", "noise_level": None,
-             "mask_grid": _grid_text(reference.MASK_GRID),
-             "gaussian_grid": _grid_text(reference.GAUSSIAN_GRID)},
+    "data": {
+        "dir": ("data_dir", TEXT, "./data"),
+        "dataset": ("dataset", TEXT, "mnist"),
+        **{key: (key, TEXT, name) for key, name in CANONICAL_FILES.items()},
+    },
+    "model": {
+        "variant": ("variant", VARIANT, objectives.IMAE),
+        "preset": ("preset", TEXT, "shallow200"),
+        "nh": ("nh", INT, 10),
+        "lambda": ("lam", FLOAT, None),
+        "noise_kind": ("noise_kind", TEXT, "mask"),
+        "noise_level": ("noise_level", FLOAT, 0.3),
+        "tied": ("tied", BOOL, None),
+        "biases": ("biases", BOOL, True),
+    },
+    "train": {
+        "learning_rate": ("learning_rate", FLOAT, None),
+        "epochs": ("epochs", INT, None),
+        "batch_size": ("batch_size", INT, 500),
+        "shuffle": ("shuffle", BOOL, False),
+        "train_limit": ("train_limit", INT, None),
+    },
+    "eval": {
+        "protocol": ("eval_protocol", TEXT, "robustness"),
+        "iterations": ("eval_iterations", INT, 50),
+        "n": ("eval_n", INT, 1000),
+        "k": ("eval_k", INT, 10),
+        "noise_kind": ("eval_noise_kind", TEXT, "gaussian"),
+        "noise_level": ("eval_noise_level", FLOAT, None),
+        "mask_grid": ("mask_grid", GRID, reference.MASK_GRID),
+        "gaussian_grid": ("gaussian_grid", GRID, reference.GAUSSIAN_GRID),
+    },
 }
+_KEYS = {f"{section}.{key}": entry
+         for section, keys in _SCHEMA.items() for key, entry in keys.items()}
+
+_CHOICES = {"experiment.scale": SCALES, "model.variant": objectives.VARIANTS,
+            "model.preset": PRESETS, "data.dataset": DATASETS, "eval.protocol": PROTOCOLS}
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig", [field for field, _, _ in _KEYS.values()],
+    namespace={"__module__": __name__,
+               "__doc__": "A fully resolved configuration: one field per _SCHEMA key."})
 
 
-@dataclass
-class ExperimentConfig:
-    seed: int
-    out: str
-    scale: str
-    data_dir: str
-    dataset: str
-    files: dict
-    variant: str
-    preset: str
-    nh: int
-    lam: float
-    noise_kind: str
-    noise_level: float
-    tied: bool
-    biases: bool
-    learning_rate: float
-    epochs: int
-    batch_size: int
-    shuffle: bool
-    train_limit: int
-    eval_protocol: str
-    eval_iterations: int
-    eval_n: int
-    eval_k: int
-    eval_noise_kind: str
-    eval_noise_level: float
-    mask_grid: tuple
-    gaussian_grid: tuple
-
-
-def _parse_bool(text, key):
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise UsageError(f"{key}: expected a boolean, got {text!r}")
-
-
-def _parse_grid(text):
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
+def _derived_defaults(values) -> dict:
+    """Defaults that depend on the preset, scale, variant or dataset."""
+    shallow = values["model.preset"].startswith("shallow")
+    paper = values["experiment.scale"] == "paper"
+    return {
+        "model.lambda": objectives.DEFAULT_LAMBDA[values["model.variant"]],
+        "model.tied": shallow,
+        "train.learning_rate": 0.05 if shallow else 0.005,
+        "train.epochs": 2000 if paper else (300 if shallow else 150),
+        "train.train_limit": 0 if paper else 10000,
+        "eval.noise_level": 0.2 if shallow else reference.TABLE3_NOISE_STD[values["data.dataset"]],
+    }
 
 
 def read_config_file(path) -> dict:
@@ -129,97 +134,32 @@ def read_config_file(path) -> dict:
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Materialize every default into a complete configuration.
 
-    Preset- and scale-dependent defaults (learning rate, epochs, subset size,
-    evaluation noise) are filled here; explicit settings always win.
+    ``raw`` maps "section.key" to text. Each value is parsed by its schema
+    codec; keys it lacks take the schema default, or the derived default
+    for the preset, scale, variant and dataset. Explicit settings always win.
     """
-    def get(section, key, fallback=None):
-        value = raw.get(f"{section}.{key}")
-        if value is None:
-            value = _SCHEMA[section][key]
-        if value is None:
-            value = fallback
-        return value
-
-    scale = get("experiment", "scale")
-    if scale not in SCALES:
-        raise UsageError(f"experiment.scale must be one of {SCALES}, got {scale!r}")
-    variant = get("model", "variant").upper()
-    if variant not in objectives.VARIANTS:
-        raise UsageError(f"model.variant must be one of {objectives.VARIANTS}, got {variant!r}")
-    preset = get("model", "preset")
-    if preset not in PRESETS:
-        raise UsageError(f"model.preset must be one of {PRESETS}, got {preset!r}")
-    dataset = get("data", "dataset")
-    if dataset not in ("mnist", "fashion"):
-        raise UsageError(f"data.dataset must be mnist or fashion, got {dataset!r}")
-    shallow = preset.startswith("shallow")
-
-    data_dir = raw.get("data.dir") or "./data"
-    lam = get("model", "lambda", repr(objectives.DEFAULT_LAMBDA[variant]))
-    tied = get("model", "tied", "true" if shallow else "false")
-    learning_rate = get("train", "learning_rate", "0.05" if shallow else "0.005")
-    if get("train", "epochs") is None:
-        epochs = "2000" if scale == "paper" else ("300" if shallow else "150")
-    else:
-        epochs = get("train", "epochs")
-    train_limit = get("train", "train_limit", "0" if scale == "paper" else "10000")
-    eval_noise_level = get("eval", "noise_level",
-                           "0.2" if shallow else repr(reference.TABLE3_NOISE_STD[dataset]))
-    protocol = get("eval", "protocol")
-    if protocol not in PROTOCOLS:
-        raise UsageError(f"eval.protocol must be one of {PROTOCOLS}, got {protocol!r}")
-
-    return ExperimentConfig(
-        seed=int(get("experiment", "seed")),
-        out=get("experiment", "out"),
-        scale=scale,
-        data_dir=data_dir,
-        dataset=dataset,
-        files={k: get("data", k) for k in CANONICAL_FILES},
-        variant=variant,
-        preset=preset,
-        nh=int(get("model", "nh")),
-        lam=float(lam),
-        noise_kind=get("model", "noise_kind"),
-        noise_level=float(get("model", "noise_level")),
-        tied=_parse_bool(tied, "model.tied"),
-        biases=_parse_bool(get("model", "biases"), "model.biases"),
-        learning_rate=float(learning_rate),
-        epochs=int(epochs),
-        batch_size=int(get("train", "batch_size")),
-        shuffle=_parse_bool(get("train", "shuffle"), "train.shuffle"),
-        train_limit=int(train_limit),
-        eval_protocol=protocol,
-        eval_iterations=int(get("eval", "iterations")),
-        eval_n=int(get("eval", "n")),
-        eval_k=int(get("eval", "k")),
-        eval_noise_kind=get("eval", "noise_kind"),
-        eval_noise_level=float(eval_noise_level),
-        mask_grid=_parse_grid(get("eval", "mask_grid")),
-        gaussian_grid=_parse_grid(get("eval", "gaussian_grid")),
-    )
+    values = {}
+    for key, (_, (parse, _), default) in _KEYS.items():
+        try:
+            values[key] = parse(raw[key]) if key in raw else default
+        except ValueError as e:
+            raise UsageError(f"{key}: {e}") from None
+    for key, allowed in _CHOICES.items():
+        if values[key] not in allowed:
+            raise UsageError(f"{key} must be one of {allowed}, got {values[key]!r}")
+    for key, value in _derived_defaults(values).items():
+        if values[key] is None:
+            values[key] = value
+    return ExperimentConfig(**{_KEYS[key][0]: value for key, value in values.items()})
 
 
 def snapshot_text(cfg: ExperimentConfig) -> str:
-    """The fully resolved configuration, every default materialized."""
-    lines = ["[experiment]",
-             f"seed = {cfg.seed}", f"out = {cfg.out}", f"scale = {cfg.scale}",
-             "", "[data]", f"dir = {cfg.data_dir}", f"dataset = {cfg.dataset}"]
-    lines += [f"{k} = {cfg.files[k]}" for k in CANONICAL_FILES]
-    lines += ["", "[model]", f"variant = {cfg.variant}", f"preset = {cfg.preset}",
-              f"nh = {cfg.nh}", f"lambda = {cfg.lam!r}",
-              f"noise_kind = {cfg.noise_kind}", f"noise_level = {cfg.noise_level!r}",
-              f"tied = {str(cfg.tied).lower()}", f"biases = {str(cfg.biases).lower()}",
-              "", "[train]", f"learning_rate = {cfg.learning_rate!r}",
-              f"epochs = {cfg.epochs}", f"batch_size = {cfg.batch_size}",
-              f"shuffle = {str(cfg.shuffle).lower()}", f"train_limit = {cfg.train_limit}",
-              "", "[eval]", f"protocol = {cfg.eval_protocol}",
-              f"iterations = {cfg.eval_iterations}", f"n = {cfg.eval_n}",
-              f"k = {cfg.eval_k}", f"noise_kind = {cfg.eval_noise_kind}",
-              f"noise_level = {cfg.eval_noise_level!r}",
-              f"mask_grid = {_grid_text(cfg.mask_grid)}",
-              f"gaussian_grid = {_grid_text(cfg.gaussian_grid)}"]
-    return "\n".join(lines) + "\n"
+    """The fully resolved configuration, every default materialized; it reads
+    back through read_config_file and resolve_config to the same config."""
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {fmt(getattr(cfg, field))}\n"
+                                   for key, (field, (_, fmt), _) in keys.items())
+        for section, keys in _SCHEMA.items())
 
 
 def snapshot_config(cfg: ExperimentConfig, path) -> str:
@@ -228,12 +168,12 @@ def snapshot_config(cfg: ExperimentConfig, path) -> str:
     return text
 
 
-def preset_arch(cfg: ExperimentConfig) -> nn.Arch:
-    if cfg.preset == "shallow200":
+def preset_arch(preset, nh) -> nn.Arch:
+    if preset == "shallow200":
         return nn.shallow_arch(200)
-    if cfg.preset == "shallow1000":
+    if preset == "shallow1000":
         return nn.shallow_arch(1000)
-    return nn.deep_arch(cfg.nh)
+    return nn.deep_arch(nh)
 
 
 def make_loss(cfg: ExperimentConfig) -> objectives.LossSpec:
@@ -246,7 +186,7 @@ def make_train_config(cfg: ExperimentConfig, loss, seed) -> training.TrainConfig
     """Training setup for one model; only shallow non-VAE decoders are tied."""
     tied = cfg.tied and cfg.preset.startswith("shallow") and loss.variant != objectives.VAE
     return training.TrainConfig(
-        arch=preset_arch(cfg), loss=loss,
+        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
         learning_rate=cfg.learning_rate, epochs=cfg.epochs,
         batch_size=cfg.batch_size, tied=tied, seed=seed,
         biases=cfg.biases, shuffle=cfg.shuffle)
@@ -260,14 +200,11 @@ def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
     """
     arch = tcfg.arch
     nh = arch.layers[arch.latent_index][0]
-    base = resolve_config({})
-    preset = next((p for p in PRESETS
-                   if preset_arch(replace(base, preset=p, nh=nh)) == arch), None)
+    preset = next((p for p in PRESETS if preset_arch(p, nh) == arch), None)
     if preset is None:
         raise UsageError(f"checkpoint architecture {arch.widths()} (latent index "
                          f"{arch.latent_index}) matches no preset of {PRESETS}")
-    trained = dict(line.split(" = ", 1)
-                   for line in training.config_to_text(tcfg).splitlines())
+    trained = training.config_values(tcfg)
     section = {f"model.{k}": trained[k]
                for k in ("variant", "lambda", "noise_kind", "noise_level", "tied", "biases")}
     section["model.preset"] = preset
@@ -284,8 +221,8 @@ def model_tag(loss: objectives.LossSpec) -> str:
 
 def load_split(cfg: ExperimentConfig, split) -> Dataset:
     """Load the train or test IDX pair, erroring with the canonical names."""
-    images = Path(cfg.data_dir) / cfg.files[f"{split}_images"]
-    labels = Path(cfg.data_dir) / cfg.files[f"{split}_labels"]
+    images = Path(cfg.data_dir) / getattr(cfg, f"{split}_images")
+    labels = Path(cfg.data_dir) / getattr(cfg, f"{split}_labels")
     missing = [str(p) for p in (images, labels) if not p.is_file()]
     if missing:
         expected = ", ".join(CANONICAL_FILES.values())
@@ -308,31 +245,22 @@ def _warn_paper_scale(cfg):
 # --- commands -----------------------------------------------------------
 
 def _apply_overrides(raw, args):
-    cli_data_dir = False
+    """Layer the command line over a config file's raw values. Flags (each an
+    alias of one key) apply first and --set last, so --set wins. A dataset
+    directory from either beats IMAE_DATA_DIR, which beats the config file."""
+    given = {key: str(value) for key, value in vars(args).items()
+             if key in _KEYS and value is not None}
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--set expects section.key=value, got {item!r}")
         key = key.strip()
-        section, _, name = key.partition(".")
-        if section not in _SCHEMA or name not in _SCHEMA[section]:
+        if key not in _KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        raw[key] = value.strip()
-        cli_data_dir = cli_data_dir or key == "data.dir"
-    if getattr(args, "seed", None) is not None:
-        raw["experiment.seed"] = str(args.seed)
-    if getattr(args, "out", None) is not None:
-        raw["experiment.out"] = args.out
-    if getattr(args, "scale", None) is not None:
-        raw["experiment.scale"] = args.scale
-    if getattr(args, "nh", None) is not None:
-        raw["model.nh"] = str(args.nh)
-    if getattr(args, "data_dir", None) is not None:
-        raw["data.dir"] = args.data_dir
-        cli_data_dir = True
-    # precedence: command line > environment > config file > default
-    if not cli_data_dir and os.environ.get(ENV_DATA_DIR):
+        given[key] = value.strip()
+    if "data.dir" not in given and os.environ.get(ENV_DATA_DIR):
         raw["data.dir"] = os.environ[ENV_DATA_DIR]
+    raw.update(given)
     return raw
 
 
@@ -362,15 +290,6 @@ def robustness_specs(mask_grid, gaussian_grid):
 
 def cmd_eval(args) -> int:
     raw = _apply_overrides(read_config_file(args.config), args)
-    if args.protocol:
-        raw["eval.protocol"] = args.protocol
-    for flag in ("iterations", "n", "k"):
-        if getattr(args, flag, None) is not None:
-            raw[f"eval.{flag}"] = str(getattr(args, flag))
-    if args.noise_kind:
-        raw["eval.noise_kind"] = args.noise_kind
-    if args.noise_level is not None:
-        raw["eval.noise_level"] = str(args.noise_level)
     net, tcfg = training.load_checkpoint(args.checkpoint)
     raw.update(checkpoint_model_section(tcfg))
     cfg = resolve_config(raw)
@@ -445,10 +364,11 @@ def _train_and_eval_model(cfg, loss, train_ds, test_ds, out, cluster_iters,
 def _shallow_losses(cfg):
     return [
         objectives.LossSpec.ae(),
-        objectives.LossSpec.cae(0.1),
+        objectives.LossSpec.cae(),
         objectives.LossSpec.dae(NoiseSpec("mask", 0.3)),
         objectives.LossSpec.dae(NoiseSpec("gaussian", 0.3)),
-        objectives.LossSpec.imae(cfg.lam if cfg.variant == objectives.IMAE else 1.0),
+        objectives.LossSpec.imae(cfg.lam) if cfg.variant == objectives.IMAE
+        else objectives.LossSpec.imae(),
     ]
 
 
@@ -478,9 +398,7 @@ def _write_metric_table(path, reports, metrics, published):
 
 def cmd_reproduce(args) -> int:
     raw = _apply_overrides(read_config_file(args.config), args)
-    if args.table in ("table1", "table2"):
-        raw.setdefault("model.preset", "shallow200")
-    else:
+    if args.table == "table3":
         raw["model.preset"] = "deep"
     cfg = resolve_config(raw)
     _warn_paper_scale(cfg)
@@ -492,7 +410,8 @@ def cmd_reproduce(args) -> int:
           f"lr={cfg.learning_rate:g} batch={cfg.batch_size} seed={cfg.seed}")
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
-    hidden = preset_arch(cfg).layers[0][0] if cfg.preset.startswith("shallow") else None
+    shallow = cfg.preset.startswith("shallow")
+    hidden = preset_arch(cfg.preset, cfg.nh).layers[0][0] if shallow else None
 
     if args.table == "table1":
         ref = reference.TABLE1.get(hidden, {})
@@ -531,7 +450,7 @@ def cmd_reproduce(args) -> int:
                      for tag, by_nh in reference.TABLE3[cfg.dataset].items() if cfg.nh in by_nh}
         noise = NoiseSpec("gaussian", reference.TABLE3_NOISE_STD[cfg.dataset])
         iters = cfg.eval_iterations if cfg.scale == "paper" else min(cfg.eval_iterations, 10)
-        losses = [objectives.LossSpec.vae(), objectives.LossSpec.imae(1.0)]
+        losses = [objectives.LossSpec.vae(), objectives.LossSpec.imae()]
         metrics = (("R", lambda r: _pct(r.rand_clean)), ("R_noisy", lambda r: _pct(r.rand_noisy)))
     reports = {}
     for loss in losses:
@@ -553,12 +472,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_flags(p):
+    """Each flag is an alias of the config key it names as its dest."""
     p.add_argument("--config", default=None, help="experiment config file (INI)")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--scale", choices=SCALES, default=None)
-    p.add_argument("--nh", type=int, default=None, help="deep-preset code size")
-    p.add_argument("--data-dir", default=None,
+    p.add_argument("--seed", dest="experiment.seed", type=int, help="master seed")
+    p.add_argument("--out", dest="experiment.out", help="output directory")
+    p.add_argument("--scale", dest="experiment.scale", choices=SCALES)
+    p.add_argument("--nh", dest="model.nh", type=int, help="deep-preset code size")
+    p.add_argument("--data-dir", dest="data.dir",
                    help=f"dataset directory (or set {ENV_DATA_DIR})")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override any config value (highest precedence)")
@@ -575,12 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--protocol", choices=PROTOCOLS, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--noise-kind", choices=("none", "mask", "gaussian"), default=None)
-    p.add_argument("--noise-level", type=float, default=None)
+    p.add_argument("--protocol", dest="eval.protocol", choices=PROTOCOLS)
+    p.add_argument("--iterations", dest="eval.iterations", type=int)
+    p.add_argument("--n", dest="eval.n", type=int)
+    p.add_argument("--k", dest="eval.k", type=int)
+    p.add_argument("--noise-kind", dest="eval.noise_kind", choices=("none", "mask", "gaussian"))
+    p.add_argument("--noise-level", dest="eval.noise_level", type=float)
     _common_flags(p)
     p.set_defaults(func=cmd_eval)
 

@@ -92,11 +92,11 @@ def _spec_for(variant):
     if variant == objectives.AE:
         return objectives.LossSpec.ae()
     if variant == objectives.CAE:
-        return objectives.LossSpec.cae(0.1)
+        return objectives.LossSpec.cae()
     if variant == objectives.DAE:
         return objectives.LossSpec.dae(NoiseSpec("mask", 0.3))
     if variant == objectives.IMAE:
-        return objectives.LossSpec.imae(1.0)
+        return objectives.LossSpec.imae()
     if variant == objectives.VAE:
         return objectives.LossSpec.vae()
     raise ValueError(f"unknown variant {variant!r}")
@@ -121,7 +121,3 @@ def check_variant(variant, seed, widths=DEFAULT_WIDTHS, batch=DEFAULT_BATCH,
     analytic = nn.backward(net, trace, spec, x_clean)
     numeric = finite_difference_grads(net, spec, x_in, x_clean, eps=eps, h=h)
     return GradCheckResult(variant, seed, compare_grads(analytic, numeric, rtol, atol))
-
-
-def run_gradcheck(variants=objectives.VARIANTS, seeds=range(20), **kwargs) -> list:
-    return [check_variant(v, s, **kwargs) for v in variants for s in seeds]

@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import ShapeError
 
-# The one generator algorithm used everywhere. PCG64 produces the same stream
-# for the same seed on every platform numpy supports.
-RNG_ALGORITHM = "pcg64"
-
 # Most rows one forward-only chunk (or one row-wise reduction block) holds.
 ROW_BLOCK = 1000
 

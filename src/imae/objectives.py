@@ -51,7 +51,7 @@ class LossSpec:
         return cls(AE)
 
     @classmethod
-    def cae(cls, lam=0.1):
+    def cae(cls, lam=DEFAULT_LAMBDA[CAE]):
         return cls(CAE, lam=lam)
 
     @classmethod
@@ -59,7 +59,7 @@ class LossSpec:
         return cls(DAE, noise=noise)
 
     @classmethod
-    def imae(cls, lam=1.0):
+    def imae(cls, lam=DEFAULT_LAMBDA[IMAE]):
         return cls(IMAE, lam=lam)
 
     @classmethod

@@ -114,31 +114,48 @@ def train(cfg: TrainConfig, ds: Dataset):
 
 # --- config text (embedded in checkpoints, also written as snapshots) ---
 
-_CONFIG_KEYS = ("variant", "lambda", "noise_kind", "noise_level", "input_dim",
-                "layers", "latent_index", "learning_rate", "epochs",
-                "batch_size", "tied", "seed", "biases", "shuffle")
+def _parse_bool(text):
+    if text.lower() in ("true", "yes", "1"):
+        return True
+    if text.lower() in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# (parse, format) pairs shared by every config text: checkpoint blocks here,
+# INI files and resolved snapshots in ``cli``. Parsers raise ValueError.
+INT = (int, str)
+FLOAT = (float, repr)
+BOOL = (_parse_bool, lambda value: str(value).lower())
+TEXT = (str, str)
+LAYERS = (lambda text: tuple((int(w), a) for w, _, a in
+                             (part.partition(":") for part in text.split(","))),
+          lambda layers: ",".join(f"{w}:{a}" for w, a in layers))
+
+_CONFIG_CODECS = {
+    "variant": TEXT, "lambda": FLOAT, "noise_kind": TEXT, "noise_level": FLOAT,
+    "input_dim": INT, "layers": LAYERS, "latent_index": INT, "learning_rate": FLOAT,
+    "epochs": INT, "batch_size": INT, "tied": BOOL, "seed": INT, "biases": BOOL,
+    "shuffle": BOOL,
+}
+
+
+def config_values(cfg: TrainConfig) -> dict:
+    """The checkpoint config block as ordered key -> text."""
+    noise = cfg.loss.noise or NoiseSpec("none", 0.0)
+    values = {
+        "variant": cfg.loss.variant, "lambda": cfg.loss.lam,
+        "noise_kind": noise.kind, "noise_level": noise.level,
+        "input_dim": cfg.arch.input_dim, "layers": cfg.arch.layers,
+        "latent_index": cfg.arch.latent_index, "learning_rate": cfg.learning_rate,
+        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "tied": cfg.tied,
+        "seed": cfg.seed, "biases": cfg.biases, "shuffle": cfg.shuffle,
+    }
+    return {key: fmt(values[key]) for key, (_, fmt) in _CONFIG_CODECS.items()}
 
 
 def config_to_text(cfg: TrainConfig) -> str:
-    layers = ",".join(f"{w}:{a}" for w, a in cfg.arch.layers)
-    noise = cfg.loss.noise
-    values = {
-        "variant": cfg.loss.variant,
-        "lambda": repr(cfg.loss.lam),
-        "noise_kind": noise.kind if noise else "none",
-        "noise_level": repr(noise.level) if noise else repr(0.0),
-        "input_dim": cfg.arch.input_dim,
-        "layers": layers,
-        "latent_index": cfg.arch.latent_index,
-        "learning_rate": repr(cfg.learning_rate),
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "tied": str(cfg.tied).lower(),
-        "seed": cfg.seed,
-        "biases": str(cfg.biases).lower(),
-        "shuffle": str(cfg.shuffle).lower(),
-    }
-    return "".join(f"{k} = {values[k]}\n" for k in _CONFIG_KEYS)
+    return "".join(f"{k} = {v}\n" for k, v in config_values(cfg).items())
 
 
 def config_from_text(text: str) -> TrainConfig:
@@ -149,25 +166,25 @@ def config_from_text(text: str) -> TrainConfig:
             continue
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
-    missing = [k for k in _CONFIG_KEYS if k not in kv]
+    missing = [k for k in _CONFIG_CODECS if k not in kv]
     if missing:
         raise CheckpointFormatError(f"config block missing keys: {missing}")
-    unknown = [k for k in kv if k not in _CONFIG_KEYS]
+    unknown = [k for k in kv if k not in _CONFIG_CODECS]
     if unknown:
         raise CheckpointFormatError(f"config block has unknown keys: {unknown}")
-    layers = tuple((int(w), a) for w, _, a in
-                   (part.partition(":") for part in kv["layers"].split(",")))
-    arch = nn.Arch(int(kv["input_dim"]), layers, int(kv["latent_index"]))
-    noise = None
-    if kv["noise_kind"] != "none":
-        noise = NoiseSpec(kv["noise_kind"], float(kv["noise_level"]))
-    loss = objectives.LossSpec(kv["variant"], lam=float(kv["lambda"]), noise=noise)
+    v = {}
+    for key, (parse, _) in _CONFIG_CODECS.items():
+        try:
+            v[key] = parse(kv[key])
+        except ValueError as e:
+            raise CheckpointFormatError(f"config block key {key}: {e}") from None
+    noise = None if v["noise_kind"] == "none" else NoiseSpec(v["noise_kind"], v["noise_level"])
     return TrainConfig(
-        arch=arch, loss=loss,
-        learning_rate=float(kv["learning_rate"]),
-        epochs=int(kv["epochs"]), batch_size=int(kv["batch_size"]),
-        tied=kv["tied"] == "true", seed=int(kv["seed"]),
-        biases=kv["biases"] == "true", shuffle=kv["shuffle"] == "true")
+        arch=nn.Arch(v["input_dim"], v["layers"], v["latent_index"]),
+        loss=objectives.LossSpec(v["variant"], lam=v["lambda"], noise=noise),
+        learning_rate=v["learning_rate"], epochs=v["epochs"],
+        batch_size=v["batch_size"], tied=v["tied"], seed=v["seed"],
+        biases=v["biases"], shuffle=v["shuffle"])
 
 
 # --- checkpoint io ---

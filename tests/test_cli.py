@@ -84,13 +84,136 @@ class TestConfigResolution:
             read_config_file(path)
 
     def test_preset_architectures(self):
-        assert cli.preset_arch(resolve_config({"model.preset": "shallow200"})).widths() \
-            == (784, 200, 784)
-        assert cli.preset_arch(resolve_config({"model.preset": "shallow1000"})).widths() \
-            == (784, 1000, 784)
-        deep = cli.preset_arch(resolve_config({"model.preset": "deep", "model.nh": "10"}))
+        assert cli.preset_arch("shallow200", 10).widths() == (784, 200, 784)
+        assert cli.preset_arch("shallow1000", 10).widths() == (784, 1000, 784)
+        deep = cli.preset_arch("deep", 10)
         assert deep.widths() == (784, 1100, 700, 10, 700, 1100, 784)
         assert deep.latent_index == 2
+
+
+GOLDEN_DEFAULT_SNAPSHOT = """\
+[experiment]
+seed = 12345
+out = runs/experiment
+scale = desk
+
+[data]
+dir = ./data
+dataset = mnist
+train_images = train-images-idx3-ubyte
+train_labels = train-labels-idx1-ubyte
+test_images = t10k-images-idx3-ubyte
+test_labels = t10k-labels-idx1-ubyte
+
+[model]
+variant = IMAE
+preset = shallow200
+nh = 10
+lambda = 1.0
+noise_kind = mask
+noise_level = 0.3
+tied = true
+biases = true
+
+[train]
+learning_rate = 0.05
+epochs = 300
+batch_size = 500
+shuffle = false
+train_limit = 10000
+
+[eval]
+protocol = robustness
+iterations = 50
+n = 1000
+k = 10
+noise_kind = gaussian
+noise_level = 0.2
+mask_grid = 0,0.3,0.5,0.75
+gaussian_grid = 0.03,0.15,0.35,0.45
+"""
+
+
+def command_line(argv, monkeypatch):
+    """The raw config values a command line sets, without a config file."""
+    monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
+    return cli._apply_overrides({}, cli.build_parser().parse_args(argv))
+
+
+class TestConfigSchema:
+    def test_default_snapshot_is_golden(self):
+        assert cli.snapshot_text(resolve_config({})) == GOLDEN_DEFAULT_SNAPSHOT
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"train.learning_rate": "0.30000000000000004", "model.tied": "no",
+         "eval.mask_grid": "0.1", "eval.gaussian_grid": ""},
+    ])
+    def test_snapshot_reads_back_to_itself(self, tmp_path, extra):
+        path = tmp_path / "config.resolved.ini"
+        for preset in cli.PRESETS:
+            for scale in cli.SCALES:
+                for variant in objectives.VARIANTS:
+                    for dataset in cli.DATASETS:
+                        raw = {"model.preset": preset, "experiment.scale": scale,
+                               "model.variant": variant, "data.dataset": dataset, **extra}
+                        text = cli.snapshot_text(resolve_config(raw))
+                        path.write_text(text)
+                        assert cli.snapshot_text(resolve_config(read_config_file(path))) == text
+
+    @pytest.mark.parametrize("argv, key, field, value", [
+        (["train", "--seed", "7"], "experiment.seed", "seed", 7),
+        (["train", "--out", "runs/x"], "experiment.out", "out", "runs/x"),
+        (["train", "--scale", "paper"], "experiment.scale", "scale", "paper"),
+        (["train", "--nh", "5"], "model.nh", "nh", 5),
+        (["train", "--data-dir", "mnist"], "data.dir", "data_dir", "mnist"),
+        (["eval", "--protocol", "cluster"], "eval.protocol", "eval_protocol", "cluster"),
+        (["eval", "--iterations", "3"], "eval.iterations", "eval_iterations", 3),
+        (["eval", "--n", "100"], "eval.n", "eval_n", 100),
+        (["eval", "--k", "4"], "eval.k", "eval_k", 4),
+        (["eval", "--noise-kind", "mask"], "eval.noise_kind", "eval_noise_kind", "mask"),
+        (["eval", "--noise-level", "0.25"], "eval.noise_level", "eval_noise_level", 0.25),
+    ])
+    def test_flag_lands_on_its_key(self, monkeypatch, argv, key, field, value):
+        if argv[0] == "eval":
+            argv = argv + ["--checkpoint", "model.ckpt"]
+        raw = command_line(argv, monkeypatch)
+        assert list(raw) == [key]
+        assert getattr(resolve_config(raw), field) == value
+
+    def test_set_beats_flag(self, monkeypatch):
+        argv = ["train", "--seed", "2", "--set", "experiment.seed=1"]
+        assert resolve_config(command_line(argv, monkeypatch)).seed == 1
+
+    def test_data_dir_precedence(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        path.write_text("[data]\ndir = from-file\n")
+
+        def resolved_dir(argv):
+            args = cli.build_parser().parse_args(["train", "--config", str(path)] + argv)
+            return resolve_config(cli._apply_overrides(read_config_file(path), args)).data_dir
+
+        monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
+        assert resolved_dir([]) == "from-file"
+        monkeypatch.setenv(cli.ENV_DATA_DIR, "from-env")
+        assert resolved_dir([]) == "from-env"
+        assert resolved_dir(["--data-dir", "from-flag"]) == "from-flag"
+        assert resolved_dir(["--set", "data.dir=from-set"]) == "from-set"
+
+    @pytest.mark.parametrize("item, key", [
+        ("train.epochs=abc", "train.epochs"),
+        ("model.noise_level=high", "model.noise_level"),
+        ("train.shuffle=maybe", "train.shuffle"),
+        ("eval.mask_grid=0.1,x", "eval.mask_grid"),
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, item, key):
+        assert cli.main(["train", "--out", str(tmp_path / "out"), "--set", item]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {key}: ")
+
+    def test_unknown_dataset_lists_choices(self):
+        with pytest.raises(UsageError,
+                           match=r"data.dataset must be one of \('mnist', 'fashion'\)"):
+            resolve_config({"data.dataset": "cifar"})
 
 
 class TestTrainCommand:
@@ -175,6 +298,13 @@ class TestEvalCommand:
             header = f.readline().strip().split(",")
         assert len(header) == 201  # label + n_h columns
         assert header[:2] == ["label", "z0"]
+
+    def test_set_beats_flag(self, checkpoint, idx_dir, tmp_path):
+        out = tmp_path / "k"
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--protocol", "codes",
+                         "--data-dir", str(idx_dir), "--out", str(out),
+                         "--k", "5", "--set", "eval.k=3"]) == 0
+        assert "\nk = 3\n" in (out / "config.resolved.ini").read_text()
 
     def test_model_section_comes_from_checkpoint(self, idx_dir, tmp_path):
         trained, out = tmp_path / "deep5", tmp_path / "deep5eval"

@@ -130,6 +130,18 @@ class TestConfigText:
         with pytest.raises(CheckpointFormatError):
             config_from_text(text)
 
+    @pytest.mark.parametrize("line, bad", [
+        ("epochs = 3", "epochs = three"),
+        ("learning_rate = 0.05", "learning_rate = fast"),
+        ("shuffle = false", "shuffle = maybe"),
+        ("layers = 6:sigmoid,16:identity", "layers = six:sigmoid,16:identity"),
+    ])
+    def test_malformed_value_names_its_key(self, line, bad):
+        text = config_to_text(tiny_config())
+        key = line.partition(" =")[0]
+        with pytest.raises(CheckpointFormatError, match=f"key {key}: "):
+            config_from_text(text.replace(line, bad))
+
 
 class TestCheckpoints:
     @pytest.mark.parametrize("loss,tied", [
@@ -160,6 +172,14 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
         loaded.layers[0].weights[0, 0] = 123.0
         assert loaded.layers[1].weights[0, 0] == 123.0
+
+    def test_malformed_bool_in_file_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_network(tiny_config(), make_rng(1)), tiny_config(), path)
+        body = path.read_bytes()
+        path.write_bytes(body.replace(b"shuffle = false", b"shuffle = maybe"))
+        with pytest.raises(CheckpointFormatError, match="shuffle: expected a boolean"):
+            load_checkpoint(path)
 
     def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch):
         cfg = tiny_config()
