@@ -345,8 +345,8 @@ def cmd_gradcheck(args) -> int:
     return 2 if failed else 0
 
 
-def _train_and_eval_model(cfg, loss, train_ds, test_ds, out, cluster_iters,
-                          cluster_noise, resolved=None):
+def _train_model(cfg, loss, train_ds, out):
+    """Train one table model; writes ``<tag>.ckpt`` and ``<tag>.history.csv``."""
     tag = model_tag(loss)
     tcfg = make_train_config(cfg, loss, derive_seed(cfg.seed, "train", tag))
     print(f"training {tag} ({cfg.preset}, {cfg.epochs} epochs, "
@@ -354,11 +354,7 @@ def _train_and_eval_model(cfg, loss, train_ds, test_ds, out, cluster_iters,
     net, history = training.train(tcfg, train_ds)
     training.save_checkpoint(net, tcfg, out / f"{tag}.ckpt")
     history.to_csv(out / f"{tag}.history.csv")
-    report = evaluation.cluster_eval(
-        net, test_ds, iterations=cluster_iters, n=cfg.eval_n, k=cfg.eval_k,
-        noise=cluster_noise, seed=derive_seed(cfg.seed, "eval", tag), model_tag=tag)
-    evaluation.report_to_json(report, out / f"{tag}.cluster.json", resolved)
-    return net, report
+    return net
 
 
 def _shallow_losses(cfg):
@@ -421,9 +417,7 @@ def cmd_reproduce(args) -> int:
             writer.writerow(["model", "noise_kind", "level", "mean_l2", "reference"])
             for loss in _shallow_losses(cfg):
                 tag = model_tag(loss)
-                net, _ = _train_and_eval_model(
-                    cfg, loss, train_ds, test_ds, out, cluster_iters=1,
-                    cluster_noise=None, resolved=resolved)
+                net = _train_model(cfg, loss, train_ds, out)
                 rows = evaluation.robustness_sweep(
                     net, test_ds, specs,
                     derive_rng(derive_seed(cfg.seed, "eval", tag), "robustness"))
@@ -454,10 +448,12 @@ def cmd_reproduce(args) -> int:
         metrics = (("R", lambda r: _pct(r.rand_clean)), ("R_noisy", lambda r: _pct(r.rand_noisy)))
     reports = {}
     for loss in losses:
-        _, report = _train_and_eval_model(
-            cfg, loss, train_ds, test_ds, out, cluster_iters=iters,
-            cluster_noise=noise, resolved=resolved)
-        reports[report.model] = report
+        tag = model_tag(loss)
+        net = _train_model(cfg, loss, train_ds, out)
+        reports[tag] = evaluation.cluster_eval(
+            net, test_ds, iterations=iters, n=cfg.eval_n, k=cfg.eval_k,
+            noise=noise, seed=derive_seed(cfg.seed, "eval", tag), model_tag=tag)
+        evaluation.report_to_json(reports[tag], out / f"{tag}.cluster.json", resolved)
     path = out / f"{args.table}.csv"
     _write_metric_table(path, reports, metrics, published)
     print(f"wrote {path}")

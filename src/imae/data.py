@@ -162,9 +162,11 @@ def batch_indices(n, batch_size, rng=None, shuffle=False):
 
 def batches(ds: Dataset, batch_size, rng=None, shuffle=False):
     """Image batches covering the dataset exactly once, in file order unless
-    shuffled (each call draws one fresh permutation from rng)."""
+    shuffled (each call draws one fresh permutation from rng). File-order
+    batches are row slices, views of ``ds.images`` that callers must not
+    write to; shuffled ones are copies."""
     for idx in batch_indices(len(ds), batch_size, rng, shuffle):
-        yield ds.images[idx]
+        yield ds.images[idx] if shuffle else ds.images[idx[0]:idx[-1] + 1]
 
 
 def sample_subset(ds: Dataset, n, rng) -> Dataset:

@@ -20,8 +20,15 @@ ACTIVATIONS = ("sigmoid", "softplus", "identity")
 
 
 def softplus(x):
-    """log(1 + exp(x)) computed without overflow for |x| up to ~700."""
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)): it cannot overflow,
+    and numpy's vectorized exp and log1p run several times faster than the
+    scalar loop of ``np.logaddexp``."""
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def _activate(tag, z):
@@ -34,11 +41,21 @@ def _activate(tag, z):
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
-def _activation_deriv(tag, pre, act):
+def _activation_deriv(tag, act):
+    """The activation's derivative, read from its output ``act``.
+
+    Sigmoid: a(1 - a). Softplus: the sigmoid of its input, 1 - exp(-s) for
+    s = softplus(z), computed as -expm1(-s) so that it keeps full precision
+    where s is small (z very negative) instead of cancelling.
+    """
     if tag == "sigmoid":
-        return act * (1.0 - act)
+        d = 1.0 - act
+        d *= act
+        return d
     if tag == "softplus":
-        return expit(pre)
+        d = np.negative(act)
+        np.expm1(d, out=d)
+        return np.negative(d, out=d)
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
@@ -213,7 +230,9 @@ def _linear(layer, a):
     if a.shape[1] != layer.weights.shape[1]:
         raise ShapeError(
             f"layer expects {layer.weights.shape[1]} inputs, batch has {a.shape}")
-    return a @ layer.weights.T + layer.bias
+    z = a @ layer.weights.T
+    z += layer.bias
+    return z
 
 
 def forward(net: Network, batch, rng=None, eps=None) -> ForwardTrace:
@@ -281,10 +300,9 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
         heads_here = net.vae_heads is not None and k == net.latent_index
-        if layer.activation == "identity":
-            dz = g
-        else:
-            dz = g * _activation_deriv(layer.activation, trace.pre[k], trace.act[k])
+        dz = g  # fresh each layer, so the derivative is multiplied in place
+        if layer.activation != "identity":
+            dz *= _activation_deriv(layer.activation, trace.act[k])
         if k == net.latent_index:
             if "latent_pre" in loss:
                 dz += loss["latent_pre"]

@@ -101,7 +101,9 @@ def train(cfg: TrainConfig, ds: Dataset):
                 raise TrainingDiverged(epoch, {"total": total, **terms})
             grads = nn.backward(net, trace, cfg.loss, xb)
             for name, p in params.items():
-                p -= cfg.learning_rate * grads[name]
+                step = grads[name]  # owned by this step, so scaled in place
+                step *= cfg.learning_rate
+                p -= step
             b = len(xb)
             tot += total * b
             rec += terms["reconstruction"] * b

@@ -12,16 +12,21 @@ from imae.ndcore import make_rng
 from conftest import make_synthetic_digits
 
 
-@pytest.fixture(scope="session")
-def idx_dir(tmp_path_factory):
-    """MNIST-shaped synthetic IDX files (28x28, 10 classes) for CLI runs."""
-    root = tmp_path_factory.mktemp("idxdata")
-    for split, n, seed in (("train", 400, 21), ("test", 300, 22)):
+def write_idx_dir(root, splits):
+    """MNIST-shaped synthetic IDX files (28x28, 10 classes) for CLI runs;
+    ``splits`` holds (split, image count, seed) triples."""
+    for split, n, seed in splits:
         ds = make_synthetic_digits(n, seed=seed, side=28)
         images = (ds.images * 255.0).round().astype(np.uint8).reshape(n, 28, 28)
         write_idx_images(root / CANONICAL_FILES[f"{split}_images"], images)
         write_idx_labels(root / CANONICAL_FILES[f"{split}_labels"], ds.labels)
     return root
+
+
+@pytest.fixture(scope="session")
+def idx_dir(tmp_path_factory):
+    return write_idx_dir(tmp_path_factory.mktemp("idxdata"),
+                         (("train", 400, 21), ("test", 300, 22)))
 
 
 def fast_overrides(extra=()):
@@ -384,6 +389,19 @@ class TestReproduceCommand:
         assert len(rows) == 1 + 5 * 8
         ae_mask0 = [r for r in rows[1:] if r[0] == "AE" and r[1] == "mask" and r[2] == "0"]
         assert ae_mask0[0][4] == "37.4"
+
+    def test_table1_runs_no_cluster_eval(self, tmp_path):
+        # 500 test images is fewer than eval.n (1000), which only the cluster
+        # protocol samples; table1 needs the robustness sweep alone
+        (tmp_path / "data").mkdir()
+        root = write_idx_dir(tmp_path / "data", (("train", 200, 31), ("test", 500, 32)))
+        out = tmp_path / "t1"
+        code = cli.main(["reproduce", "--table", "table1", "--data-dir", str(root),
+                         "--seed", "13", "--out", str(out), "--set", "train.epochs=1",
+                         "--set", "train.batch_size=100"])
+        assert code == 0
+        assert (out / "table1.csv").is_file()
+        assert not list(out.glob("*.cluster.json"))
 
     def test_table3_layout(self, idx_dir, tmp_path, capsys):
         out = tmp_path / "t3"

@@ -147,6 +147,7 @@ class TestBatches:
         assert len(got) == 4  # 1500 -> 400,400,400,300
         np.testing.assert_array_equal(got[0], digits_train.images[:400])
         assert len(got[-1]) == 300
+        assert all(np.shares_memory(b, digits_train.images) for b in got)  # views, no copies
 
     def test_partition_property_with_shuffle(self):
         idx = np.concatenate(list(batch_indices(997, 100, make_rng(5), shuffle=True)))

@@ -64,6 +64,23 @@ class TestTrain:
         for arr in net.param_items().values():
             assert np.all(np.isfinite(arr))
 
+    @pytest.mark.parametrize("loss,arch,tied", [
+        (LossSpec.ae(), nn.shallow_arch(200), True),
+        (LossSpec.cae(0.1), nn.shallow_arch(200), True),
+        (LossSpec.dae(NoiseSpec("mask", 0.3)), nn.shallow_arch(200), True),
+        (LossSpec.dae(NoiseSpec("gaussian", 0.3)), nn.shallow_arch(200), True),
+        (LossSpec.imae(1.0), nn.shallow_arch(200), True),
+        (LossSpec.imae(1.0), nn.deep_arch(10), False)])
+    def test_training_leaves_images_untouched(self, loss, arch, tied):
+        # unshuffled batches are views of the dataset and the step works in
+        # place, so no in-place write may land on a batch
+        ds = make_synthetic_digits(1000, seed=4, side=28)
+        before = ds.images.tobytes()
+        cfg = TrainConfig(arch=arch, loss=loss, learning_rate=0.005, epochs=1,
+                          batch_size=500, tied=tied, seed=3)
+        train(cfg, ds)
+        assert ds.images.tobytes() == before
+
     def test_bias_free_training_keeps_biases_zero(self):
         cfg = tiny_config(biases=False, epochs=4)
         net, _ = train(cfg, tiny_dataset())
