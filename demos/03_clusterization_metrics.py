@@ -12,16 +12,16 @@ import numpy as np
 
 from imae import nn
 from imae.evaluation import kmeans, rand_index, sigma_prime
-from imae.ndcore import make_rng
+from imae.ndcore import derive_rng
 
-rng = make_rng(99)
+rng = derive_rng(99)
 
 # --- K-means on three obvious blobs -------------------------------------
 centers = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
 labels = rng.integers(3, size=600)
 points = centers[labels] + 0.4 * rng.standard_normal((600, 2))
 
-result = kmeans(points, 3, make_rng(1))
+result = kmeans(points, 3, derive_rng(1))
 print(f"k-means on 3 blobs: {result.n_iter} iterations, inertia {result.inertia:.1f}")
 print(f"  inertia per iteration (never increases): "
       f"{[round(v, 1) for v in result.inertia_history]}")
@@ -44,7 +44,7 @@ print(f"  exhaustive max over 4! maps: {best:.4f} == "
       f"solver: {rand_index(small_assign, small_labels, 4):.4f}")
 
 # --- sigma': mean derivative of the sigmoid code ------------------------
-net = nn.init_params(nn.shallow_arch(32, 64), make_rng(2))
+net = nn.init_params(nn.shallow_arch(32, 64), derive_rng(2))
 x = rng.random((200, 64))
 print(f"\nsigma' of a fresh random encoder: {sigma_prime(net, x):.4f}")
 for arr in net.param_items().values():

@@ -133,6 +133,8 @@ def load_idx(images_path, labels_path, name="") -> Dataset:
         raise IdxFormatError(
             f"count mismatch: {len(raw)} images in {images_path} "
             f"but {len(labels)} labels in {labels_path}")
+    if len(raw) == 0:
+        raise IdxFormatError(f"no images in {images_path}")
     images = raw.reshape(len(raw), -1).astype(np.float64) / 255.0
     return Dataset(images, labels, name=name or str(images_path))
 

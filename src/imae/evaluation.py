@@ -164,8 +164,9 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
 
     The network runs forward over row blocks and only the reconstruction is
     kept, so memory holds one corrupted copy of the test set and one
-    reconstruction. Gaussian-latent samples drawn block by block, in row
-    order, are the same draws as one full-batch draw.
+    reconstruction, which becomes the residual in place. Gaussian-latent
+    samples drawn block by block, in row order, are the same draws as one
+    full-batch draw.
     """
     sample_rng = rng if net.vae_heads is not None else None
     xhat = np.empty_like(test.images)
@@ -175,7 +176,8 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
         for block in row_blocks(len(corrupted)):
             xhat[block] = nn.forward(net, corrupted[block], rng=sample_rng).xhat
         del corrupted  # free it before the next spec's copy is drawn
-        rows.append(RobustnessRow(spec, objectives.reconstruction_l2(test.images, xhat)))
+        np.subtract(xhat, test.images, out=xhat)
+        rows.append(RobustnessRow(spec, objectives.reconstruction_l2(xhat)))
     return rows
 
 

@@ -18,7 +18,7 @@ DEFAULT_BATCH = 4
 
 def loss_at(net, spec, x_in, x_clean, eps=None) -> float:
     trace = nn.forward(net, x_in, eps=eps)
-    total, _ = objectives.total_loss(spec, trace, x_clean)
+    total, _, _ = objectives.total_loss(spec, trace, x_clean)
     return total
 
 
@@ -118,6 +118,6 @@ def check_variant(variant, seed, widths=DEFAULT_WIDTHS, batch=DEFAULT_BATCH,
     x_in = corrupt(x_clean, spec.noise, rng) if variant == objectives.DAE else x_clean
     eps = rng.standard_normal((batch, l)) if variant == objectives.VAE else None
     trace = nn.forward(net, x_in, eps=eps)
-    analytic = nn.backward(net, trace, spec, x_clean)
+    _, _, analytic = nn.backward(net, trace, spec, x_clean)
     numeric = finite_difference_grads(net, spec, x_in, x_clean, eps=eps, h=h)
     return GradCheckResult(variant, seed, compare_grads(analytic, numeric, rtol, atol))

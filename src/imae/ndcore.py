@@ -2,8 +2,7 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64, row-major,
 one data sample per row. Randomness always flows through an explicit generator
-created by :func:`make_rng` or :func:`derive_rng`, never through module-level
-numpy state.
+created by :func:`derive_rng`, never through module-level numpy state.
 """
 
 import hashlib
@@ -22,11 +21,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def make_rng(seed) -> np.random.Generator:
-    """Deterministic generator for a 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
 def derive_rng(seed, *labels) -> np.random.Generator:

@@ -145,8 +145,8 @@ class Network:
 class ForwardTrace:
     net: Network
     x: np.ndarray          # batch actually fed to the first layer
-    pre: list              # per-layer pre-activations
     act: list              # per-layer activations
+    latent_pre: np.ndarray = None  # pre-activation of layer latent_index
     mu: np.ndarray = None
     logvar: np.ndarray = None
     eps: np.ndarray = None
@@ -155,10 +155,6 @@ class ForwardTrace:
     @property
     def xhat(self):
         return self.act[-1]
-
-    @property
-    def latent_pre(self):
-        return self.pre[self.net.latent_index]
 
     @property
     def latent_act(self):
@@ -236,13 +232,14 @@ def _linear(layer, a):
 
 
 def forward(net: Network, batch, rng=None, eps=None) -> ForwardTrace:
-    """Run the network on a batch, recording every pre-activation and activation.
+    """Run the network on a batch, recording every activation and the latent
+    layer's pre-activation (the only one the loss reads).
 
     Gaussian-latent networks need ``rng`` to sample the code (or ``eps`` to
     replay a fixed standard-normal draw, e.g. for finite differences).
     """
     a = as_matrix(batch)
-    trace = ForwardTrace(net, a, [], [])
+    trace = ForwardTrace(net, a, [])
     for k, layer in enumerate(net.layers):
         if net.vae_heads is not None and k == net.latent_index:
             mu_head, lv_head = net.vae_heads
@@ -257,7 +254,8 @@ def forward(net: Network, batch, rng=None, eps=None) -> ForwardTrace:
             a = trace.z
         z = _linear(layer, a)
         a = _activate(layer.activation, z)
-        trace.pre.append(z)
+        if k == net.latent_index:
+            trace.latent_pre = z
         trace.act.append(a)
     return trace
 
@@ -274,18 +272,19 @@ def encode(net: Network, batch) -> np.ndarray:
     return _activate(layer.activation, _linear(layer, a))
 
 
-def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
-    """Gradient of the total loss w.r.t. every trainable parameter.
+def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
+    """The total loss and its gradient w.r.t. every trainable parameter.
 
     ``batch_clean`` is the reconstruction target; for denoising training it
-    differs from the (corrupted) forward input. The loss gradients w.r.t. the
-    trace come from ``objectives.loss_grads``; this function only chains them
-    through the layers and the reparameterized sample. Returns a dict keyed
-    like ``Network.param_items``; gradients are means over the batch. For tied
-    networks the decoder contribution is accumulated, transposed, into the
-    shared encoder entry.
+    differs from the (corrupted) forward input. The loss, its terms and its
+    gradients w.r.t. the trace come from one ``objectives.total_loss`` pass;
+    this function only chains the gradients through the layers and the
+    reparameterized sample. Returns (total, terms, grads), with ``grads``
+    keyed like ``Network.param_items``; gradients are means over the batch.
+    For tied networks the decoder contribution is accumulated, transposed,
+    into the shared encoder entry.
     """
-    loss = objectives.loss_grads(spec, trace, batch_clean)
+    total, terms, loss = objectives.total_loss(spec, trace, batch_clean)
     n_layers = len(net.layers)
     half = n_layers // 2
     grads = {}
@@ -310,7 +309,7 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
                 accumulate(f"layers.{k}.W", loss["latent_W"])
         a_prev = trace.layer_input(k)
         if net.tied and k >= half:
-            accumulate(f"layers.{n_layers - 1 - k}.W", (dz.T @ a_prev).T)
+            accumulate(f"layers.{n_layers - 1 - k}.W", a_prev.T @ dz)
         else:
             accumulate(f"layers.{k}.W", dz.T @ a_prev)
         if net.biases:
@@ -332,4 +331,4 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean) -> dict:
                 accumulate("heads.logvar.b", dlv.sum(axis=0))
             if k > 0:
                 g = dmu @ mu_head.weights + dlv @ lv_head.weights
-    return grads
+    return total, terms, grads

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError, ShapeError
-from .ndcore import as_matrix, row_blocks
+from .ndcore import as_matrix
 
 AE = "AE"
 CAE = "CAE"
@@ -85,17 +85,11 @@ def check_spec_matches_net(spec: LossSpec, net) -> None:
             f"(latent_index 0), got latent_index={net.latent_index}")
 
 
-def reconstruction_l2(x, xhat) -> float:
-    """Mean over samples of the squared Euclidean reconstruction distance."""
-    x = as_matrix(x)
-    xhat = as_matrix(xhat)
-    if x.shape != xhat.shape:
-        raise ShapeError(f"reconstruction_l2: shapes differ, {x.shape} vs {xhat.shape}")
-    dist = np.empty(len(x))
-    for rows in row_blocks(len(x)):
-        diff = x[rows] - xhat[rows]
-        np.einsum("ij,ij->i", diff, diff, out=dist[rows])
-    return float(dist.mean())
+def reconstruction_l2(r) -> float:
+    """Mean over samples of the squared Euclidean norm of the residual rows
+    ``r = xhat - x``: the reconstruction distance."""
+    r = as_matrix(r)
+    return float(np.einsum("ij,ij->i", r, r).mean())
 
 
 def log_cosh(x) -> np.ndarray:
@@ -156,32 +150,15 @@ def vae_kl(mu, logvar) -> float:
 
 
 def total_loss(spec: LossSpec, trace, x_clean):
-    """Total objective and its term breakdown for one forward trace.
+    """The objective of one forward trace, its terms and its gradients.
 
-    Returns (total, {"reconstruction": ..., "latent": ...}); the latent entry
-    is signed as it enters the total, so the terms always sum to it.
-    """
-    check_spec_matches_net(spec, trace.net)
-    rec = reconstruction_l2(x_clean, trace.xhat)
-    if spec.variant == IMAE:
-        latent = -spec.lam * imae_latent_entropy(trace.latent_pre)
-    elif spec.variant == CAE:
-        w0 = trace.net.layers[trace.net.latent_index].weights
-        latent = spec.lam * cae_penalty(trace.latent_act, w0)
-    elif spec.variant == VAE:
-        latent = vae_kl(trace.mu, trace.logvar)
-    else:  # AE and DAE are pure reconstruction
-        latent = 0.0
-    return rec + latent, {"reconstruction": rec, "latent": latent}
-
-
-def loss_grads(spec: LossSpec, trace, x_clean) -> dict:
-    """Gradient of ``total_loss`` w.r.t. the trace arrays it reads.
-
-    Keys say where each gradient enters backpropagation: ``"xhat"`` (output
-    activations, always present), ``"latent_pre"`` (latent pre-activations;
-    IMAE, CAE), ``"latent_W"`` (the latent layer's own weights; CAE) and
-    ``"mu"``/``"logvar"`` (the Gaussian-latent heads; VAE).
+    Returns (total, terms, grads). ``terms`` is {"reconstruction": ...,
+    "latent": ...}; the latent entry is signed as it enters the total, so the
+    terms always sum to it. ``grads`` holds the gradient of the total w.r.t.
+    the trace arrays it reads, keyed by where each enters backpropagation:
+    ``"xhat"`` (output activations, always present), ``"latent_pre"`` (latent
+    pre-activations; IMAE, CAE), ``"latent_W"`` (the latent layer's own
+    weights; CAE) and ``"mu"``/``"logvar"`` (the Gaussian-latent heads; VAE).
     """
     check_spec_matches_net(spec, trace.net)
     x_clean = as_matrix(x_clean)
@@ -189,17 +166,25 @@ def loss_grads(spec: LossSpec, trace, x_clean) -> dict:
         raise ShapeError(
             f"target shape {x_clean.shape} does not match output {trace.xhat.shape}")
     batch = x_clean.shape[0]
-    grads = {"xhat": (2.0 / batch) * (trace.xhat - x_clean)}
+    r = trace.xhat - x_clean
+    rec = reconstruction_l2(r)
+    r *= 2.0 / batch  # the residual becomes the gradient w.r.t. xhat
+    grads = {"xhat": r}
     if spec.variant == IMAE:
+        latent = -spec.lam * imae_latent_entropy(trace.latent_pre)
         grads["latent_pre"] = -(spec.lam / batch) * entropy_grad_y0(trace.latent_pre)
     elif spec.variant == CAE:
         y = trace.latent_act
-        d = y * (1.0 - y)
         w0 = trace.net.layers[trace.net.latent_index].weights
+        latent = spec.lam * cae_penalty(y, w0)
+        d = y * (1.0 - y)
         row_sq = np.einsum("ij,ij->i", w0, w0)
         grads["latent_pre"] = (2.0 * spec.lam / batch) * d * d * (1.0 - 2.0 * y) * row_sq
         grads["latent_W"] = (2.0 * spec.lam / batch) * (d * d).sum(axis=0)[:, None] * w0
     elif spec.variant == VAE:
+        latent = vae_kl(trace.mu, trace.logvar)
         grads["mu"] = (2.0 / batch) * trace.mu
         grads["logvar"] = (np.exp(trace.logvar) - 1.0) / batch
-    return grads
+    else:  # AE and DAE are pure reconstruction
+        latent = 0.0
+    return rec + latent, {"reconstruction": rec, "latent": latent}, grads

@@ -96,10 +96,9 @@ def train(cfg: TrainConfig, ds: Dataset):
         for xb in batches(ds, cfg.batch_size, batch_rng, cfg.shuffle):
             x_in = corrupt(xb, cfg.loss.noise, noise_rng) if is_dae else xb
             trace = nn.forward(net, x_in, rng=latent_rng if is_vae else None)
-            total, terms = objectives.total_loss(cfg.loss, trace, xb)
+            total, terms, grads = nn.backward(net, trace, cfg.loss, xb)
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch, {"total": total, **terms})
-            grads = nn.backward(net, trace, cfg.loss, xb)
             for name, p in params.items():
                 step = grads[name]  # owned by this step, so scaled in place
                 step *= cfg.learning_rate

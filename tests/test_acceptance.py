@@ -20,7 +20,7 @@ from imae.data import (CANONICAL_FILES, Dataset, NoiseSpec, load_idx,
                        read_idx_images, write_idx_images)
 from imae.errors import IdxFormatError
 from imae.evaluation import cluster_eval, rand_index, robustness_sweep, sigma_prime
-from imae.ndcore import derive_rng, derive_seed, make_rng
+from imae.ndcore import derive_rng, derive_seed
 from imae.objectives import LossSpec, cae_penalty, imae_latent_entropy, vae_kl
 from imae.training import TrainConfig, train
 
@@ -94,7 +94,7 @@ def test_criterion_4_closed_form_spot_values():
     entropy_ok = all(imae_latent_entropy(np.zeros((1, l))) == 0.25 * l
                      for l in (1, 3, 200))
     kl_ok = vae_kl(np.zeros((2, 4)), np.zeros((2, 4))) == 0.0
-    zero_net = nn.init_params(nn.shallow_arch(7, 11), make_rng(0))
+    zero_net = nn.init_params(nn.shallow_arch(7, 11), derive_rng(0))
     for arr in zero_net.param_items().values():
         arr[:] = 0.0
     sp_ok = sigma_prime(zero_net, np.ones((3, 11))) == 0.25

@@ -7,7 +7,7 @@ import pytest
 from imae import cli, nn, objectives, training
 from imae.cli import UsageError, read_config_file, resolve_config
 from imae.data import CANONICAL_FILES, write_idx_images, write_idx_labels
-from imae.ndcore import make_rng
+from imae.ndcore import derive_rng
 
 from conftest import make_synthetic_digits
 
@@ -329,7 +329,7 @@ class TestEvalCommand:
         tcfg = training.TrainConfig(arch=nn.shallow_arch(7), loss=objectives.LossSpec.ae(),
                                     learning_rate=0.1, epochs=1, batch_size=1)
         path = tmp_path / "odd.ckpt"
-        training.save_checkpoint(training.build_network(tcfg, make_rng(1)), tcfg, path)
+        training.save_checkpoint(training.build_network(tcfg, derive_rng(1)), tcfg, path)
         assert cli.main(["eval", "--checkpoint", str(path), "--protocol", "codes",
                          "--out", str(tmp_path / "out")]) == 1
         assert "(784, 7, 784)" in capsys.readouterr().err
@@ -352,9 +352,9 @@ class TestGradcheckCommand:
         true_backward = nn.backward
 
         def broken(net, trace, spec, clean):
-            grads = true_backward(net, trace, spec, clean)
+            total, terms, grads = true_backward(net, trace, spec, clean)
             grads["layers.0.W"] = grads["layers.0.W"] + 0.01
-            return grads
+            return total, terms, grads
 
         monkeypatch.setattr(nn, "backward", broken)
         assert cli.main(["gradcheck", "--variant", "AE", "--seeds", "1"]) == 2

@@ -7,7 +7,7 @@ from imae.data import (Dataset, NoiseSpec, batch_indices, batches, corrupt,
                        load_idx, read_idx_images, sample_subset,
                        write_idx_images, write_idx_labels)
 from imae.errors import IdxFormatError
-from imae.ndcore import make_rng
+from imae.ndcore import derive_rng
 
 
 def minimal_idx_reader(images_path, labels_path):
@@ -25,7 +25,7 @@ def minimal_idx_reader(images_path, labels_path):
 
 @pytest.fixture
 def idx_pair(tmp_path):
-    rng = make_rng(11)
+    rng = derive_rng(11)
     images = rng.integers(0, 256, size=(32, 5, 5)).astype(np.uint8)
     labels = rng.integers(0, 10, size=32).astype(np.uint8)
     ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
@@ -74,6 +74,13 @@ class TestIdxIo:
         with pytest.raises(IdxFormatError, match="mismatch"):
             load_idx(ip, lp2)
 
+    def test_empty_pair_rejected_naming_file(self, tmp_path):
+        ip, lp = tmp_path / "empty-images.idx", tmp_path / "empty-labels.idx"
+        write_idx_images(ip, np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx_labels(lp, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(IdxFormatError, match=r"no images in .*empty-images\.idx"):
+            load_idx(ip, lp)
+
     def test_truncated_file_is_io_error(self, idx_pair, tmp_path):
         ip, _, _, _ = idx_pair
         cut = tmp_path / "cut.idx"
@@ -89,44 +96,44 @@ class TestIdxIo:
 class TestCorrupt:
     def test_none_is_identity_copy(self, rng):
         x = rng.random((5, 8))
-        out = corrupt(x, NoiseSpec("none"), make_rng(1))
+        out = corrupt(x, NoiseSpec("none"), derive_rng(1))
         assert np.array_equal(out, x)
         assert out is not x
 
     def test_mask_one_zeroes_everything(self, rng):
         x = rng.random((5, 8)) + 0.5
-        out = corrupt(x, NoiseSpec("mask", 1.0), make_rng(1))
+        out = corrupt(x, NoiseSpec("mask", 1.0), derive_rng(1))
         assert np.array_equal(out, np.zeros_like(x))
 
     def test_gaussian_moment(self):
         x = np.zeros((1000, 100))
-        out = corrupt(x, NoiseSpec("gaussian", 0.3), make_rng(2))
+        out = corrupt(x, NoiseSpec("gaussian", 0.3), derive_rng(2))
         assert abs((out - x).std() - 0.3) < 0.005
 
     def test_never_mutates_input(self, rng):
         x = rng.random((4, 6))
         snapshot = x.copy()
         for spec in (NoiseSpec("none"), NoiseSpec("mask", 0.5), NoiseSpec("gaussian", 0.3)):
-            corrupt(x, spec, make_rng(3))
+            corrupt(x, spec, derive_rng(3))
         assert np.array_equal(x, snapshot)
 
     def test_mask_equals_product_formula(self, rng):
         x = rng.random((300, 784))
         snapshot = x.copy()
-        out = corrupt(x, NoiseSpec("mask", 0.3), make_rng(5))
-        keep = (make_rng(5).random(size=x.shape) < 0.7).astype(np.float64)
+        out = corrupt(x, NoiseSpec("mask", 0.3), derive_rng(5))
+        keep = (derive_rng(5).random(size=x.shape) < 0.7).astype(np.float64)
         assert np.array_equal(out, x * keep)
         assert np.array_equal(x, snapshot)
 
     def test_gaussian_equals_normal_formula(self, rng):
         x = rng.random((300, 784))
         snapshot = x.copy()
-        out = corrupt(x, NoiseSpec("gaussian", 0.2), make_rng(6))
-        assert np.array_equal(out, x + make_rng(6).normal(loc=0.0, scale=0.2, size=x.shape))
+        out = corrupt(x, NoiseSpec("gaussian", 0.2), derive_rng(6))
+        assert np.array_equal(out, x + derive_rng(6).normal(loc=0.0, scale=0.2, size=x.shape))
         assert np.array_equal(x, snapshot)
 
     def test_gaussian_leaves_unit_interval(self, digits_test):
-        out = corrupt(digits_test.images, NoiseSpec("gaussian", 0.3), make_rng(4))
+        out = corrupt(digits_test.images, NoiseSpec("gaussian", 0.3), derive_rng(4))
         assert (out < 0).any()  # no clipping
 
     def test_invalid_spec_rejected(self):
@@ -150,11 +157,11 @@ class TestBatches:
         assert all(np.shares_memory(b, digits_train.images) for b in got)  # views, no copies
 
     def test_partition_property_with_shuffle(self):
-        idx = np.concatenate(list(batch_indices(997, 100, make_rng(5), shuffle=True)))
+        idx = np.concatenate(list(batch_indices(997, 100, derive_rng(5), shuffle=True)))
         assert sorted(idx) == list(range(997))
 
     def test_shuffle_deterministic_per_epoch(self):
-        r1, r2 = make_rng(6), make_rng(6)
+        r1, r2 = derive_rng(6), derive_rng(6)
         e1 = [np.concatenate(list(batch_indices(50, 7, r, True))) for r in (r1,)]
         e2 = [np.concatenate(list(batch_indices(50, 7, r, True))) for r in (r2,)]
         assert np.array_equal(e1[0], e2[0])
@@ -168,22 +175,22 @@ class TestBatches:
 
 class TestSampleSubset:
     def test_full_draw_is_permutation(self, digits_test):
-        sub = sample_subset(digits_test, len(digits_test), make_rng(7))
+        sub = sample_subset(digits_test, len(digits_test), derive_rng(7))
         assert sorted(sub.images.sum(axis=1)) == pytest.approx(
             sorted(digits_test.images.sum(axis=1)))
         assert np.array_equal(np.sort(sub.labels), np.sort(digits_test.labels))
 
     def test_fixed_seed_reproducible(self, digits_test):
-        a = sample_subset(digits_test, 100, make_rng(8))
-        b = sample_subset(digits_test, 100, make_rng(8))
+        a = sample_subset(digits_test, 100, derive_rng(8))
+        b = sample_subset(digits_test, 100, derive_rng(8))
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
     def test_class_histogram_concentrates(self, digits_test):
-        sub = sample_subset(digits_test, 1000, make_rng(9))
+        sub = sample_subset(digits_test, 1000, derive_rng(9))
         counts = np.bincount(sub.labels, minlength=10)
         assert counts.min() >= 60 and counts.max() <= 140
 
     def test_oversample_rejected(self, digits_test):
         with pytest.raises(ValueError):
-            sample_subset(digits_test, len(digits_test) + 1, make_rng(1))
+            sample_subset(digits_test, len(digits_test) + 1, derive_rng(1))

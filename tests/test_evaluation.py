@@ -11,7 +11,7 @@ from imae.data import Dataset, NoiseSpec, corrupt
 from imae.errors import ConfigurationError
 from imae.evaluation import (cluster_eval, export_codes, kmeans, rand_index,
                              robustness_sweep, sigma_prime)
-from imae.ndcore import ROW_BLOCK, make_rng
+from imae.ndcore import ROW_BLOCK, derive_rng
 from imae.objectives import reconstruction_l2
 
 
@@ -79,8 +79,8 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
 
 
 def assert_same_as_add_at(codes, k, seed):
-    assign, centroids, n_iter, history, saw_empty = kmeans_add_at(codes, k, make_rng(seed))
-    result = kmeans(codes, k, make_rng(seed))
+    assign, centroids, n_iter, history, saw_empty = kmeans_add_at(codes, k, derive_rng(seed))
+    result = kmeans(codes, k, derive_rng(seed))
     assert np.array_equal(result.assignments, assign)
     assert np.array_equal(result.centroids, centroids)
     assert result.n_iter == n_iter
@@ -89,7 +89,7 @@ def assert_same_as_add_at(codes, k, seed):
 
 
 def identity_net(d):
-    net = nn.init_params(nn.Arch(d, ((d, "identity"),), 0), make_rng(1))
+    net = nn.init_params(nn.Arch(d, ((d, "identity"),), 0), derive_rng(1))
     net.layers[0].weights[:] = np.eye(d)
     net.layers[0].bias[:] = 0.0
     return net
@@ -98,15 +98,15 @@ def identity_net(d):
 class TestKmeans:
     def test_k_equals_n_zero_inertia(self, rng):
         codes = rng.standard_normal((8, 3))
-        result = kmeans(codes, 8, make_rng(2))
+        result = kmeans(codes, 8, derive_rng(2))
         assert result.inertia == 0.0
 
     def test_two_blobs_recovered(self):
-        rng = make_rng(3)
+        rng = derive_rng(3)
         a = rng.standard_normal((40, 2)) * 0.1 + [0, 0]
         b = rng.standard_normal((40, 2)) * 0.1 + [10, 10]
         codes = np.vstack([a, b])
-        result = kmeans(codes, 2, make_rng(4))
+        result = kmeans(codes, 2, derive_rng(4))
         first, second = result.assignments[:40], result.assignments[40:]
         assert len(set(first.tolist())) == 1
         assert len(set(second.tolist())) == 1
@@ -114,27 +114,27 @@ class TestKmeans:
 
     def test_inertia_non_increasing(self, rng):
         codes = rng.standard_normal((200, 5))
-        result = kmeans(codes, 7, make_rng(5))
+        result = kmeans(codes, 7, derive_rng(5))
         hist = result.inertia_history
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
     def test_deterministic_for_fixed_seed(self, rng):
         codes = rng.standard_normal((100, 4))
-        r1 = kmeans(codes, 5, make_rng(6))
-        r2 = kmeans(codes, 5, make_rng(6))
+        r1 = kmeans(codes, 5, derive_rng(6))
+        r2 = kmeans(codes, 5, derive_rng(6))
         assert np.array_equal(r1.assignments, r2.assignments)
         assert np.array_equal(r1.centroids, r2.centroids)
 
     def test_points_assigned_to_nearest_centroid(self, rng):
         codes = rng.standard_normal((120, 3))
-        result = kmeans(codes, 6, make_rng(7))
+        result = kmeans(codes, 6, derive_rng(7))
         d2 = ((codes[:, None, :] - result.centroids[None]) ** 2).sum(-1)
         assert np.array_equal(result.assignments, d2.argmin(axis=1))
 
     def test_matches_add_at_reference_at_eval_shape(self):
         # 1000 codes of 200 units: the cluster protocol's subset and the
         # shallow200 latent width
-        rng = make_rng(11)
+        rng = derive_rng(11)
         centers = rng.random((10, 200))
         codes = centers[rng.integers(10, size=1000)] + 0.3 * rng.random((1000, 200))
         assert_same_as_add_at(codes, 10, seed=12)
@@ -142,22 +142,22 @@ class TestKmeans:
     @pytest.mark.parametrize("width", [1, 10])
     def test_matches_add_at_reference_narrow_codes(self, width):
         # one column is summed by accumulate, ten by a row reduction
-        codes = make_rng(13).standard_normal((400, width)) * 10.0 ** np.arange(width)
+        codes = derive_rng(13).standard_normal((400, width)) * 10.0 ** np.arange(width)
         assert_same_as_add_at(codes, 10, seed=14)
 
     def test_matches_add_at_reference_with_empty_cluster(self):
         # three distinct points, five clusters: seeding runs out of distance
         # mass, duplicates a centroid and leaves a cluster empty
-        base = make_rng(15).random((3, 200))
+        base = derive_rng(15).random((3, 200))
         codes = base[np.arange(60) % 3]
         assert assert_same_as_add_at(codes, 5, seed=16)
 
     def test_bad_k(self, rng):
         codes = rng.standard_normal((5, 2))
         with pytest.raises(ValueError):
-            kmeans(codes, 0, make_rng(1))
+            kmeans(codes, 0, derive_rng(1))
         with pytest.raises(ValueError):
-            kmeans(codes, 6, make_rng(1))
+            kmeans(codes, 6, derive_rng(1))
 
 
 class TestRandIndex:
@@ -172,7 +172,7 @@ class TestRandIndex:
         assert rand_index(assignments, labels, 10) == 0.1
 
     def test_matches_brute_force_enumeration(self):
-        rng = make_rng(8)
+        rng = derive_rng(8)
         for _ in range(100):
             k = int(rng.integers(2, 7))
             n = int(rng.integers(5, 51))
@@ -194,7 +194,7 @@ class TestRandIndex:
         assert rand_index(x, x, 4) == 1.0
 
     def test_beats_greedy(self):
-        rng = make_rng(9)
+        rng = derive_rng(9)
         for _ in range(50):
             k = int(rng.integers(2, 8))
             n = int(rng.integers(10, 80))
@@ -214,18 +214,18 @@ class TestRandIndex:
 
 class TestSigmaPrime:
     def test_zero_weight_net(self):
-        net = nn.init_params(nn.shallow_arch(6, 10), make_rng(1))
+        net = nn.init_params(nn.shallow_arch(6, 10), derive_rng(1))
         for arr in net.param_items().values():
             arr[:] = 0.0
         assert sigma_prime(net, np.ones((4, 10))) == 0.25
 
     def test_saturating_net(self, rng):
-        net = nn.init_params(nn.shallow_arch(6, 10), make_rng(2))
+        net = nn.init_params(nn.shallow_arch(6, 10), derive_rng(2))
         net.layers[0].weights *= 1e4
         assert sigma_prime(net, rng.random((4, 10)) + 0.5) < 1e-6
 
     def test_requires_sigmoid_latent(self, rng):
-        vae_net = nn.init_params(nn.shallow_arch(3, 5), make_rng(1), vae=True)
+        vae_net = nn.init_params(nn.shallow_arch(3, 5), derive_rng(1), vae=True)
         with pytest.raises(ConfigurationError):
             sigma_prime(vae_net, rng.random((2, 5)))
         ident = identity_net(4)
@@ -236,21 +236,21 @@ class TestSigmaPrime:
 class TestRobustnessSweep:
     def test_identity_net_clean_is_zero(self, digits_test):
         net = identity_net(digits_test.images.shape[1])
-        rows = robustness_sweep(net, digits_test, [NoiseSpec("none")], make_rng(1))
+        rows = robustness_sweep(net, digits_test, [NoiseSpec("none")], derive_rng(1))
         assert rows[0].mean_l2 == 0.0
 
     def test_identity_net_mask_expectation(self, digits_test):
         net = identity_net(digits_test.images.shape[1])
         p = 0.3
-        rows = robustness_sweep(net, digits_test, [NoiseSpec("mask", p)], make_rng(2))
+        rows = robustness_sweep(net, digits_test, [NoiseSpec("mask", p)], derive_rng(2))
         expected = p * (digits_test.images ** 2).sum(axis=1).mean()
         assert rows[0].mean_l2 == pytest.approx(expected, rel=0.02)
 
     def test_none_equals_plain_test_loss(self, digits_test, rng):
-        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), make_rng(3))
-        rows = robustness_sweep(net, digits_test, [NoiseSpec("none")], make_rng(4))
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
+        rows = robustness_sweep(net, digits_test, [NoiseSpec("none")], derive_rng(4))
         trace = nn.forward(net, digits_test.images)
-        assert rows[0].mean_l2 == reconstruction_l2(digits_test.images, trace.xhat)
+        assert rows[0].mean_l2 == reconstruction_l2(trace.xhat - digits_test.images)
 
 
 def one_shot_sweep(net, test, specs, rng):
@@ -270,14 +270,14 @@ class TestChunkedSweep:
     @pytest.fixture(scope="class")
     def odd_test_set(self):
         # 784 pixels as in the presets; 2345 rows is not a multiple of the block
-        rng = make_rng(21)
+        rng = derive_rng(21)
         n = 2 * ROW_BLOCK + 345
         return Dataset(rng.random((n, 784)), rng.integers(10, size=n))
 
     @pytest.mark.parametrize("vae,tied", [(False, True), (True, False)])
     def test_equals_one_shot_sweep(self, odd_test_set, vae, tied):
-        net = nn.init_params(nn.shallow_arch(200), make_rng(22), vae=vae, tied=tied)
-        rng_chunked, rng_one_shot = make_rng(23), make_rng(23)
+        net = nn.init_params(nn.shallow_arch(200), derive_rng(22), vae=vae, tied=tied)
+        rng_chunked, rng_one_shot = derive_rng(23), derive_rng(23)
         rows = robustness_sweep(net, odd_test_set, self.SPECS, rng_chunked)
         expected = one_shot_sweep(net, odd_test_set, self.SPECS, rng_one_shot)
         assert [r.mean_l2 for r in rows] == expected
@@ -286,7 +286,7 @@ class TestChunkedSweep:
 
 class TestClusterEval:
     def test_single_iteration_reproducible(self, digits_test):
-        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), make_rng(5))
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(5))
         kwargs = dict(iterations=1, n=200, k=10, noise=NoiseSpec("gaussian", 0.2), seed=3)
         r1 = cluster_eval(net, digits_test, **kwargs)
         r2 = cluster_eval(net, digits_test, **kwargs)
@@ -296,7 +296,7 @@ class TestClusterEval:
 
     def test_vae_report_has_no_sigma_prime(self, digits_test):
         net = nn.init_params(nn.shallow_arch(8, digits_test.images.shape[1]),
-                             make_rng(6), vae=True)
+                             derive_rng(6), vae=True)
         report = cluster_eval(net, digits_test, iterations=1, n=150, k=10, seed=1)
         assert report.sigma_prime is None
         assert report.rand_noisy is None
@@ -307,7 +307,7 @@ class TestExportCodes:
     def test_csv_contract(self, tmp_path, digits_test):
         latent = 9
         net = nn.init_params(nn.shallow_arch(latent, digits_test.images.shape[1]),
-                             make_rng(7))
+                             derive_rng(7))
         path = tmp_path / "codes.csv"
         sub = Dataset(digits_test.images[:50], digits_test.labels[:50])
         export_codes(net, sub, path)

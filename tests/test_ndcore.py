@@ -2,50 +2,50 @@ import numpy as np
 import pytest
 
 from imae.ndcore import (ROW_BLOCK, bernoulli_mask, derive_rng, derive_seed, gaussian,
-                         make_rng, row_blocks)
+                         row_blocks)
 
 
 class TestGaussian:
     def test_zero_std_is_constant(self):
-        out = gaussian(make_rng(1), 4, 5, mean=2.5, std=0.0)
+        out = gaussian(derive_rng(1), 4, 5, mean=2.5, std=0.0)
         assert np.array_equal(out, np.full((4, 5), 2.5))
 
     def test_moments(self):
-        out = gaussian(make_rng(2), 1000, 100, mean=0.0, std=0.3)
+        out = gaussian(derive_rng(2), 1000, 100, mean=0.0, std=0.3)
         assert abs(out.mean()) < 0.01
         assert abs(out.std() - 0.3) < 0.01
 
     def test_same_seed_identical(self):
-        a = gaussian(make_rng(3), 8, 8, 0.0, 1.0)
-        b = gaussian(make_rng(3), 8, 8, 0.0, 1.0)
+        a = gaussian(derive_rng(3), 8, 8, 0.0, 1.0)
+        b = gaussian(derive_rng(3), 8, 8, 0.0, 1.0)
         assert np.array_equal(a, b)
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
-            gaussian(make_rng(1), 2, 2, 0.0, -0.1)
+            gaussian(derive_rng(1), 2, 2, 0.0, -0.1)
 
 
 class TestBernoulliMask:
     def test_keep_all(self):
-        assert np.array_equal(bernoulli_mask(make_rng(1), 3, 3, 1.0), np.ones((3, 3)))
+        assert np.array_equal(bernoulli_mask(derive_rng(1), 3, 3, 1.0), np.ones((3, 3)))
 
     def test_keep_none(self):
-        assert np.array_equal(bernoulli_mask(make_rng(1), 3, 3, 0.0), np.zeros((3, 3)))
+        assert np.array_equal(bernoulli_mask(derive_rng(1), 3, 3, 0.0), np.zeros((3, 3)))
 
     def test_fraction(self):
-        mask = bernoulli_mask(make_rng(4), 1000, 100, 0.7)
+        mask = bernoulli_mask(derive_rng(4), 1000, 100, 0.7)
         assert set(np.unique(mask)) <= {0.0, 1.0}
         assert abs(mask.mean() - 0.7) < 0.01
 
     def test_equals_threshold_formula(self):
-        mask = bernoulli_mask(make_rng(6), 300, 784, 0.7)
-        expected = (make_rng(6).random(size=(300, 784)) < 0.7).astype(np.float64)
+        mask = bernoulli_mask(derive_rng(6), 300, 784, 0.7)
+        expected = (derive_rng(6).random(size=(300, 784)) < 0.7).astype(np.float64)
         assert mask.dtype == np.float64
         assert np.array_equal(mask, expected)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            bernoulli_mask(make_rng(1), 2, 2, 1.5)
+            bernoulli_mask(derive_rng(1), 2, 2, 1.5)
 
 
 class TestRowBlocks:

@@ -5,7 +5,7 @@ from scipy.special import expit
 from imae import gradcheck, nn, objectives
 from imae.data import corrupt
 from imae.errors import ConfigurationError, ShapeError
-from imae.ndcore import derive_rng, make_rng
+from imae.ndcore import derive_rng
 
 
 def zeroed(net):
@@ -16,7 +16,7 @@ def zeroed(net):
 
 def unit_sigmoid(x):
     """The sigmoid of each entry of a 1-D array, through a 1-1 sigmoid layer."""
-    net = nn.init_params(nn.Arch(1, ((1, "sigmoid"),), 0), make_rng(1))
+    net = nn.init_params(nn.Arch(1, ((1, "sigmoid"),), 0), derive_rng(1))
     net.layers[0].weights[:] = 1.0
     return nn.forward(net, np.asarray(x, dtype=np.float64)[:, None]).act[0][:, 0]
 
@@ -115,79 +115,79 @@ class TestActivationKernels:
 
 class TestInitParams:
     def test_seed_reproducible(self):
-        a = nn.init_params(nn.shallow_arch(20, 30), make_rng(5))
-        b = nn.init_params(nn.shallow_arch(20, 30), make_rng(5))
+        a = nn.init_params(nn.shallow_arch(20, 30), derive_rng(5))
+        b = nn.init_params(nn.shallow_arch(20, 30), derive_rng(5))
         for (ka, va), (kb, vb) in zip(a.param_items().items(), b.param_items().items()):
             assert ka == kb
             assert np.array_equal(va, vb)
 
     def test_glorot_bound(self):
-        net = nn.init_params(nn.shallow_arch(200, 784), make_rng(1))
+        net = nn.init_params(nn.shallow_arch(200, 784), derive_rng(1))
         w = net.layers[0].weights
         assert w.shape == (200, 784)
         assert np.abs(w).max() <= np.sqrt(6.0 / 984.0)
 
     def test_weight_mean_near_zero(self):
-        net = nn.init_params(nn.shallow_arch(200, 784), make_rng(2))
+        net = nn.init_params(nn.shallow_arch(200, 784), derive_rng(2))
         assert abs(net.layers[0].weights.mean()) < 0.005
 
     def test_biases_zero(self):
-        net = nn.init_params(nn.shallow_arch(5, 8), make_rng(1))
+        net = nn.init_params(nn.shallow_arch(5, 8), derive_rng(1))
         for layer in net.layers:
             assert np.array_equal(layer.bias, np.zeros_like(layer.bias))
 
     def test_empty_arch_rejected(self):
         with pytest.raises(ValueError):
-            nn.init_params(nn.Arch(4, (), 0), make_rng(1))
+            nn.init_params(nn.Arch(4, (), 0), derive_rng(1))
 
     def test_tied_requires_palindrome(self):
         bad = nn.Arch(4, ((3, "sigmoid"), (5, "identity")), 0)
         with pytest.raises(ConfigurationError):
-            nn.init_params(bad, make_rng(1), tied=True)
+            nn.init_params(bad, derive_rng(1), tied=True)
 
     def test_tied_vae_rejected(self):
         with pytest.raises(ConfigurationError):
-            nn.init_params(nn.shallow_arch(3, 4), make_rng(1), tied=True, vae=True)
+            nn.init_params(nn.shallow_arch(3, 4), derive_rng(1), tied=True, vae=True)
 
 
 class TestForward:
     def test_zero_net_outputs(self):
-        net = zeroed(nn.init_params(nn.shallow_arch(6, 10), make_rng(1)))
+        net = zeroed(nn.init_params(nn.shallow_arch(6, 10), derive_rng(1)))
         trace = nn.forward(net, np.ones((3, 10)))
         assert np.array_equal(trace.xhat, np.zeros((3, 10)))
         assert np.array_equal(trace.latent_act, np.full((3, 6), 0.5))
 
     def test_identity_net_reconstructs(self, rng):
         arch = nn.Arch(5, ((5, "identity"),), 0)
-        net = nn.init_params(arch, make_rng(1))
+        net = nn.init_params(arch, derive_rng(1))
         net.layers[0].weights[:] = np.eye(5)
         net.layers[0].bias[:] = 0.0
         x = rng.standard_normal((4, 5))
         assert np.array_equal(nn.forward(net, x).xhat, x)
 
     def test_sigmoid_latent_in_unit_interval(self, rng):
-        net = nn.init_params(nn.shallow_arch(200, 784), make_rng(3))
+        net = nn.init_params(nn.shallow_arch(200, 784), derive_rng(3))
         trace = nn.forward(net, rng.random((5, 784)))
         assert np.all((trace.latent_act > 0) & (trace.latent_act < 1))
 
     def test_batch_width_mismatch(self):
-        net = nn.init_params(nn.shallow_arch(4, 6), make_rng(1))
+        net = nn.init_params(nn.shallow_arch(4, 6), derive_rng(1))
         with pytest.raises(ShapeError):
             nn.forward(net, np.zeros((2, 7)))
 
     def test_vae_forward_needs_rng_or_eps(self):
-        net = nn.init_params(nn.shallow_arch(4, 6), make_rng(1), vae=True)
+        net = nn.init_params(nn.shallow_arch(4, 6), derive_rng(1), vae=True)
         with pytest.raises(ConfigurationError):
             nn.forward(net, np.zeros((2, 6)))
-        trace = nn.forward(net, np.zeros((2, 6)), rng=make_rng(2))
+        trace = nn.forward(net, np.zeros((2, 6)), rng=derive_rng(2))
         assert trace.z.shape == (2, 4)
-        trace2 = nn.forward(net, np.zeros((2, 6)), rng=make_rng(2))
+        trace2 = nn.forward(net, np.zeros((2, 6)), rng=derive_rng(2))
         assert np.array_equal(trace.z, trace2.z)
 
     def test_tied_forward_matches_materialized_untied(self, rng):
         arch = nn.shallow_arch(7, 12)
-        tied = nn.init_params(arch, make_rng(9), tied=True)
-        untied = nn.init_params(arch, make_rng(10))
+        tied = nn.init_params(arch, derive_rng(9), tied=True)
+        untied = nn.init_params(arch, derive_rng(10))
         untied.layers[0].weights[:] = tied.layers[0].weights
         untied.layers[1].weights[:] = tied.layers[0].weights.T.copy()
         for k in range(2):
@@ -200,40 +200,40 @@ class TestForward:
 class TestBackward:
     def test_zero_learning_signal_for_perfect_reconstruction(self, rng):
         arch = nn.Arch(5, ((5, "identity"),), 0)
-        net = nn.init_params(arch, make_rng(1))
+        net = nn.init_params(arch, derive_rng(1))
         net.layers[0].weights[:] = np.eye(5)
         x = rng.standard_normal((4, 5))
         trace = nn.forward(net, x)
-        grads = nn.backward(net, trace, objectives.LossSpec.ae(), x)
+        _, _, grads = nn.backward(net, trace, objectives.LossSpec.ae(), x)
         for g in grads.values():
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_tied_accumulates_both_appearances(self, rng):
         arch = nn.shallow_arch(6, 9)
-        tied = nn.init_params(arch, make_rng(4), tied=True)
-        untied = nn.init_params(arch, make_rng(5))
+        tied = nn.init_params(arch, derive_rng(4), tied=True)
+        untied = nn.init_params(arch, derive_rng(5))
         untied.layers[0].weights[:] = tied.layers[0].weights
         untied.layers[1].weights[:] = tied.layers[0].weights.T.copy()
         x = rng.random((5, 9))
         spec = objectives.LossSpec.ae()
-        g_tied = nn.backward(tied, nn.forward(tied, x), spec, x)
-        g_untied = nn.backward(untied, nn.forward(untied, x), spec, x)
+        _, _, g_tied = nn.backward(tied, nn.forward(tied, x), spec, x)
+        _, _, g_untied = nn.backward(untied, nn.forward(untied, x), spec, x)
         np.testing.assert_allclose(
             g_tied["layers.0.W"],
             g_untied["layers.0.W"] + g_untied["layers.1.W"].T, rtol=1e-12)
 
     def test_variant_net_mismatch_rejected(self):
-        plain = nn.init_params(nn.shallow_arch(3, 4), make_rng(1))
-        gauss = nn.init_params(nn.shallow_arch(3, 4), make_rng(1), vae=True)
+        plain = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1))
+        gauss = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1), vae=True)
         x = np.zeros((2, 4))
         with pytest.raises(ConfigurationError):
             nn.backward(plain, nn.forward(plain, x), objectives.LossSpec.vae(), x)
-        trace = nn.forward(gauss, x, rng=make_rng(2))
+        trace = nn.forward(gauss, x, rng=derive_rng(2))
         with pytest.raises(ConfigurationError):
             nn.backward(gauss, trace, objectives.LossSpec.ae(), x)
 
     def test_cae_needs_single_layer_encoder(self):
-        net = nn.init_params(nn.deep_arch(4, 20, trunk=(8, 6)), make_rng(1))
+        net = nn.init_params(nn.deep_arch(4, 20, trunk=(8, 6)), derive_rng(1))
         x = np.zeros((2, 20))
         with pytest.raises(ConfigurationError):
             nn.backward(net, nn.forward(net, x), objectives.LossSpec.cae(), x)
@@ -267,7 +267,7 @@ class TestGradientsAgainstFiniteDifferences:
             x_in = x if variant != "DAE" else x * (rng.random(x.shape) > 0.3)
             eps = rng.standard_normal((4, 3)) if vae else None
             trace = nn.forward(net, x_in, eps=eps)
-            analytic = nn.backward(net, trace, spec, x)
+            _, _, analytic = nn.backward(net, trace, spec, x)
             numeric = gradcheck.finite_difference_grads(net, spec, x_in, x, eps=eps)
             blocks = gradcheck.compare_grads(analytic, numeric)
             assert all(b.passed for b in blocks), [(b.name, b.max_rel_err) for b in blocks]
@@ -283,7 +283,7 @@ class TestGradientsAgainstFiniteDifferences:
             spec = gradcheck._spec_for(variant)
             eps = r.standard_normal((4, 5)) if variant == "VAE" else None
             trace = nn.forward(net, x, eps=eps)
-            analytic = nn.backward(net, trace, spec, x)
+            _, _, analytic = nn.backward(net, trace, spec, x)
             numeric = gradcheck.finite_difference_grads(net, spec, x, x, eps=eps)
             assert all(b.passed for b in gradcheck.compare_grads(analytic, numeric))
 
@@ -302,7 +302,7 @@ class TestGradientsAgainstFiniteDifferences:
         x_in = corrupt(x, spec.noise, rng) if variant == "DAE" else x
         latent = arch.layers[arch.latent_index][0]
         eps = rng.standard_normal((500, latent)) if variant == "VAE" else None
-        grads = nn.backward(net, nn.forward(net, x_in, eps=eps), spec, x)
+        _, _, grads = nn.backward(net, nn.forward(net, x_in, eps=eps), spec, x)
         direction = {k: rng.standard_normal(a.shape) for k, a in net.param_items().items()}
         along = sum(float(np.vdot(grads[k], v)) for k, v in direction.items())
 
@@ -318,10 +318,10 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_broken_gradient_is_detected(self, rng):
         # negative control: a sign flip must fail the comparison
-        net = nn.init_params(nn.shallow_arch(5, 8), make_rng(2))
+        net = nn.init_params(nn.shallow_arch(5, 8), derive_rng(2))
         x = rng.random((4, 8))
         spec = objectives.LossSpec.ae()
-        analytic = nn.backward(net, nn.forward(net, x), spec, x)
+        _, _, analytic = nn.backward(net, nn.forward(net, x), spec, x)
         analytic["layers.0.W"] = -analytic["layers.0.W"]
         numeric = gradcheck.finite_difference_grads(net, spec, x, x)
         blocks = gradcheck.compare_grads(analytic, numeric)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from imae import nn
+from imae import gradcheck, nn
 from imae.errors import ConfigurationError, ShapeError
-from imae.ndcore import ROW_BLOCK, make_rng
+from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
 from imae.objectives import (LossSpec, cae_penalty, imae_latent_entropy,
                              log_cosh, reconstruction_l2, total_loss, vae_kl)
 
@@ -46,7 +48,7 @@ def jacobian_frobenius_oracle(w0, b, x, h=1e-5):
 
 def zeroed_vae(latent, d):
     """Gaussian-latent net whose heads output exactly their biases."""
-    net = nn.init_params(nn.shallow_arch(latent, d), make_rng(3), vae=True)
+    net = nn.init_params(nn.shallow_arch(latent, d), derive_rng(3), vae=True)
     for arr in net.param_items().values():
         arr[:] = 0.0
     return net
@@ -74,33 +76,38 @@ class TestLossSpec:
 class TestReconstructionL2:
     def test_identical_is_zero(self, rng):
         x = rng.random((3, 5))
-        assert reconstruction_l2(x, x) == 0.0
+        assert reconstruction_l2(x - x) == 0.0
 
     def test_single_row(self):
-        assert reconstruction_l2([[1.0, 0.0]], [[0.0, 0.0]]) == 1.0
+        assert reconstruction_l2([[-1.0, 0.0]]) == 1.0
 
     def test_against_double_loop(self, rng):
         x = rng.random((6, 9))
         xhat = rng.random((6, 9))
-        np.testing.assert_allclose(reconstruction_l2(x, xhat),
+        np.testing.assert_allclose(reconstruction_l2(xhat - x),
                                    l2_oracle(x, xhat), rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):
+        # the target is checked against the output before the residual is formed
+        net = nn.init_params(nn.shallow_arch(2, 3), derive_rng(1))
+        trace = nn.forward(net, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            reconstruction_l2(np.zeros((2, 3)), np.zeros((3, 2)))
+            total_loss(LossSpec.ae(), trace, np.zeros((3, 2)))
 
     def test_row_blocks_equal_one_full_reduction(self, rng):
+        # one whole-array reduction gives the bits of a row-block-wise one
         x = rng.random((2 * ROW_BLOCK + 500, 784))
         xhat = rng.random(x.shape)
-        d = x - xhat
-        assert reconstruction_l2(x, xhat) == np.einsum("ij,ij->i", d, d).mean()
+        blocked = np.concatenate([np.einsum("ij,ij->i", x[b] - xhat[b], x[b] - xhat[b])
+                                  for b in row_blocks(len(x))])
+        assert reconstruction_l2(xhat - x) == blocked.mean()
 
     def test_row_permutation_invariant(self, rng):
         x = rng.random((8, 4))
         xhat = rng.random((8, 4))
         perm = rng.permutation(8)
-        np.testing.assert_allclose(reconstruction_l2(x, xhat),
-                                   reconstruction_l2(x[perm], xhat[perm]), rtol=1e-12)
+        np.testing.assert_allclose(reconstruction_l2(xhat - x),
+                                   reconstruction_l2(xhat[perm] - x[perm]), rtol=1e-12)
 
 
 class TestLatentEntropy:
@@ -190,44 +197,44 @@ class TestReparameterize:
 
     def test_tiny_variance_returns_mean(self, rng):
         mu = rng.standard_normal(6)
-        trace = self._sample(mu, np.full(6, -60.0), make_rng(1))
+        trace = self._sample(mu, np.full(6, -60.0), derive_rng(1))
         np.testing.assert_allclose(trace.z, np.tile(mu, (4, 1)), rtol=0, atol=1e-12)
 
     def test_unit_variance_moments(self):
-        trace = self._sample(np.zeros(100), np.zeros(100), make_rng(2), batch=1000)
+        trace = self._sample(np.zeros(100), np.zeros(100), derive_rng(2), batch=1000)
         assert abs(trace.z.std() - 1.0) < 0.01
 
     def test_same_seed_identical(self, rng):
         mu = rng.standard_normal(3)
         lv = rng.standard_normal(3)
-        a = self._sample(mu, lv, make_rng(7)).z
-        b = self._sample(mu, lv, make_rng(7)).z
+        a = self._sample(mu, lv, derive_rng(7)).z
+        b = self._sample(mu, lv, derive_rng(7)).z
         assert np.array_equal(a, b)
 
 
 class TestTotalLoss:
     def _net_and_trace(self, rng, variant="AE", lam=0.0, latent=6, d=10, batch=4):
         vae = variant == "VAE"
-        net = nn.init_params(nn.shallow_arch(latent, d), make_rng(3), vae=vae)
+        net = nn.init_params(nn.shallow_arch(latent, d), derive_rng(3), vae=vae)
         x = rng.random((batch, d))
-        trace = nn.forward(net, x, rng=make_rng(4) if vae else None)
+        trace = nn.forward(net, x, rng=derive_rng(4) if vae else None)
         return net, trace, x
 
     def test_zero_lambda_degenerates_to_ae(self, rng):
         _, trace, x = self._net_and_trace(rng)
-        base, _ = total_loss(LossSpec.ae(), trace, x)
+        base, _, _ = total_loss(LossSpec.ae(), trace, x)
         for spec in (LossSpec("CAE", lam=0.0), LossSpec("IMAE", lam=0.0)):
-            value, _ = total_loss(spec, trace, x)
+            value, _, _ = total_loss(spec, trace, x)
             assert value == base
 
     def test_imae_perfect_reconstruction_zero_code(self):
         l = 6
-        net = nn.init_params(nn.shallow_arch(l, 10), make_rng(1))
+        net = nn.init_params(nn.shallow_arch(l, 10), derive_rng(1))
         for arr in net.param_items().values():
             arr[:] = 0.0
         x = np.zeros((3, 10))
         trace = nn.forward(net, x)
-        value, terms = total_loss(LossSpec.imae(1.0), trace, x)
+        value, terms, _ = total_loss(LossSpec.imae(1.0), trace, x)
         assert value == -0.25 * l
         assert terms["reconstruction"] == 0.0
 
@@ -235,22 +242,62 @@ class TestTotalLoss:
     def test_terms_sum_to_total(self, rng, variant):
         lam = {"CAE": 0.1, "IMAE": 1.0}.get(variant, 0.0)
         _, trace, x = self._net_and_trace(rng, variant)
-        value, terms = total_loss(LossSpec(variant, lam=lam), trace, x)
+        value, terms, _ = total_loss(LossSpec(variant, lam=lam), trace, x)
         np.testing.assert_allclose(value, terms["reconstruction"] + terms["latent"],
                                    rtol=0, atol=1e-12)
 
     def test_dae_scores_against_clean_target(self, rng):
         from imae.data import NoiseSpec, corrupt
-        net = nn.init_params(nn.shallow_arch(6, 10), make_rng(5))
+        net = nn.init_params(nn.shallow_arch(6, 10), derive_rng(5))
         x = rng.random((4, 10))
-        noisy = corrupt(x, NoiseSpec("mask", 0.5), make_rng(6))
+        noisy = corrupt(x, NoiseSpec("mask", 0.5), derive_rng(6))
         trace = nn.forward(net, noisy)
         spec = LossSpec.dae(NoiseSpec("mask", 0.5))
-        value, terms = total_loss(spec, trace, x)
-        assert value == reconstruction_l2(x, trace.xhat)
+        value, terms, _ = total_loss(spec, trace, x)
+        assert value == reconstruction_l2(trace.xhat - x)
         assert terms["latent"] == 0.0
 
     def test_mismatched_spec_rejected(self, rng):
         _, trace, x = self._net_and_trace(rng)
         with pytest.raises(ConfigurationError):
             total_loss(LossSpec.vae(), trace, x)
+
+
+def moved_trace(trace, key, step):
+    """A copy of ``trace`` with the array that gradient key ``key`` names
+    moved by ``step``; every other array is shared, so the latent activations
+    stay fixed when the latent weights move."""
+    if key == "xhat":
+        return dataclasses.replace(trace, act=trace.act[:-1] + [trace.xhat + step])
+    if key == "latent_W":
+        net = trace.net.clone()
+        net.layers[net.latent_index].weights += step
+        return dataclasses.replace(trace, net=net)
+    return dataclasses.replace(trace, **{key: getattr(trace, key) + step})
+
+
+class TestTraceGradients:
+    """Each gradient ``total_loss`` returns, against the central difference of
+    its own value along a random direction, at the shallow200 preset shapes
+    (784 inputs, 200 latent units, batch 500)."""
+
+    @pytest.mark.parametrize("variant,key", [
+        ("AE", "xhat"), ("CAE", "xhat"), ("DAE", "xhat"), ("IMAE", "xhat"), ("VAE", "xhat"),
+        ("IMAE", "latent_pre"), ("CAE", "latent_W"), ("VAE", "mu"), ("VAE", "logvar")])
+    def test_directional_derivative(self, variant, key):
+        rng = derive_rng(23, "trace-direction", variant, key)
+        vae = variant == "VAE"
+        net = nn.init_params(nn.shallow_arch(200), rng, vae=vae)
+        x = rng.random((500, 784))
+        trace = nn.forward(net, x, rng=rng if vae else None)
+        spec = gradcheck._spec_for(variant)
+        _, _, grads = total_loss(spec, trace, x)
+        direction = rng.standard_normal(grads[key].shape)
+        along = float(np.vdot(grads[key], direction))
+
+        def value(t):
+            return total_loss(spec, moved_trace(trace, key, t * direction), x)[0]
+
+        h = 1e-6
+        central = (value(h) - value(-h)) / (2 * h)
+        assert abs(along - central) <= 1e-7 * max(abs(along), abs(central)), (along, central)

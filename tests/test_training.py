@@ -4,7 +4,7 @@ import pytest
 from imae import nn, objectives
 from imae.data import Dataset, NoiseSpec
 from imae.errors import CheckpointFormatError, TrainingDiverged
-from imae.ndcore import derive_rng, make_rng
+from imae.ndcore import derive_rng
 from imae.objectives import LossSpec
 from imae.training import (TrainConfig, build_network, config_from_text,
                            config_to_text, load_checkpoint, save_checkpoint,
@@ -20,7 +20,7 @@ def tiny_config(loss=None, **kw):
 
 
 def tiny_dataset(n=30, d=16, seed=1):
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     return Dataset(rng.random((n, d)), rng.integers(0, 10, size=n))
 
 
@@ -103,15 +103,14 @@ class TestTrain:
         x = ds.images
         spec = cfg.loss
         trace = nn.forward(net, x)
-        base, _ = objectives.total_loss(spec, trace, x)
-        grads = nn.backward(net, trace, spec, x)
+        base, _, grads = nn.backward(net, trace, spec, x)
         eta = 0.5
         for _ in range(20):
             stepped = net.clone()
             params = stepped.param_items()
             for name, p in params.items():
                 p -= eta * grads[name]
-            value, _ = objectives.total_loss(spec, nn.forward(stepped, x), x)
+            value, _, _ = objectives.total_loss(spec, nn.forward(stepped, x), x)
             if value < base:
                 break
             eta *= 0.5
@@ -179,7 +178,7 @@ class TestCheckpoints:
         net, _ = train(cfg, ds)
         save_checkpoint(net, cfg, tmp_path / "m.ckpt")
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
-        x = make_rng(3).random((7, 16))
+        x = derive_rng(3).random((7, 16))
         assert np.array_equal(nn.forward(net, x).xhat, nn.forward(loaded, x).xhat)
 
     def test_tied_loaded_net_stays_tied(self, tmp_path):
@@ -192,7 +191,7 @@ class TestCheckpoints:
 
     def test_malformed_bool_in_file_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_network(tiny_config(), make_rng(1)), tiny_config(), path)
+        save_checkpoint(build_network(tiny_config(), derive_rng(1)), tiny_config(), path)
         body = path.read_bytes()
         path.write_bytes(body.replace(b"shuffle = false", b"shuffle = maybe"))
         with pytest.raises(CheckpointFormatError, match="shuffle: expected a boolean"):
