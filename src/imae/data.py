@@ -6,6 +6,7 @@ IDX containers, bit-exact:
   labels: u32 big-endian magic 0x00000801, u32 count, then count bytes
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -28,15 +29,31 @@ CANONICAL_FILES = {
 N_CLASSES = 10
 
 
+def pixel_rows(pixels, index=slice(None)) -> np.ndarray:
+    """Float64 rows ``pixels[index]`` in [0,1], a new array the caller owns.
+
+    uint8 pixels are divided by 255.0 and float pixels by 1.0, so rows of an
+    IDX split hold exactly the values of a whole-split ``astype(float64) / 255``.
+    """
+    pixels = np.asarray(pixels)
+    return pixels[index] / (255.0 if pixels.dtype == np.uint8 else 1.0)
+
+
 @dataclass
 class Dataset:
-    """Images as an (N x d) float64 matrix in [0,1] plus integer labels."""
+    """Images as an (N x d) pixel matrix plus integer labels.
+
+    Pixels are kept as given: uint8 in 0..255 (as read from IDX files) or
+    float64 in [0,1]. Read them as float64 rows through ``pixel_rows``.
+    """
     images: np.ndarray
     labels: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        self.images = as_matrix(self.images)
+        pixels = np.asarray(self.images)
+        is_u8 = pixels.dtype == np.uint8 and pixels.ndim == 2
+        self.images = pixels if is_u8 else as_matrix(pixels)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1 or len(self.labels) != len(self.images):
             raise IdxFormatError(
@@ -45,7 +62,8 @@ class Dataset:
             raise IdxFormatError(
                 f"labels outside [0,{N_CLASSES - 1}]: "
                 f"min={self.labels.min()}, max={self.labels.max()}")
-        if len(self.images) and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        if not is_u8 and len(self.images) and (
+                self.images.min() < 0.0 or self.images.max() > 1.0):
             raise IdxFormatError("pixels outside [0,1]")
 
     def __len__(self):
@@ -84,6 +102,15 @@ def _read_u32(f, what):
     return struct.unpack(">I", read_exact(f, 4, what))[0]
 
 
+def _read_payload(f, n, what):
+    """The n payload bytes a header declares, which must end the file."""
+    payload = read_exact(f, n, what)
+    declared, actual = f.tell(), os.fstat(f.fileno()).st_size
+    if actual != declared:
+        raise IdxFormatError(f"{f.name}: header declares {declared} bytes, file has {actual}")
+    return payload
+
+
 def read_idx_images(path) -> np.ndarray:
     """Raw (count, rows, cols) uint8 pixel array from an IDX image file."""
     with open(path, "rb") as f:
@@ -94,7 +121,7 @@ def read_idx_images(path) -> np.ndarray:
         count = _read_u32(f, "count")
         rows = _read_u32(f, "rows")
         cols = _read_u32(f, "cols")
-        payload = read_exact(f, count * rows * cols, "pixels")
+        payload = _read_payload(f, count * rows * cols, "pixels")
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
 
@@ -105,7 +132,7 @@ def read_idx_labels(path) -> np.ndarray:
             raise IdxFormatError(
                 f"bad label magic in {path}: got 0x{magic:08x}, want 0x{LABELS_MAGIC:08x}")
         count = _read_u32(f, "count")
-        payload = read_exact(f, count, "labels")
+        payload = _read_payload(f, count, "labels")
     return np.frombuffer(payload, dtype=np.uint8)
 
 
@@ -126,7 +153,7 @@ def write_idx_labels(path, labels) -> None:
 
 
 def load_idx(images_path, labels_path, name="") -> Dataset:
-    """Load an IDX image/label pair, normalizing pixels into [0,1] by /255."""
+    """Load an IDX image/label pair; the pixels stay uint8 (see ``pixel_rows``)."""
     raw = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if len(raw) != len(labels):
@@ -135,8 +162,7 @@ def load_idx(images_path, labels_path, name="") -> Dataset:
             f"but {len(labels)} labels in {labels_path}")
     if len(raw) == 0:
         raise IdxFormatError(f"no images in {images_path}")
-    images = raw.reshape(len(raw), -1).astype(np.float64) / 255.0
-    return Dataset(images, labels, name=name or str(images_path))
+    return Dataset(raw.reshape(len(raw), -1), labels, name=name or str(images_path))
 
 
 def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:
@@ -163,16 +189,16 @@ def batch_indices(n, batch_size, rng=None, shuffle=False):
 
 
 def batches(ds: Dataset, batch_size, rng=None, shuffle=False):
-    """Image batches covering the dataset exactly once, in file order unless
-    shuffled (each call draws one fresh permutation from rng). File-order
-    batches are row slices, views of ``ds.images`` that callers must not
-    write to; shuffled ones are copies."""
+    """Float64 image batches (see ``pixel_rows``) covering the dataset exactly
+    once, in file order unless shuffled (each call draws one fresh
+    permutation from rng)."""
     for idx in batch_indices(len(ds), batch_size, rng, shuffle):
-        yield ds.images[idx] if shuffle else ds.images[idx[0]:idx[-1] + 1]
+        yield pixel_rows(ds.images, idx if shuffle else slice(idx[0], idx[-1] + 1))
 
 
 def sample_subset(ds: Dataset, n, rng) -> Dataset:
-    """n rows drawn without replacement, labels kept aligned."""
+    """n rows drawn without replacement, labels kept aligned; the pixels keep
+    their dtype."""
     if n > len(ds):
         raise ValueError(f"cannot sample {n} from {len(ds)} points")
     idx = rng.choice(len(ds), size=int(n), replace=False)

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import nn, objectives
-from .data import Dataset, NoiseSpec, corrupt, sample_subset
+from .data import Dataset, NoiseSpec, corrupt, pixel_rows, sample_subset
 from .errors import ConfigurationError
 from .ndcore import as_matrix, derive_rng, row_blocks
 
@@ -116,8 +116,27 @@ def rand_index(assignments, labels, k) -> float:
     return float(contingency[rows, cols].sum()) / len(a)
 
 
+def encode_rows(net: nn.Network, pixels, noise: NoiseSpec = None, rng=None) -> np.ndarray:
+    """Codes of every row of a pixel matrix (uint8 or float, see
+    ``pixel_rows``), encoded one row block at a time into one code matrix.
+    With ``noise``, each block is corrupted from ``rng`` before encoding;
+    drawn block by block in row order, these are the draws of one full-size
+    corruption."""
+    codes = None
+    for block in row_blocks(len(pixels)):
+        x = pixel_rows(pixels, block)
+        if noise is not None:
+            x = corrupt(x, noise, rng)
+        c = nn.encode(net, x)
+        if codes is None:
+            codes = np.empty((len(pixels), c.shape[1]))
+        codes[block] = c
+    return codes
+
+
 def sigma_prime(net: nn.Network, data) -> float:
-    """Mean derivative of the sigmoid latent over all samples and units."""
+    """Mean derivative of the sigmoid latent over all samples and units of a
+    pixel matrix."""
     if net.vae_heads is not None:
         raise ConfigurationError("sigma_prime needs a sigmoid latent layer, "
                                  "not Gaussian-latent heads")
@@ -125,7 +144,7 @@ def sigma_prime(net: nn.Network, data) -> float:
         raise ConfigurationError(
             f"sigma_prime needs a sigmoid latent layer, got "
             f"{net.layers[net.latent_index].activation!r}")
-    y = nn.encode(net, data)
+    y = encode_rows(net, data)
     return float((y * (1.0 - y)).mean())
 
 
@@ -162,22 +181,22 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     """Mean per-image reconstruction L2 against clean originals, one row per
     corruption spec (inputs corrupted once per spec from ``rng``).
 
-    The network runs forward over row blocks and only the reconstruction is
-    kept, so memory holds one corrupted copy of the test set and one
-    reconstruction, which becomes the residual in place. Gaussian-latent
-    samples drawn block by block, in row order, are the same draws as one
-    full-batch draw.
+    Each row block of the test set is read, corrupted and run forward on its
+    own, and only its per-image distances are kept, so memory holds one
+    block's working set plus one distance per image. The corruption draws of
+    the blocks, in row order, are those of one full-size draw. Gaussian-latent
+    networks draw their latent samples from the same ``rng``, after each
+    block's corruption.
     """
     sample_rng = rng if net.vae_heads is not None else None
-    xhat = np.empty_like(test.images)
+    dist = np.empty(len(test))
     rows = []
     for spec in specs:
-        corrupted = corrupt(test.images, spec, rng)
-        for block in row_blocks(len(corrupted)):
-            xhat[block] = nn.forward(net, corrupted[block], rng=sample_rng).xhat
-        del corrupted  # free it before the next spec's copy is drawn
-        np.subtract(xhat, test.images, out=xhat)
-        rows.append(RobustnessRow(spec, objectives.reconstruction_l2(xhat)))
+        for block in row_blocks(len(test)):
+            x = pixel_rows(test.images, block)
+            xhat = nn.forward(net, corrupt(x, spec, rng), rng=sample_rng).xhat
+            dist[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
+        rows.append(RobustnessRow(spec, float(dist.mean())))
     return rows
 
 
@@ -194,11 +213,10 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
     for it in range(iterations):
         rng = derive_rng(seed, "cluster-eval", it)
         sub = sample_subset(test, n, rng)
-        km = kmeans(nn.encode(net, sub.images), k, rng, kmeans_max_iters)
+        km = kmeans(encode_rows(net, sub.images), k, rng, kmeans_max_iters)
         clean_scores.append(rand_index(km.assignments, sub.labels, k))
         if noise is not None and noise.kind != "none":
-            noisy = corrupt(sub.images, noise, rng)
-            km_n = kmeans(nn.encode(net, noisy), k, rng, kmeans_max_iters)
+            km_n = kmeans(encode_rows(net, sub.images, noise, rng), k, rng, kmeans_max_iters)
             noisy_scores.append(rand_index(km_n.assignments, sub.labels, k))
     sp = None
     if net.vae_heads is None and net.layers[net.latent_index].activation == "sigmoid":
@@ -216,7 +234,7 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
 def export_codes(net: nn.Network, ds: Dataset, path) -> None:
     """CSV of one row per sample: label then the hidden coordinates, written
     with 12 significant digits."""
-    codes = nn.encode(net, ds.images)
+    codes = encode_rows(net, ds.images)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["label"] + [f"z{i}" for i in range(codes.shape[1])])

@@ -85,11 +85,11 @@ def check_spec_matches_net(spec: LossSpec, net) -> None:
             f"(latent_index 0), got latent_index={net.latent_index}")
 
 
-def reconstruction_l2(r) -> float:
-    """Mean over samples of the squared Euclidean norm of the residual rows
-    ``r = xhat - x``: the reconstruction distance."""
+def reconstruction_l2(r) -> np.ndarray:
+    """Squared Euclidean norm of each residual row ``r = xhat - x``: the
+    per-sample reconstruction distance. The loss is its mean."""
     r = as_matrix(r)
-    return float(np.einsum("ij,ij->i", r, r).mean())
+    return np.einsum("ij,ij->i", r, r)
 
 
 def log_cosh(x) -> np.ndarray:
@@ -98,31 +98,35 @@ def log_cosh(x) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
 
 
-def imae_latent_entropy(y0) -> float:
-    """Entropy proxy of the latent code from its pre-activations.
+def imae_entropy_and_grad(y0):
+    """Entropy proxy of the latent code from its pre-activations, and its
+    entrywise derivative w.r.t. them.
 
     Per sample, sums sigma(y0)(1 - sigma(y0)) - log(cosh(y0))^2 over the
-    latent units; returns the batch mean. Maximal (0.25 per unit) at y0 = 0.
+    latent units; the value is the batch mean, maximal (0.25 per unit) at
+    y0 = 0. The derivative is that of each unit term, not divided by the batch.
     """
     y0 = as_matrix(y0)
     s = expit(y0)
-    terms = s * (1.0 - s) - log_cosh(y0) ** 2
-    return float(terms.sum(axis=1).mean())
-
-
-def entropy_grad_y0(y0) -> np.ndarray:
-    """Entrywise derivative of the entropy proxy's unit term w.r.t. y0."""
-    y0 = np.asarray(y0, dtype=np.float64)
-    s = expit(y0)
     d = s * (1.0 - s)
-    return d * (1.0 - 2.0 * s) - 2.0 * log_cosh(y0) * np.tanh(y0)
+    lc = log_cosh(y0)
+    value = float((d - lc ** 2).sum(axis=1).mean())
+    return value, d * (1.0 - 2.0 * s) - 2.0 * lc * np.tanh(y0)
 
 
-def cae_penalty(y, w0) -> float:
-    """Squared Frobenius norm of the encoder Jacobian, batch mean.
+def imae_latent_entropy(y0) -> float:
+    """The value of ``imae_entropy_and_grad``."""
+    return imae_entropy_and_grad(y0)[0]
+
+
+def cae_penalty_and_grads(y, w0, lam):
+    """Squared Frobenius norm of the encoder Jacobian (batch mean), and the
+    gradients of ``lam`` times it.
 
     Exact for a linear-then-sigmoid encoder: sum_i (y_i(1-y_i))^2 * sum_j w_ij^2
     with y the latent activations and w0 the (latent x input) encoder weights.
+    Returns (value, gradient w.r.t. the latent pre-activations, gradient
+    w.r.t. w0 through its row norms).
     """
     y = as_matrix(y)
     w0 = as_matrix(w0)
@@ -130,8 +134,18 @@ def cae_penalty(y, w0) -> float:
         raise ShapeError(
             f"cae_penalty: latent width {y.shape[1]} does not match encoder rows {w0.shape[0]}")
     d = y * (1.0 - y)
+    dd = d * d
     row_sq = np.einsum("ij,ij->i", w0, w0)
-    return float((d * d @ row_sq).mean())
+    scale = 2.0 * lam / len(y)
+    # (scale * d) * d rounds differently from scale * dd; checkpoints keep the former
+    return (float((dd @ row_sq).mean()),
+            scale * d * d * (1.0 - 2.0 * y) * row_sq,
+            scale * dd.sum(axis=0)[:, None] * w0)
+
+
+def cae_penalty(y, w0) -> float:
+    """The value of ``cae_penalty_and_grads``."""
+    return cae_penalty_and_grads(y, w0, 1.0)[0]
 
 
 def vae_kl(mu, logvar) -> float:
@@ -167,20 +181,17 @@ def total_loss(spec: LossSpec, trace, x_clean):
             f"target shape {x_clean.shape} does not match output {trace.xhat.shape}")
     batch = x_clean.shape[0]
     r = trace.xhat - x_clean
-    rec = reconstruction_l2(r)
+    rec = float(reconstruction_l2(r).mean())
     r *= 2.0 / batch  # the residual becomes the gradient w.r.t. xhat
     grads = {"xhat": r}
     if spec.variant == IMAE:
-        latent = -spec.lam * imae_latent_entropy(trace.latent_pre)
-        grads["latent_pre"] = -(spec.lam / batch) * entropy_grad_y0(trace.latent_pre)
+        entropy, grad = imae_entropy_and_grad(trace.latent_pre)
+        latent = -spec.lam * entropy
+        grads["latent_pre"] = -(spec.lam / batch) * grad
     elif spec.variant == CAE:
-        y = trace.latent_act
-        w0 = trace.net.layers[trace.net.latent_index].weights
-        latent = spec.lam * cae_penalty(y, w0)
-        d = y * (1.0 - y)
-        row_sq = np.einsum("ij,ij->i", w0, w0)
-        grads["latent_pre"] = (2.0 * spec.lam / batch) * d * d * (1.0 - 2.0 * y) * row_sq
-        grads["latent_W"] = (2.0 * spec.lam / batch) * (d * d).sum(axis=0)[:, None] * w0
+        penalty, grads["latent_pre"], grads["latent_W"] = cae_penalty_and_grads(
+            trace.latent_act, trace.net.layers[trace.net.latent_index].weights, spec.lam)
+        latent = spec.lam * penalty
     elif spec.variant == VAE:
         latent = vae_kl(trace.mu, trace.logvar)
         grads["mu"] = (2.0 / batch) * trace.mu

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from imae.data import (Dataset, NoiseSpec, batch_indices, batches, corrupt,
-                       load_idx, read_idx_images, sample_subset,
-                       write_idx_images, write_idx_labels)
+                       load_idx, pixel_rows, read_idx_images, read_idx_labels,
+                       sample_subset, write_idx_images, write_idx_labels)
 from imae.errors import IdxFormatError
 from imae.ndcore import derive_rng
 
@@ -38,22 +38,23 @@ class TestIdxIo:
     def test_load_normalizes_and_counts(self, idx_pair):
         ip, lp, images, labels = idx_pair
         ds = load_idx(ip, lp)
-        assert ds.images.shape == (32, 25)
-        assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+        assert ds.images.shape == (32, 25) and ds.images.dtype == np.uint8
+        x = pixel_rows(ds.images)
+        assert x.min() >= 0.0 and x.max() <= 1.0
         assert np.array_equal(ds.labels, labels)
-        np.testing.assert_allclose(ds.images[0], images[0].reshape(-1) / 255.0)
+        np.testing.assert_allclose(x[0], images[0].reshape(-1) / 255.0)
 
     def test_first_label_matches_independent_reader(self, idx_pair):
         ip, lp, images, labels = idx_pair
         pixels, ref_labels = minimal_idx_reader(ip, lp)
         ds = load_idx(ip, lp)
         assert ds.labels[0] == ref_labels[0]
-        assert pixels[:25] == list((ds.images[0] * 255).round().astype(int))
+        assert pixels[:25] == list((pixel_rows(ds.images, 0) * 255).round().astype(int))
 
     def test_round_trip_bytes_exact(self, idx_pair, tmp_path):
         ip, lp, images, _ = idx_pair
         ds = load_idx(ip, lp)
-        back = (ds.images * 255.0).round().astype(np.uint8).reshape(32, 5, 5)
+        back = (pixel_rows(ds.images) * 255.0).round().astype(np.uint8).reshape(32, 5, 5)
         out = tmp_path / "roundtrip.idx"
         write_idx_images(out, back)
         assert out.read_bytes() == ip.read_bytes()
@@ -87,6 +88,19 @@ class TestIdxIo:
         cut.write_bytes(ip.read_bytes()[:40])
         with pytest.raises(IOError, match=r"truncated file .*cut\.idx.*pixels"):
             read_idx_images(cut)
+
+    @pytest.mark.parametrize("reader,which,header", [
+        (read_idx_images, 0, 16), (read_idx_labels, 1, 8)], ids=["images", "labels"])
+    def test_bytes_past_payload_rejected(self, idx_pair, tmp_path, reader, which, header):
+        # a header that declares fewer items than the file holds
+        path = idx_pair[which]
+        long = tmp_path / "long.idx"
+        long.write_bytes(path.read_bytes() + b"\x00\x07")
+        declared = header + (32 * 25 if reader is read_idx_images else 32)
+        with pytest.raises(IdxFormatError,
+                           match=rf"long\.idx: header declares {declared} bytes, "
+                                 rf"file has {declared + 2}"):
+            reader(long)
 
     def test_labels_out_of_range_rejected(self):
         with pytest.raises(IdxFormatError):
@@ -154,7 +168,7 @@ class TestBatches:
         assert len(got) == 4  # 1500 -> 400,400,400,300
         np.testing.assert_array_equal(got[0], digits_train.images[:400])
         assert len(got[-1]) == 300
-        assert all(np.shares_memory(b, digits_train.images) for b in got)  # views, no copies
+        assert not any(np.shares_memory(b, digits_train.images) for b in got)  # owned rows
 
     def test_partition_property_with_shuffle(self):
         idx = np.concatenate(list(batch_indices(997, 100, derive_rng(5), shuffle=True)))

@@ -11,7 +11,7 @@ from imae.data import Dataset, NoiseSpec, corrupt
 from imae.errors import ConfigurationError
 from imae.evaluation import (cluster_eval, export_codes, kmeans, rand_index,
                              robustness_sweep, sigma_prime)
-from imae.ndcore import ROW_BLOCK, derive_rng
+from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
 from imae.objectives import reconstruction_l2
 
 
@@ -250,16 +250,26 @@ class TestRobustnessSweep:
         net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
         rows = robustness_sweep(net, digits_test, [NoiseSpec("none")], derive_rng(4))
         trace = nn.forward(net, digits_test.images)
-        assert rows[0].mean_l2 == reconstruction_l2(trace.xhat - digits_test.images)
+        assert rows[0].mean_l2 == reconstruction_l2(trace.xhat - digits_test.images).mean()
 
 
 def one_shot_sweep(net, test, specs, rng):
-    """The sweep as a single full-batch pass per spec, with the plain formula."""
+    """The sweep with the plain formula, as one full-batch pass per spec.
+
+    Gaussian-latent networks draw their latent samples from the corruption
+    generator, so the sweep's order of draws shows: each row block's
+    corruption, then that block's latent samples. For them the reference
+    keeps that order, with one pass per block.
+    """
+    vae = net.vae_heads is not None
     values = []
     for spec in specs:
-        corrupted = corrupt(test.images, spec, rng)
-        xhat = nn.forward(net, corrupted, rng=rng if net.vae_heads is not None else None).xhat
-        diff = test.images - xhat
+        diffs = []
+        for part in row_blocks(len(test)) if vae else [slice(None)]:
+            corrupted = corrupt(test.images[part], spec, rng)
+            xhat = nn.forward(net, corrupted, rng=rng if vae else None).xhat
+            diffs.append(test.images[part] - xhat)
+        diff = np.concatenate(diffs)
         values.append(float(np.einsum("ij,ij->i", diff, diff).mean()))
     return values
 

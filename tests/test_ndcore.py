@@ -62,6 +62,21 @@ class TestRowBlocks:
         assert [b.stop - b.start for b in row_blocks(10 * ROW_BLOCK)] == [ROW_BLOCK] * 10
 
 
+class TestBlockwiseDraws:
+    # the streamed robustness sweep and cluster protocol corrupt one row block
+    # at a time; their draws must be those of one full-size draw
+    @pytest.mark.parametrize("draw", [
+        lambda rng, rows: gaussian(rng, rows, 784, 0.0, 0.3),
+        lambda rng, rows: bernoulli_mask(rng, rows, 784, 0.7),
+    ], ids=["gaussian", "bernoulli_mask"])
+    def test_blocks_equal_one_full_draw(self, draw):
+        n = 2 * ROW_BLOCK + 345
+        blocked_rng, full_rng = derive_rng(31), derive_rng(31)
+        blocked = np.concatenate([draw(blocked_rng, b.stop - b.start) for b in row_blocks(n)])
+        assert np.array_equal(blocked, draw(full_rng, n))
+        assert blocked_rng.bit_generator.state == full_rng.bit_generator.state
+
+
 class TestRngPlumbing:
     def test_derive_rng_stable_and_distinct(self):
         a = derive_rng(42, "x").standard_normal(5)

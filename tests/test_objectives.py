@@ -76,15 +76,15 @@ class TestLossSpec:
 class TestReconstructionL2:
     def test_identical_is_zero(self, rng):
         x = rng.random((3, 5))
-        assert reconstruction_l2(x - x) == 0.0
+        assert np.array_equal(reconstruction_l2(x - x), np.zeros(3))
 
     def test_single_row(self):
-        assert reconstruction_l2([[-1.0, 0.0]]) == 1.0
+        assert reconstruction_l2([[-1.0, 0.0]]).tolist() == [1.0]
 
     def test_against_double_loop(self, rng):
         x = rng.random((6, 9))
         xhat = rng.random((6, 9))
-        np.testing.assert_allclose(reconstruction_l2(xhat - x),
+        np.testing.assert_allclose(reconstruction_l2(xhat - x).mean(),
                                    l2_oracle(x, xhat), rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):
@@ -95,19 +95,23 @@ class TestReconstructionL2:
             total_loss(LossSpec.ae(), trace, np.zeros((3, 2)))
 
     def test_row_blocks_equal_one_full_reduction(self, rng):
-        # one whole-array reduction gives the bits of a row-block-wise one
+        # the per-row distances of the whole array are those of its row
+        # blocks, bit for bit, so a blockwise sweep has the same mean
         x = rng.random((2 * ROW_BLOCK + 500, 784))
         xhat = rng.random(x.shape)
-        blocked = np.concatenate([np.einsum("ij,ij->i", x[b] - xhat[b], x[b] - xhat[b])
-                                  for b in row_blocks(len(x))])
-        assert reconstruction_l2(xhat - x) == blocked.mean()
+        blocked = np.concatenate([reconstruction_l2(xhat[b] - x[b]) for b in row_blocks(len(x))])
+        whole = reconstruction_l2(xhat - x)
+        assert np.array_equal(whole, blocked)
+        assert whole.mean() == blocked.mean()
 
     def test_row_permutation_invariant(self, rng):
         x = rng.random((8, 4))
         xhat = rng.random((8, 4))
         perm = rng.permutation(8)
-        np.testing.assert_allclose(reconstruction_l2(xhat - x),
-                                   reconstruction_l2(xhat[perm] - x[perm]), rtol=1e-12)
+        permuted = reconstruction_l2(xhat[perm] - x[perm])
+        assert np.array_equal(permuted, reconstruction_l2(xhat - x)[perm])
+        np.testing.assert_allclose(reconstruction_l2(xhat - x).mean(), permuted.mean(),
+                                   rtol=1e-12)
 
 
 class TestLatentEntropy:
@@ -254,7 +258,7 @@ class TestTotalLoss:
         trace = nn.forward(net, noisy)
         spec = LossSpec.dae(NoiseSpec("mask", 0.5))
         value, terms, _ = total_loss(spec, trace, x)
-        assert value == reconstruction_l2(trace.xhat - x)
+        assert value == reconstruction_l2(trace.xhat - x).mean()
         assert terms["latent"] == 0.0
 
     def test_mismatched_spec_rejected(self, rng):
