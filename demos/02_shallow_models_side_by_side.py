@@ -8,37 +8,17 @@ Point IMAE_DATA_DIR at the real MNIST IDX files and use the `imae reproduce`
 command for the full protocol.
 """
 
-import numpy as np
-
 from imae import nn
-from imae.data import Dataset, NoiseSpec
+from imae.data import NoiseSpec, make_synthetic_digits
 from imae.evaluation import cluster_eval, robustness_sweep
 from imae.ndcore import derive_rng, derive_seed
 from imae.objectives import LossSpec
 from imae.training import TrainConfig, train
 
-SIDE = 16
 SEED = 1234
 
-
-def synthetic_digits(n, seed):
-    rng = derive_rng(seed, "digits")
-    yy, xx = np.mgrid[0:SIDE, 0:SIDE]
-    protos = np.zeros((10, SIDE, SIDE))
-    for c in range(10):
-        for _ in range(3):
-            cy, cx = rng.uniform(2, SIDE - 2, size=2)
-            w = rng.uniform(1.2, 2.6)
-            protos[c] += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * w * w))
-        protos[c] /= protos[c].max()
-    labels = rng.integers(10, size=n)
-    images = protos[labels] * rng.uniform(0.75, 1.0, n)[:, None, None]
-    images += 0.08 * rng.standard_normal((n, SIDE, SIDE))
-    return Dataset(np.clip(images, 0, 1).reshape(n, -1), labels, "synthetic")
-
-
-train_ds = synthetic_digits(1500, seed=3)
-test_ds = synthetic_digits(1000, seed=4)
+train_ds = make_synthetic_digits(1500, seed=3)
+test_ds = make_synthetic_digits(1000, seed=4)
 d = train_ds.images.shape[1]
 
 models = {

@@ -7,36 +7,17 @@ them on synthetic digits, scores the codes by clusterization, and exports
 them to CSV for external projection tools (t-SNE, UMAP, ...).
 """
 
-import numpy as np
-
 from imae import nn
-from imae.data import Dataset, NoiseSpec
+from imae.data import NoiseSpec, make_synthetic_digits
 from imae.evaluation import cluster_eval, export_codes
-from imae.ndcore import derive_rng, derive_seed
+from imae.ndcore import derive_seed
 from imae.objectives import LossSpec
 from imae.training import TrainConfig, train
 
-SIDE, SEED = 16, 77
+SEED = 77
 
-
-def synthetic_digits(n, seed):
-    rng = derive_rng(seed, "digits")
-    yy, xx = np.mgrid[0:SIDE, 0:SIDE]
-    protos = np.zeros((10, SIDE, SIDE))
-    for c in range(10):
-        for _ in range(3):
-            cy, cx = rng.uniform(2, SIDE - 2, size=2)
-            w = rng.uniform(1.2, 2.6)
-            protos[c] += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * w * w))
-        protos[c] /= protos[c].max()
-    labels = rng.integers(10, size=n)
-    images = protos[labels] * rng.uniform(0.75, 1.0, n)[:, None, None]
-    images += 0.08 * rng.standard_normal((n, SIDE, SIDE))
-    return Dataset(np.clip(images, 0, 1).reshape(n, -1), labels, "synthetic")
-
-
-train_ds = synthetic_digits(1500, seed=5)
-test_ds = synthetic_digits(1000, seed=6)
+train_ds = make_synthetic_digits(1500, seed=5)
+test_ds = make_synthetic_digits(1000, seed=6)
 d = train_ds.images.shape[1]
 arch = nn.deep_arch(8, input_dim=d, trunk=(160, 80))
 print(f"deep architecture: {'-'.join(str(w) for w in arch.widths())}, "

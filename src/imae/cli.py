@@ -17,7 +17,9 @@ import csv
 import os
 import sys
 from dataclasses import make_dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import evaluation, gradcheck, nn, objectives, reference, training
 from .data import CANONICAL_FILES, Dataset, NoiseSpec, load_idx
@@ -162,10 +164,14 @@ def snapshot_text(cfg: ExperimentConfig) -> str:
         for section, keys in _SCHEMA.items())
 
 
-def snapshot_config(cfg: ExperimentConfig, path) -> str:
+def start_run(cfg: ExperimentConfig):
+    """Create the output directory and write the resolved snapshot to its
+    config.resolved.ini; returns the directory and the snapshot text."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     text = snapshot_text(cfg)
-    Path(path).write_text(text)
-    return text
+    (out / "config.resolved.ini").write_text(text)
+    return out, text
 
 
 def preset_arch(preset, nh) -> nn.Arch:
@@ -180,16 +186,6 @@ def make_loss(cfg: ExperimentConfig) -> objectives.LossSpec:
     if cfg.variant == objectives.DAE:
         return objectives.LossSpec.dae(NoiseSpec(cfg.noise_kind, cfg.noise_level))
     return objectives.LossSpec(cfg.variant, lam=cfg.lam)
-
-
-def make_train_config(cfg: ExperimentConfig, loss, seed) -> training.TrainConfig:
-    """Training setup for one model; only shallow non-VAE decoders are tied."""
-    tied = cfg.tied and cfg.preset.startswith("shallow") and loss.variant != objectives.VAE
-    return training.TrainConfig(
-        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
-        learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, tied=tied, seed=seed,
-        biases=cfg.biases, shuffle=cfg.shuffle)
 
 
 def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
@@ -231,8 +227,10 @@ def load_split(cfg: ExperimentConfig, split) -> Dataset:
             f"expected IDX files under {cfg.data_dir} "
             f"(canonical names: {expected}); set {ENV_DATA_DIR} or data.dir")
     ds = load_idx(images, labels, name=cfg.dataset)
-    if split == "train" and cfg.train_limit > 0:
-        ds = Dataset(ds.images[:cfg.train_limit], ds.labels[:cfg.train_limit], ds.name)
+    limit = cfg.train_limit if split == "train" else 0
+    if 0 < limit < len(ds):
+        # copies, so the rows past the limit are freed when loading returns
+        ds = Dataset(ds.images[:limit].copy(), ds.labels[:limit].copy(), ds.name)
     return ds
 
 
@@ -264,28 +262,45 @@ def _apply_overrides(raw, args):
     return raw
 
 
-def cmd_train(args) -> int:
-    raw = _apply_overrides(read_config_file(args.config), args)
-    cfg = resolve_config(raw)
-    _warn_paper_scale(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    snapshot_config(cfg, out / "config.resolved.ini")
-    train_ds = load_split(cfg, "train")
-    tcfg = make_train_config(cfg, make_loss(cfg), derive_seed(cfg.seed, "train"))
+def train_and_save(cfg, loss, seed, train_ds, checkpoint, history_csv):
+    """The train step of ``train`` and ``reproduce``: train one model under
+    ``cfg``, then write its checkpoint and loss history. Only shallow non-VAE
+    decoders are tied."""
+    tied = cfg.tied and cfg.preset.startswith("shallow") and loss.variant != objectives.VAE
+    tcfg = training.TrainConfig(
+        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
+        learning_rate=cfg.learning_rate, epochs=cfg.epochs,
+        batch_size=cfg.batch_size, tied=tied, seed=seed,
+        biases=cfg.biases, shuffle=cfg.shuffle)
+    print(f"training {model_tag(loss)} ({cfg.preset}, {cfg.epochs} epochs, "
+          f"lr {cfg.learning_rate:g}, batch {cfg.batch_size}) ...", flush=True)
     net, history = training.train(tcfg, train_ds)
-    training.save_checkpoint(net, tcfg, out / "model.ckpt")
-    history.to_csv(out / "history.csv")
-    print(f"trained {model_tag(tcfg.loss)} ({cfg.preset}) for {cfg.epochs} epochs; "
-          f"final loss {history.records[-1].total:.6g}")
-    print(f"wrote {out / 'model.ckpt'}, {out / 'history.csv'}, "
-          f"{out / 'config.resolved.ini'}")
+    training.save_checkpoint(net, tcfg, checkpoint)
+    history.to_csv(history_csv)
+    print(f"final loss {history.records[-1].total:.6g}; wrote {checkpoint}, {history_csv}")
+    return net
+
+
+def evaluate(cfg, net, test_ds, seed, tag) -> evaluation.EvalReport:
+    """The evaluate step of ``eval`` and ``reproduce``: run the robustness or
+    cluster protocol that ``cfg`` names on one network."""
+    if cfg.eval_protocol == "robustness":
+        specs = ([NoiseSpec("mask", p) for p in cfg.mask_grid]
+                 + [NoiseSpec("gaussian", s) for s in cfg.gaussian_grid])
+        rows = evaluation.robustness_sweep(net, test_ds, specs, derive_rng(seed, "robustness"))
+        return evaluation.EvalReport(model=tag, robustness=rows, seeds=[seed])
+    return evaluation.cluster_eval(
+        net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
+        noise=NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level), seed=seed, model_tag=tag)
+
+
+def cmd_train(args) -> int:
+    cfg = resolve_config(_apply_overrides(read_config_file(args.config), args))
+    _warn_paper_scale(cfg)
+    out, _ = start_run(cfg)
+    train_and_save(cfg, make_loss(cfg), derive_seed(cfg.seed, "train"),
+                   load_split(cfg, "train"), out / "model.ckpt", out / "history.csv")
     return 0
-
-
-def robustness_specs(mask_grid, gaussian_grid):
-    return ([NoiseSpec("mask", p) for p in mask_grid]
-            + [NoiseSpec("gaussian", s) for s in gaussian_grid])
 
 
 def cmd_eval(args) -> int:
@@ -293,37 +308,25 @@ def cmd_eval(args) -> int:
     net, tcfg = training.load_checkpoint(args.checkpoint)
     raw.update(checkpoint_model_section(tcfg))
     cfg = resolve_config(raw)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = snapshot_config(cfg, out / "config.resolved.ini")
+    out, resolved = start_run(cfg)
     test_ds = load_split(cfg, "test")
-    tag = model_tag(tcfg.loss)
-    eval_seed = derive_seed(cfg.seed, "eval")
-
-    if cfg.eval_protocol == "robustness":
-        rows = evaluation.robustness_sweep(
-            net, test_ds, robustness_specs(cfg.mask_grid, cfg.gaussian_grid),
-            derive_rng(eval_seed, "robustness"))
-        report = evaluation.EvalReport(model=tag, robustness=rows, seeds=[eval_seed])
-        evaluation.robustness_to_csv(report, out / "robustness.csv")
-        evaluation.report_to_json(report, out / "report.json", resolved)
-        for row in rows:
-            print(f"{tag:8s} {row.noise.describe():14s} mean L2 = {row.mean_l2:.3f}")
-        print(f"wrote {out / 'robustness.csv'}, {out / 'report.json'}")
-    elif cfg.eval_protocol == "cluster":
-        noise = NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level)
-        report = evaluation.cluster_eval(
-            net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n,
-            k=cfg.eval_k, noise=noise, seed=eval_seed, model_tag=tag)
-        evaluation.cluster_to_csv(report, out / "cluster.csv")
-        evaluation.report_to_json(report, out / "report.json", resolved)
-        sp = "n/a" if report.sigma_prime is None else f"{report.sigma_prime:.4g}"
-        rn = "n/a" if report.rand_noisy is None else f"{100 * report.rand_noisy:.1f}"
-        print(f"{tag}: R = {100 * report.rand_clean:.1f}  R_nu = {rn}  sigma' = {sp}")
-        print(f"wrote {out / 'cluster.csv'}, {out / 'report.json'}")
-    else:  # codes
+    if cfg.eval_protocol == "codes":
         evaluation.export_codes(net, test_ds, out / "codes.csv")
         print(f"wrote {out / 'codes.csv'}")
+        return 0
+    report = evaluate(cfg, net, test_ds, derive_seed(cfg.seed, "eval"), model_tag(tcfg.loss))
+    csv_path = out / f"{cfg.eval_protocol}.csv"
+    if cfg.eval_protocol == "robustness":
+        evaluation.robustness_to_csv(report, csv_path)
+        for row in report.robustness:
+            print(f"{report.model:8s} {row.noise.describe():14s} mean L2 = {row.mean_l2:.3f}")
+    else:
+        evaluation.cluster_to_csv(report, csv_path)
+        sp = "n/a" if report.sigma_prime is None else f"{report.sigma_prime:.4g}"
+        rn = "n/a" if report.rand_noisy is None else f"{100 * report.rand_noisy:.1f}"
+        print(f"{report.model}: R = {100 * report.rand_clean:.1f}  R_nu = {rn}  sigma' = {sp}")
+    evaluation.report_to_json(report, out / "report.json", resolved)
+    print(f"wrote {csv_path}, {out / 'report.json'}")
     return 0
 
 
@@ -345,18 +348,6 @@ def cmd_gradcheck(args) -> int:
     return 2 if failed else 0
 
 
-def _train_model(cfg, loss, train_ds, out):
-    """Train one table model; writes ``<tag>.ckpt`` and ``<tag>.history.csv``."""
-    tag = model_tag(loss)
-    tcfg = make_train_config(cfg, loss, derive_seed(cfg.seed, "train", tag))
-    print(f"training {tag} ({cfg.preset}, {cfg.epochs} epochs, "
-          f"lr {cfg.learning_rate:g}, batch {cfg.batch_size}) ...", flush=True)
-    net, history = training.train(tcfg, train_ds)
-    training.save_checkpoint(net, tcfg, out / f"{tag}.ckpt")
-    history.to_csv(out / f"{tag}.history.csv")
-    return net
-
-
 def _shallow_losses(cfg):
     return [
         objectives.LossSpec.ae(),
@@ -368,94 +359,102 @@ def _shallow_losses(cfg):
     ]
 
 
-def _fmt(value, digits=6):
-    return "" if value is None else f"{value:.{digits}g}"
+def _first_width(cfg):
+    """Width of the first hidden layer, the key of tables 1 and 2."""
+    return preset_arch(cfg.preset, cfg.nh).layers[0][0]
+
+
+def _fmt(value):
+    return "" if value is None else f"{value:.6g}"
 
 
 def _pct(fraction):
     return f"{100 * fraction:.2f}"
 
 
-def _write_metric_table(path, reports, metrics, published):
-    """One column per model; each metric row is followed by its published value.
+def _robustness_rows(reports, published):
+    """Long rows, one per model and corruption level; the reference is the
+    published mean L2 at the level's position in its grid."""
+    yield ["model", "noise_kind", "level", "mean_l2", "reference"]
+    for tag, report in reports.items():
+        for row in report.robustness:
+            kind, level = row.noise.kind, row.noise.level
+            grid = [r.noise.level for r in report.robustness if r.noise.kind == kind]
+            ref = _fmt(published[tag][kind][grid.index(level)]) if tag in published else ""
+            yield [tag, kind, f"{level:g}", f"{row.mean_l2:.6g}", ref]
 
+
+def _metric_rows(metrics, reports, published):
+    """One column per model; each metric row is followed by its published value.
     ``metrics`` holds (label, report -> cell) pairs; ``published`` maps a model
-    tag to {label: reference value}.
-    """
-    tags = list(reports)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric"] + tags)
-        for label, cell in metrics:
-            writer.writerow([label] + [cell(reports[t]) for t in tags])
-            writer.writerow([f"{label}_reference"]
-                            + [_fmt(published.get(t, {}).get(label)) for t in tags])
+    tag to {label: reference value}."""
+    yield ["metric"] + list(reports)
+    for label, cell in metrics:
+        yield [label] + [cell(report) for report in reports.values()]
+        yield [f"{label}_reference"] + [_fmt(published.get(tag, {}).get(label))
+                                        for tag in reports]
+
+
+class Table(NamedTuple):
+    """One table of the paper, declared as data for ``reproduce``."""
+    settings: Callable   # config -> raw {key: text}; beats every other source
+    losses: Callable     # config -> the LossSpec of each model, in column order
+    published: Callable  # config -> reference values, by model tag
+    rows: Callable       # (reports by tag, published) -> the CSV rows
+
+
+_R = ("R", lambda r: _pct(r.rand_clean))
+_CLUSTER = {"eval.protocol": "cluster", "eval.noise_kind": "gaussian"}
+
+TABLES = {
+    "table1": Table(
+        settings=lambda cfg: {"eval.protocol": "robustness"},
+        losses=_shallow_losses,
+        published=lambda cfg: reference.TABLE1.get(_first_width(cfg), {}),
+        rows=_robustness_rows),
+    "table2": Table(
+        settings=lambda cfg: _CLUSTER,
+        losses=_shallow_losses,
+        published=lambda cfg: reference.TABLE2.get(_first_width(cfg), {}),
+        rows=partial(_metric_rows, (_R, ("R_nu", lambda r: _pct(r.rand_noisy)),
+                                    ("sigma_prime", lambda r: _fmt(r.sigma_prime))))),
+    "table3": Table(
+        settings=lambda cfg: {
+            **_CLUSTER, "model.preset": "deep",
+            "eval.noise_level": repr(reference.TABLE3_NOISE_STD[cfg.dataset]),
+            "eval.iterations": str(cfg.eval_iterations if cfg.scale == "paper"
+                                   else min(cfg.eval_iterations, 10))},
+        losses=lambda cfg: [objectives.LossSpec.vae(), objectives.LossSpec.imae()],
+        published=lambda cfg: {tag: dict(zip(("R", "R_noisy"), by_nh[cfg.nh]))
+                               for tag, by_nh in reference.TABLE3[cfg.dataset].items()
+                               if cfg.nh in by_nh},
+        rows=partial(_metric_rows, (_R, ("R_noisy", lambda r: _pct(r.rand_noisy))))),
+}
 
 
 def cmd_reproduce(args) -> int:
+    table = TABLES[args.table]
     raw = _apply_overrides(read_config_file(args.config), args)
-    if args.table == "table3":
-        raw["model.preset"] = "deep"
-    cfg = resolve_config(raw)
+    # resolved twice: a table's settings may read the config they override
+    cfg = resolve_config({**raw, **table.settings(resolve_config(raw))})
     _warn_paper_scale(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = snapshot_config(cfg, out / "config.resolved.ini")
+    out, resolved = start_run(cfg)
     print(f"resolved {cfg.scale} defaults: preset={cfg.preset} "
           f"train_limit={cfg.train_limit or 'all'} epochs={cfg.epochs} "
           f"lr={cfg.learning_rate:g} batch={cfg.batch_size} seed={cfg.seed}")
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
-    shallow = cfg.preset.startswith("shallow")
-    hidden = preset_arch(cfg.preset, cfg.nh).layers[0][0] if shallow else None
-
-    if args.table == "table1":
-        ref = reference.TABLE1.get(hidden, {})
-        specs = robustness_specs(cfg.mask_grid, cfg.gaussian_grid)
-        with open(out / "table1.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["model", "noise_kind", "level", "mean_l2", "reference"])
-            for loss in _shallow_losses(cfg):
-                tag = model_tag(loss)
-                net = _train_model(cfg, loss, train_ds, out)
-                rows = evaluation.robustness_sweep(
-                    net, test_ds, specs,
-                    derive_rng(derive_seed(cfg.seed, "eval", tag), "robustness"))
-                grids = {"mask": cfg.mask_grid, "gaussian": cfg.gaussian_grid}
-                for row in rows:
-                    grid = grids[row.noise.kind]
-                    ref_cell = ""
-                    if tag in ref and row.noise.level in grid:
-                        ref_cell = _fmt(ref[tag][row.noise.kind][grid.index(row.noise.level)])
-                    writer.writerow([tag, row.noise.kind, f"{row.noise.level:g}",
-                                     f"{row.mean_l2:.6g}", ref_cell])
-        print(f"wrote {out / 'table1.csv'}")
-        return 0
-
-    if args.table == "table2":
-        published = reference.TABLE2.get(hidden, {})
-        noise = NoiseSpec("gaussian", cfg.eval_noise_level)
-        iters = cfg.eval_iterations
-        losses = _shallow_losses(cfg)
-        metrics = (("R", lambda r: _pct(r.rand_clean)), ("R_nu", lambda r: _pct(r.rand_noisy)),
-                   ("sigma_prime", lambda r: _fmt(r.sigma_prime)))
-    else:  # table3
-        published = {tag: dict(zip(("R", "R_noisy"), by_nh[cfg.nh]))
-                     for tag, by_nh in reference.TABLE3[cfg.dataset].items() if cfg.nh in by_nh}
-        noise = NoiseSpec("gaussian", reference.TABLE3_NOISE_STD[cfg.dataset])
-        iters = cfg.eval_iterations if cfg.scale == "paper" else min(cfg.eval_iterations, 10)
-        losses = [objectives.LossSpec.vae(), objectives.LossSpec.imae()]
-        metrics = (("R", lambda r: _pct(r.rand_clean)), ("R_noisy", lambda r: _pct(r.rand_noisy)))
     reports = {}
-    for loss in losses:
+    for loss in table.losses(cfg):
         tag = model_tag(loss)
-        net = _train_model(cfg, loss, train_ds, out)
-        reports[tag] = evaluation.cluster_eval(
-            net, test_ds, iterations=iters, n=cfg.eval_n, k=cfg.eval_k,
-            noise=noise, seed=derive_seed(cfg.seed, "eval", tag), model_tag=tag)
-        evaluation.report_to_json(reports[tag], out / f"{tag}.cluster.json", resolved)
+        net = train_and_save(cfg, loss, derive_seed(cfg.seed, "train", tag), train_ds,
+                             out / f"{tag}.ckpt", out / f"{tag}.history.csv")
+        reports[tag] = evaluate(cfg, net, test_ds, derive_seed(cfg.seed, "eval", tag), tag)
+        if cfg.eval_protocol == "cluster":
+            evaluation.report_to_json(reports[tag], out / f"{tag}.cluster.json", resolved)
     path = out / f"{args.table}.csv"
-    _write_metric_table(path, reports, metrics, published)
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(table.rows(reports, table.published(cfg)))
     print(f"wrote {path}")
     return 0
 
@@ -508,20 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("reproduce", help="retrain and tabulate one experiment table")
-    p.add_argument("--table", required=True, choices=("table1", "table2", "table3"))
+    p.add_argument("--table", required=True, choices=tuple(TABLES))
     _common_flags(p)
     p.set_defaults(func=cmd_reproduce)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError
-from .ndcore import as_matrix, bernoulli_mask, gaussian
+from .ndcore import as_matrix, bernoulli_mask, derive_rng, gaussian
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -163,6 +163,26 @@ def load_idx(images_path, labels_path, name="") -> Dataset:
     if len(raw) == 0:
         raise IdxFormatError(f"no images in {images_path}")
     return Dataset(raw.reshape(len(raw), -1), labels, name=name or str(images_path))
+
+
+def make_synthetic_digits(n, seed=7, side=16) -> Dataset:
+    """Offline stand-in for MNIST (``side=28`` gives its shape): each of ten
+    class prototypes sums Gaussian bumps at class-specific spots, so classes
+    cluster in pixel space; images add brightness jitter and pixel noise."""
+    rng = derive_rng(seed, "synthetic-digits")
+    yy, xx = np.mgrid[0:side, 0:side]
+    protos = np.zeros((N_CLASSES, side, side))
+    for c in range(N_CLASSES):
+        for _ in range(3):
+            cy, cx = rng.uniform(2, side - 2, size=2)
+            width = rng.uniform(1.2, 2.6)
+            protos[c] += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))
+        protos[c] /= protos[c].max()
+    labels = rng.integers(N_CLASSES, size=n)
+    brightness = rng.uniform(0.75, 1.0, size=n)[:, None, None]
+    images = protos[labels] * brightness + 0.08 * rng.standard_normal((n, side, side))
+    images = np.clip(images, 0.0, 1.0).reshape(n, side * side)
+    return Dataset(images, labels, name="synthetic")
 
 
 def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:

@@ -101,7 +101,6 @@ class Network:
     tied: bool = False
     vae_heads: tuple = None  # (mean head, log-variance head) or None
     biases: bool = True
-    arch: Arch = None
 
     def param_items(self):
         """Unique trainable parameters in a fixed order, name -> array.
@@ -138,7 +137,7 @@ class Network:
         if self.vae_heads is not None:
             heads = tuple(DenseLayer(h.weights.copy(), h.bias.copy(), h.activation)
                           for h in self.vae_heads)
-        return Network(layers, self.latent_index, self.tied, heads, self.biases, self.arch)
+        return Network(layers, self.latent_index, self.tied, heads, self.biases)
 
 
 @dataclass
@@ -219,7 +218,7 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Netwo
         else:
             w = _glorot(rng, out_dim, in_dim)
         layers.append(DenseLayer(w, np.zeros(out_dim), act))
-    return Network(layers, arch.latent_index, tied, heads, biases, arch)
+    return Network(layers, arch.latent_index, tied, heads, biases)
 
 
 def _linear(layer, a):

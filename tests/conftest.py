@@ -1,30 +1,7 @@
-import numpy as np
 import pytest
 
-from imae.data import Dataset
+from imae.data import make_synthetic_digits
 from imae.ndcore import derive_rng
-
-
-def make_synthetic_digits(n, seed=7, side=16, n_classes=10, noise=0.08):
-    """MNIST-shaped stand-in: 10 smooth prototype images plus pixel noise.
-
-    Each class prototype is a sum of Gaussian bumps at class-specific spots,
-    so the classes are genuinely clusterable in pixel space.
-    """
-    rng = derive_rng(seed, "synthetic-digits")
-    yy, xx = np.mgrid[0:side, 0:side]
-    protos = np.zeros((n_classes, side, side))
-    for c in range(n_classes):
-        for _ in range(3):
-            cy, cx = rng.uniform(2, side - 2, size=2)
-            width = rng.uniform(1.2, 2.6)
-            protos[c] += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))
-        protos[c] /= protos[c].max()
-    labels = rng.integers(n_classes, size=n)
-    brightness = rng.uniform(0.75, 1.0, size=n)[:, None, None]
-    images = protos[labels] * brightness + noise * rng.standard_normal((n, side, side))
-    images = np.clip(images, 0.0, 1.0).reshape(n, side * side)
-    return Dataset(images, labels, name="synthetic")
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from imae import cli, nn, objectives, training
+from imae import cli, evaluation, nn, objectives, training
 from imae.cli import UsageError, read_config_file, resolve_config
-from imae.data import CANONICAL_FILES, write_idx_images, write_idx_labels
+from imae.data import (CANONICAL_FILES, NoiseSpec, make_synthetic_digits,
+                       write_idx_images, write_idx_labels)
 from imae.ndcore import derive_rng
-
-from conftest import make_synthetic_digits
 
 
 def write_idx_dir(root, splits):
@@ -242,6 +241,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "train-images-idx3-ubyte" in err
 
+    def test_train_limit_keeps_only_its_rows(self, idx_dir):
+        def owned_bytes(a):  # the buffer a view keeps alive
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return memoryview(a).nbytes
+
+        ds = cli.load_split(resolve_config({"data.dir": str(idx_dir),
+                                            "train.train_limit": "100"}), "train")
+        assert ds.images.shape == (100, 784)
+        assert owned_bytes(ds.images) == 100 * 784
+        assert owned_bytes(ds.labels) == ds.labels.nbytes
+
     def test_env_var_dataset_dir(self, idx_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_DATA_DIR, str(idx_dir))
         out = tmp_path / "envrun"
@@ -416,6 +427,44 @@ class TestReproduceCommand:
         assert rows[2][1:] == ["57.2", "75.7"]
         assert [r[0] for r in rows[1:]] == ["R", "R_reference", "R_noisy",
                                             "R_noisy_reference"]
+
+    @staticmethod
+    def assert_snapshot_names_what_ran(out, tags, protocol, iterations, noise):
+        """The snapshot, and each report's copy of it, hold the eval settings
+        that ran: rerunning the cluster protocol from them gives the report."""
+        snapshot = (out / "config.resolved.ini").read_text()
+        cfg = resolve_config(read_config_file(out / "config.resolved.ini"))
+        assert (cfg.eval_protocol, cfg.eval_iterations) == (protocol, iterations)
+        assert NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level) == noise
+        test_ds = cli.load_split(cfg, "test")
+        for tag in tags:
+            report = json.loads((out / f"{tag}.cluster.json").read_text())
+            assert report["resolved_config"] == snapshot
+            assert report["iterations"] == cfg.eval_iterations
+            net, _ = training.load_checkpoint(out / f"{tag}.ckpt")
+            rerun = evaluation.cluster_eval(
+                net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
+                noise=noise, seed=report["seeds"][0], model_tag=tag)
+            assert rerun.to_dict() == {k: v for k, v in report.items() if k != "resolved_config"}
+
+    def test_table2_snapshot_names_what_ran(self, idx_dir, tmp_path):
+        out = tmp_path / "t2"
+        assert cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
+                         "--seed", "13", "--out", str(out)]
+                        + fast_overrides(["train.epochs=1", "eval.iterations=2",
+                                          "eval.noise_kind=mask", "eval.noise_level=0.25"])) == 0
+        self.assert_snapshot_names_what_ran(out, ("AE", "CAE", "DAE-b", "DAE-g", "IMAE"),
+                                            "cluster", 2, NoiseSpec("gaussian", 0.25))
+
+    def test_table3_snapshot_names_what_ran(self, idx_dir, tmp_path):
+        out = tmp_path / "t3"
+        assert cli.main(["reproduce", "--table", "table3", "--nh", "10",
+                         "--data-dir", str(idx_dir), "--seed", "13", "--out", str(out)]
+                        + fast_overrides(["train.epochs=1", "eval.iterations=12",
+                                          "eval.noise_kind=mask", "eval.noise_level=0.3"])) == 0
+        # desk scale caps the iterations at 10 and table3 uses the dataset's sigma
+        self.assert_snapshot_names_what_ran(out, ("VAE", "IMAE"), "cluster", 10,
+                                            NoiseSpec("gaussian", 0.01))
 
     def test_usage_errors(self, tmp_path):
         assert cli.main(["reproduce"]) == 1  # missing --table

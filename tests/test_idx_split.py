@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from imae import nn
-from imae.data import Dataset, NoiseSpec, batches, load_idx, write_idx_images, write_idx_labels
+from imae.data import (Dataset, NoiseSpec, batches, load_idx, make_synthetic_digits,
+                       write_idx_images, write_idx_labels)
 from imae.evaluation import cluster_eval, robustness_sweep
 from imae.ndcore import derive_rng
 from imae.objectives import LossSpec
 from imae.training import TrainConfig, save_checkpoint, train
-from conftest import make_synthetic_digits
 
 N = 10000  # the size of the MNIST test split: a float64 copy is 62.7 MB
 

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from imae import nn, objectives
-from imae.data import Dataset, NoiseSpec
+from imae.data import Dataset, NoiseSpec, make_synthetic_digits
 from imae.errors import CheckpointFormatError, TrainingDiverged
 from imae.ndcore import derive_rng
 from imae.objectives import LossSpec
 from imae.training import (TrainConfig, build_network, config_from_text,
                            config_to_text, load_checkpoint, save_checkpoint,
                            train)
-from conftest import make_synthetic_digits
 
 
 def tiny_config(loss=None, **kw):
