@@ -22,11 +22,11 @@ test_ds = make_synthetic_digits(1000, seed=4)
 d = train_ds.images.shape[1]
 
 models = {
-    "AE": LossSpec.ae(),
-    "CAE": LossSpec.cae(0.1),
-    "DAE-b": LossSpec.dae(NoiseSpec("mask", 0.3)),
-    "DAE-g": LossSpec.dae(NoiseSpec("gaussian", 0.3)),
-    "IMAE": LossSpec.imae(1.0),
+    "AE": LossSpec("AE"),
+    "CAE": LossSpec("CAE"),
+    "DAE-b": LossSpec("DAE", noise=NoiseSpec("mask", 0.3)),
+    "DAE-g": LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3)),
+    "IMAE": LossSpec("IMAE"),
 }
 noise_grid = [NoiseSpec("mask", 0.0), NoiseSpec("mask", 0.3),
               NoiseSpec("mask", 0.5), NoiseSpec("gaussian", 0.3)]

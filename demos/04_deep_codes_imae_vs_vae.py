@@ -23,7 +23,7 @@ arch = nn.deep_arch(8, input_dim=d, trunk=(160, 80))
 print(f"deep architecture: {'-'.join(str(w) for w in arch.widths())}, "
       f"8-unit code at layer {arch.latent_index}")
 
-for tag, loss in (("VAE", LossSpec.vae()), ("IMAE", LossSpec.imae(1.0))):
+for tag, loss in (("VAE", LossSpec("VAE")), ("IMAE", LossSpec("IMAE"))):
     cfg = TrainConfig(arch=arch, loss=loss, learning_rate=0.005, epochs=150,
                       batch_size=250, seed=derive_seed(SEED, "train", tag))
     net, history = train(cfg, train_ds)

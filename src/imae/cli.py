@@ -16,7 +16,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import make_dataclass
+from dataclasses import make_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -61,7 +61,7 @@ _SCHEMA = {
         **{key: (key, TEXT, name) for key, name in CANONICAL_FILES.items()},
     },
     "model": {
-        "variant": ("variant", VARIANT, objectives.IMAE),
+        "variant": ("variant", VARIANT, "IMAE"),
         "preset": ("preset", TEXT, "shallow200"),
         "nh": ("nh", INT, 10),
         "lambda": ("lam", FLOAT, None),
@@ -91,7 +91,7 @@ _SCHEMA = {
 _KEYS = {f"{section}.{key}": entry
          for section, keys in _SCHEMA.items() for key, entry in keys.items()}
 
-_CHOICES = {"experiment.scale": SCALES, "model.variant": objectives.VARIANTS,
+_CHOICES = {"experiment.scale": SCALES, "model.variant": tuple(objectives.VARIANTS),
             "model.preset": PRESETS, "data.dataset": DATASETS, "eval.protocol": PROTOCOLS}
 
 ExperimentConfig = make_dataclass(
@@ -105,7 +105,7 @@ def _derived_defaults(values) -> dict:
     shallow = values["model.preset"].startswith("shallow")
     paper = values["experiment.scale"] == "paper"
     return {
-        "model.lambda": objectives.DEFAULT_LAMBDA[values["model.variant"]],
+        "model.lambda": objectives.VARIANTS[values["model.variant"]].lam,
         "model.tied": shallow,
         "train.learning_rate": 0.05 if shallow else 0.005,
         "train.epochs": 2000 if paper else (300 if shallow else 150),
@@ -183,9 +183,10 @@ def preset_arch(preset, nh) -> nn.Arch:
 
 
 def make_loss(cfg: ExperimentConfig) -> objectives.LossSpec:
-    if cfg.variant == objectives.DAE:
-        return objectives.LossSpec.dae(NoiseSpec(cfg.noise_kind, cfg.noise_level))
-    return objectives.LossSpec(cfg.variant, lam=cfg.lam)
+    """The loss of ``[model]``; its noise applies to a variant that takes one."""
+    takes_noise = objectives.VARIANTS[cfg.variant].noise
+    noise = NoiseSpec(cfg.noise_kind, cfg.noise_level) if takes_noise else None
+    return objectives.LossSpec(cfg.variant, lam=cfg.lam, noise=noise)
 
 
 def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
@@ -207,12 +208,6 @@ def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
     if preset == "deep":
         section["model.nh"] = str(nh)
     return section
-
-
-def model_tag(loss: objectives.LossSpec) -> str:
-    if loss.variant == objectives.DAE:
-        return "DAE-b" if loss.noise.kind == "mask" else "DAE-g"
-    return loss.variant
 
 
 def load_split(cfg: ExperimentConfig, split) -> Dataset:
@@ -264,15 +259,15 @@ def _apply_overrides(raw, args):
 
 def train_and_save(cfg, loss, seed, train_ds, checkpoint, history_csv):
     """The train step of ``train`` and ``reproduce``: train one model under
-    ``cfg``, then write its checkpoint and loss history. Only shallow non-VAE
-    decoders are tied."""
-    tied = cfg.tied and cfg.preset.startswith("shallow") and loss.variant != objectives.VAE
+    ``cfg``, then write its checkpoint and loss history. Only shallow decoders
+    without Gaussian-latent heads are tied."""
+    tied = cfg.tied and cfg.preset.startswith("shallow") and not loss.record.heads
     tcfg = training.TrainConfig(
         arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
         learning_rate=cfg.learning_rate, epochs=cfg.epochs,
         batch_size=cfg.batch_size, tied=tied, seed=seed,
         biases=cfg.biases, shuffle=cfg.shuffle)
-    print(f"training {model_tag(loss)} ({cfg.preset}, {cfg.epochs} epochs, "
+    print(f"training {loss.tag} ({cfg.preset}, {cfg.epochs} epochs, "
           f"lr {cfg.learning_rate:g}, batch {cfg.batch_size}) ...", flush=True)
     net, history = training.train(tcfg, train_ds)
     training.save_checkpoint(net, tcfg, checkpoint)
@@ -314,7 +309,7 @@ def cmd_eval(args) -> int:
         evaluation.export_codes(net, test_ds, out / "codes.csv")
         print(f"wrote {out / 'codes.csv'}")
         return 0
-    report = evaluate(cfg, net, test_ds, derive_seed(cfg.seed, "eval"), model_tag(tcfg.loss))
+    report = evaluate(cfg, net, test_ds, derive_seed(cfg.seed, "eval"), tcfg.loss.tag)
     csv_path = out / f"{cfg.eval_protocol}.csv"
     if cfg.eval_protocol == "robustness":
         evaluation.robustness_to_csv(report, csv_path)
@@ -348,17 +343,6 @@ def cmd_gradcheck(args) -> int:
     return 2 if failed else 0
 
 
-def _shallow_losses(cfg):
-    return [
-        objectives.LossSpec.ae(),
-        objectives.LossSpec.cae(),
-        objectives.LossSpec.dae(NoiseSpec("mask", 0.3)),
-        objectives.LossSpec.dae(NoiseSpec("gaussian", 0.3)),
-        objectives.LossSpec.imae(cfg.lam) if cfg.variant == objectives.IMAE
-        else objectives.LossSpec.imae(),
-    ]
-
-
 def _first_width(cfg):
     """Width of the first hidden layer, the key of tables 1 and 2."""
     return preset_arch(cfg.preset, cfg.nh).layers[0][0]
@@ -374,13 +358,14 @@ def _pct(fraction):
 
 def _robustness_rows(reports, published):
     """Long rows, one per model and corruption level; the reference is the
-    published mean L2 at the level's position in its grid."""
+    published mean L2 at that level, blank for a level the paper did not run."""
     yield ["model", "noise_kind", "level", "mean_l2", "reference"]
     for tag, report in reports.items():
         for row in report.robustness:
             kind, level = row.noise.kind, row.noise.level
-            grid = [r.noise.level for r in report.robustness if r.noise.kind == kind]
-            ref = _fmt(published[tag][kind][grid.index(level)]) if tag in published else ""
+            grid = reference.MASK_GRID if kind == "mask" else reference.GAUSSIAN_GRID
+            ref = (_fmt(published[tag][kind][grid.index(level)])
+                   if tag in published and level in grid else "")
             yield [tag, kind, f"{level:g}", f"{row.mean_l2:.6g}", ref]
 
 
@@ -398,23 +383,27 @@ def _metric_rows(metrics, reports, published):
 class Table(NamedTuple):
     """One table of the paper, declared as data for ``reproduce``."""
     settings: Callable   # config -> raw {key: text}; beats every other source
-    losses: Callable     # config -> the LossSpec of each model, in column order
+    losses: tuple        # the LossSpec of each model, in column order
     published: Callable  # config -> reference values, by model tag
     rows: Callable       # (reports by tag, published) -> the CSV rows
 
 
+_SHALLOW = (objectives.LossSpec("AE"), objectives.LossSpec("CAE"),
+            objectives.LossSpec("DAE", noise=NoiseSpec("mask", 0.3)),
+            objectives.LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3)),
+            objectives.LossSpec("IMAE"))
 _R = ("R", lambda r: _pct(r.rand_clean))
 _CLUSTER = {"eval.protocol": "cluster", "eval.noise_kind": "gaussian"}
 
 TABLES = {
     "table1": Table(
         settings=lambda cfg: {"eval.protocol": "robustness"},
-        losses=_shallow_losses,
+        losses=_SHALLOW,
         published=lambda cfg: reference.TABLE1.get(_first_width(cfg), {}),
         rows=_robustness_rows),
     "table2": Table(
         settings=lambda cfg: _CLUSTER,
-        losses=_shallow_losses,
+        losses=_SHALLOW,
         published=lambda cfg: reference.TABLE2.get(_first_width(cfg), {}),
         rows=partial(_metric_rows, (_R, ("R_nu", lambda r: _pct(r.rand_noisy)),
                                     ("sigma_prime", lambda r: _fmt(r.sigma_prime))))),
@@ -424,7 +413,7 @@ TABLES = {
             "eval.noise_level": repr(reference.TABLE3_NOISE_STD[cfg.dataset]),
             "eval.iterations": str(cfg.eval_iterations if cfg.scale == "paper"
                                    else min(cfg.eval_iterations, 10))},
-        losses=lambda cfg: [objectives.LossSpec.vae(), objectives.LossSpec.imae()],
+        losses=(objectives.LossSpec("VAE"), objectives.LossSpec("IMAE")),
         published=lambda cfg: {tag: dict(zip(("R", "R_noisy"), by_nh[cfg.nh]))
                                for tag, by_nh in reference.TABLE3[cfg.dataset].items()
                                if cfg.nh in by_nh},
@@ -445,8 +434,10 @@ def cmd_reproduce(args) -> int:
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
     reports = {}
-    for loss in table.losses(cfg):
-        tag = model_tag(loss)
+    for loss in table.losses:
+        if loss.variant == cfg.variant:  # model.lambda weights the variant it names
+            loss = replace(loss, lam=cfg.lam)
+        tag = loss.tag
         net = train_and_save(cfg, loss, derive_seed(cfg.seed, "train", tag), train_ds,
                              out / f"{tag}.ckpt", out / f"{tag}.history.csv")
         reports[tag] = evaluate(cfg, net, test_ds, derive_seed(cfg.seed, "eval", tag), tag)
@@ -501,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--variant", default="all",
-                   choices=("all",) + objectives.VARIANTS)
+                   choices=("all", *objectives.VARIANTS))
     p.add_argument("--seeds", type=int, default=20, help="number of random nets per variant")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=cmd_gradcheck)

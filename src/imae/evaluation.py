@@ -137,13 +137,8 @@ def encode_rows(net: nn.Network, pixels, noise: NoiseSpec = None, rng=None) -> n
 def sigma_prime(net: nn.Network, data) -> float:
     """Mean derivative of the sigmoid latent over all samples and units of a
     pixel matrix."""
-    if net.vae_heads is not None:
-        raise ConfigurationError("sigma_prime needs a sigmoid latent layer, "
-                                 "not Gaussian-latent heads")
-    if net.layers[net.latent_index].activation != "sigmoid":
-        raise ConfigurationError(
-            f"sigma_prime needs a sigmoid latent layer, got "
-            f"{net.layers[net.latent_index].activation!r}")
+    if not net.sigmoid_code:
+        raise ConfigurationError("sigma_prime needs a sigmoid latent layer")
     y = encode_rows(net, data)
     return float((y * (1.0 - y)).mean())
 
@@ -207,8 +202,16 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
 
     Each iteration resamples ``n`` test points and reseeds K-means; the noisy
     score corrupts the sampled inputs before encoding and refits K-means on
-    the resulting codes. Reported values are means over iterations.
+    the resulting codes. Reported values are means over iterations. Settings
+    outside their domain raise ConfigurationError before any work.
     """
+    for setting, value, low in (("iterations", iterations, 1), ("k", k, 1), ("n", n, k)):
+        if value < low:
+            raise ConfigurationError(
+                f"cluster protocol: {setting} must be >= {low}, got {value}")
+    if n > len(test):
+        raise ConfigurationError(
+            f"cluster protocol: n must be <= the {len(test)} test images, got {n}")
     clean_scores, noisy_scores = [], []
     for it in range(iterations):
         rng = derive_rng(seed, "cluster-eval", it)
@@ -218,14 +221,11 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
         if noise is not None and noise.kind != "none":
             km_n = kmeans(encode_rows(net, sub.images, noise, rng), k, rng, kmeans_max_iters)
             noisy_scores.append(rand_index(km_n.assignments, sub.labels, k))
-    sp = None
-    if net.vae_heads is None and net.layers[net.latent_index].activation == "sigmoid":
-        sp = sigma_prime(net, test.images)
     return EvalReport(
         model=model_tag,
         rand_clean=float(np.mean(clean_scores)),
         rand_noisy=float(np.mean(noisy_scores)) if noisy_scores else None,
-        sigma_prime=sp,
+        sigma_prime=sigma_prime(net, test.images) if net.sigmoid_code else None,
         iterations=iterations,
         seeds=[seed],
     )

@@ -14,6 +14,7 @@ from .ndcore import derive_rng
 
 DEFAULT_WIDTHS = (10, 7, 10)
 DEFAULT_BATCH = 4
+NOISE = NoiseSpec("mask", 0.3)  # the training corruption of the variants that take one
 
 
 def loss_at(net, spec, x_in, x_clean, eps=None) -> float:
@@ -88,35 +89,22 @@ def compare_grads(analytic, numeric, rtol=1e-5, atol=1e-8) -> list:
     return blocks
 
 
-def _spec_for(variant):
-    if variant == objectives.AE:
-        return objectives.LossSpec.ae()
-    if variant == objectives.CAE:
-        return objectives.LossSpec.cae()
-    if variant == objectives.DAE:
-        return objectives.LossSpec.dae(NoiseSpec("mask", 0.3))
-    if variant == objectives.IMAE:
-        return objectives.LossSpec.imae()
-    if variant == objectives.VAE:
-        return objectives.LossSpec.vae()
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def check_variant(variant, seed, widths=DEFAULT_WIDTHS, batch=DEFAULT_BATCH,
                   h=1e-5, rtol=1e-5, atol=1e-8, tied=False) -> GradCheckResult:
     """Check one loss variant on a random small network and batch."""
     rng = derive_rng(seed, "gradcheck", variant)
     d, l, _ = widths
     arch = nn.shallow_arch(l, input_dim=d)
-    net = nn.init_params(arch, rng, vae=(variant == objectives.VAE), tied=tied)
+    noise = NOISE if objectives.VARIANTS[variant].noise else None
+    spec = objectives.LossSpec(variant, noise=noise)
+    net = nn.init_params(arch, rng, vae=spec.record.heads, tied=tied)
     # nonzero biases make the check point fully generic
     for name, arr in net.param_items().items():
         if name.endswith(".b"):
             arr += 0.1 * rng.standard_normal(arr.shape)
     x_clean = rng.random((batch, d))
-    spec = _spec_for(variant)
-    x_in = corrupt(x_clean, spec.noise, rng) if variant == objectives.DAE else x_clean
-    eps = rng.standard_normal((batch, l)) if variant == objectives.VAE else None
+    x_in = x_clean if spec.noise is None else corrupt(x_clean, spec.noise, rng)
+    eps = rng.standard_normal((batch, l)) if net.vae_heads is not None else None
     trace = nn.forward(net, x_in, eps=eps)
     _, _, analytic = nn.backward(net, trace, spec, x_clean)
     numeric = finite_difference_grads(net, spec, x_in, x_clean, eps=eps, h=h)

@@ -102,6 +102,12 @@ class Network:
     vae_heads: tuple = None  # (mean head, log-variance head) or None
     biases: bool = True
 
+    @property
+    def sigmoid_code(self):
+        """Whether the code is a sigmoid layer's output, the code that
+        sigma-prime and the IMAE and CAE latent terms read."""
+        return self.vae_heads is None and self.layers[self.latent_index].activation == "sigmoid"
+
     def param_items(self):
         """Unique trainable parameters in a fixed order, name -> array.
 

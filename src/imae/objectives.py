@@ -1,12 +1,16 @@
 """Loss terms for the five autoencoder variants: values, gradients, assembly.
 
 All reductions follow one convention: sum over latent units / pixels,
-mean over the samples of the batch. The variants differ only in their latent
-term; this module is the one place that knows each term's formula and its
-gradient, so backpropagation in ``nn`` stays a generic dense chain.
+mean over the samples of the batch. The variants share one dense network and
+differ only in their latent term and a few structural needs, which
+``VARIANTS`` declares once per variant. This module is the one place that
+knows each term's formula and its gradient, so backpropagation in ``nn``
+stays a generic dense chain. A new variant is one ``Variant`` record plus its
+latent-term function.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -14,72 +18,76 @@ from scipy.special import expit
 from .errors import ConfigurationError, ShapeError
 from .ndcore import as_matrix
 
-AE = "AE"
-CAE = "CAE"
-DAE = "DAE"
-IMAE = "IMAE"
-VAE = "VAE"
-VARIANTS = (AE, CAE, DAE, IMAE, VAE)
 
-# latent-loss weights used throughout the experiments
-DEFAULT_LAMBDA = {AE: 0.0, CAE: 0.1, DAE: 0.0, IMAE: 1.0, VAE: 0.0}
+@dataclass(frozen=True)
+class Variant:
+    """What sets one variant apart from the plain autoencoder.
+
+    ``lam`` is the default weight of the latent term; a variant whose default
+    is 0 takes no weight. ``latent`` maps (weight, forward trace, batch size)
+    to the latent term, signed as it enters the total, and its gradients
+    w.r.t. the trace, keyed as in ``total_loss``; None for pure reconstruction.
+    """
+    lam: float = 0.0
+    noise: bool = False                 # trains on corrupted input
+    heads: bool = False                 # Gaussian-latent heads replace the latent layer
+    sigmoid_code: bool = False          # the latent term reads a sigmoid code
+    single_layer_encoder: bool = False  # the latent term assumes latent_index 0
+    latent: Callable = None
 
 
 @dataclass
 class LossSpec:
     """Tagged choice of training objective.
 
-    ``lam`` weights the latent term and must be zero for AE/DAE/VAE;
-    ``noise`` is the training corruption and is required exactly for DAE.
+    ``lam`` weights the latent term: by default the variant's own weight, and
+    zero for a variant that takes none. ``noise`` is the training corruption,
+    required exactly for the variants that train on corrupted input.
     """
     variant: str
-    lam: float = 0.0
+    lam: float = None
     noise: object = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown loss variant {self.variant!r}")
-        if self.variant in (AE, DAE, VAE) and self.lam != 0.0:
+        record = self.record
+        if self.lam is None:
+            self.lam = record.lam
+        if not record.lam and self.lam != 0.0:
             raise ConfigurationError(f"{self.variant} takes no latent weight, got lam={self.lam}")
         if self.lam < 0:
             raise ConfigurationError(f"lam must be >= 0, got {self.lam}")
-        if (self.noise is not None) != (self.variant == DAE):
-            raise ConfigurationError("training noise is required for DAE and only for DAE")
+        if (self.noise is not None) != record.noise:
+            noisy = "/".join(name for name, v in VARIANTS.items() if v.noise)
+            raise ConfigurationError(
+                f"training noise is required for {noisy} and only for {noisy}")
 
-    @classmethod
-    def ae(cls):
-        return cls(AE)
+    @property
+    def record(self) -> Variant:
+        return VARIANTS[self.variant]
 
-    @classmethod
-    def cae(cls, lam=DEFAULT_LAMBDA[CAE]):
-        return cls(CAE, lam=lam)
-
-    @classmethod
-    def dae(cls, noise):
-        return cls(DAE, noise=noise)
-
-    @classmethod
-    def imae(cls, lam=DEFAULT_LAMBDA[IMAE]):
-        return cls(IMAE, lam=lam)
-
-    @classmethod
-    def vae(cls):
-        return cls(VAE)
+    @property
+    def tag(self) -> str:
+        """The model's name in reports: the variant, suffixed -b (mask) or -g
+        (Gaussian) by the kind of its training noise."""
+        if self.noise is None:
+            return self.variant
+        return f"{self.variant}-{'b' if self.noise.kind == 'mask' else 'g'}"
 
 
 def check_spec_matches_net(spec: LossSpec, net) -> None:
     """Raise ConfigurationError when a loss cannot be computed on a network."""
+    record = spec.record
     has_heads = net.vae_heads is not None
-    if (spec.variant == VAE) != has_heads:
+    if record.heads != has_heads:
         raise ConfigurationError(
             f"{spec.variant} loss on a network "
             f"{'with' if has_heads else 'without'} Gaussian-latent heads")
-    if spec.variant in (IMAE, CAE):
-        latent = net.layers[net.latent_index]
-        if latent.activation != "sigmoid":
-            raise ConfigurationError(
-                f"{spec.variant} needs a sigmoid latent layer, got {latent.activation!r}")
-    if spec.variant == CAE and net.latent_index != 0:
+    if record.sigmoid_code and not net.sigmoid_code:
+        raise ConfigurationError(f"{spec.variant} needs a sigmoid latent layer, got "
+                                 f"{net.layers[net.latent_index].activation!r}")
+    if record.single_layer_encoder and net.latent_index != 0:
         raise ConfigurationError(
             "the contractive penalty is defined for a single-layer encoder "
             f"(latent_index 0), got latent_index={net.latent_index}")
@@ -114,11 +122,6 @@ def imae_entropy_and_grad(y0):
     return value, d * (1.0 - 2.0 * s) - 2.0 * lc * np.tanh(y0)
 
 
-def imae_latent_entropy(y0) -> float:
-    """The value of ``imae_entropy_and_grad``."""
-    return imae_entropy_and_grad(y0)[0]
-
-
 def cae_penalty_and_grads(y, w0, lam):
     """Squared Frobenius norm of the encoder Jacobian (batch mean), and the
     gradients of ``lam`` times it.
@@ -143,11 +146,6 @@ def cae_penalty_and_grads(y, w0, lam):
             scale * dd.sum(axis=0)[:, None] * w0)
 
 
-def cae_penalty(y, w0) -> float:
-    """The value of ``cae_penalty_and_grads``."""
-    return cae_penalty_and_grads(y, w0, 1.0)[0]
-
-
 def vae_kl(mu, logvar) -> float:
     """Divergence of the diagonal-Gaussian code from the unit prior.
 
@@ -161,6 +159,32 @@ def vae_kl(mu, logvar) -> float:
         raise ShapeError(f"vae_kl: shapes differ, {mu.shape} vs {logvar.shape}")
     per_unit = mu * mu + np.exp(logvar) - logvar - 1.0
     return float(per_unit.sum(axis=1).mean())
+
+
+def _imae_term(lam, trace, batch):
+    entropy, grad = imae_entropy_and_grad(trace.latent_pre)
+    return -lam * entropy, {"latent_pre": -(lam / batch) * grad}
+
+
+def _cae_term(lam, trace, batch):
+    penalty, pre, weights = cae_penalty_and_grads(
+        trace.latent_act, trace.net.layers[trace.net.latent_index].weights, lam)
+    return lam * penalty, {"latent_pre": pre, "latent_W": weights}
+
+
+def _vae_term(lam, trace, batch):
+    return vae_kl(trace.mu, trace.logvar), {"mu": (2.0 / batch) * trace.mu,
+                                            "logvar": (np.exp(trace.logvar) - 1.0) / batch}
+
+
+# in the paper's order; the default weights are those of all its experiments
+VARIANTS = {
+    "AE": Variant(),
+    "CAE": Variant(lam=0.1, sigmoid_code=True, single_layer_encoder=True, latent=_cae_term),
+    "DAE": Variant(noise=True),
+    "IMAE": Variant(lam=1.0, sigmoid_code=True, latent=_imae_term),
+    "VAE": Variant(heads=True, latent=_vae_term),
+}
 
 
 def total_loss(spec: LossSpec, trace, x_clean):
@@ -184,18 +208,8 @@ def total_loss(spec: LossSpec, trace, x_clean):
     rec = float(reconstruction_l2(r).mean())
     r *= 2.0 / batch  # the residual becomes the gradient w.r.t. xhat
     grads = {"xhat": r}
-    if spec.variant == IMAE:
-        entropy, grad = imae_entropy_and_grad(trace.latent_pre)
-        latent = -spec.lam * entropy
-        grads["latent_pre"] = -(spec.lam / batch) * grad
-    elif spec.variant == CAE:
-        penalty, grads["latent_pre"], grads["latent_W"] = cae_penalty_and_grads(
-            trace.latent_act, trace.net.layers[trace.net.latent_index].weights, spec.lam)
-        latent = spec.lam * penalty
-    elif spec.variant == VAE:
-        latent = vae_kl(trace.mu, trace.logvar)
-        grads["mu"] = (2.0 / batch) * trace.mu
-        grads["logvar"] = (np.exp(trace.logvar) - 1.0) / batch
-    else:  # AE and DAE are pure reconstruction
-        latent = 0.0
+    latent = 0.0
+    if spec.record.latent is not None:
+        latent, latent_grads = spec.record.latent(spec.lam, trace, batch)
+        grads.update(latent_grads)
     return rec + latent, {"reconstruction": rec, "latent": latent}, grads

@@ -66,8 +66,8 @@ class TrainHistory:
 
 
 def build_network(cfg: TrainConfig, rng) -> nn.Network:
-    return nn.init_params(cfg.arch, rng, vae=(cfg.loss.variant == objectives.VAE),
-                          tied=cfg.tied, biases=cfg.biases)
+    return nn.init_params(cfg.arch, rng, vae=cfg.loss.record.heads, tied=cfg.tied,
+                          biases=cfg.biases)
 
 
 def train(cfg: TrainConfig, ds: Dataset):
@@ -83,19 +83,17 @@ def train(cfg: TrainConfig, ds: Dataset):
     init_rng = derive_rng(cfg.seed, "init")
     batch_rng = derive_rng(cfg.seed, "batches")
     noise_rng = derive_rng(cfg.seed, "corruption")
-    latent_rng = derive_rng(cfg.seed, "latent-sample")
     net = build_network(cfg, init_rng)
     params = net.param_items()
-    is_dae = cfg.loss.variant == objectives.DAE
-    is_vae = cfg.loss.variant == objectives.VAE
+    latent_rng = derive_rng(cfg.seed, "latent-sample") if net.vae_heads is not None else None
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         tot = rec = lat = 0.0
         seen = 0
         for xb in batches(ds, cfg.batch_size, batch_rng, cfg.shuffle):
-            x_in = corrupt(xb, cfg.loss.noise, noise_rng) if is_dae else xb
-            trace = nn.forward(net, x_in, rng=latent_rng if is_vae else None)
+            x_in = xb if cfg.loss.noise is None else corrupt(xb, cfg.loss.noise, noise_rng)
+            trace = nn.forward(net, x_in, rng=latent_rng)
             total, terms, grads = nn.backward(net, trace, cfg.loss, xb)
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch, {"total": total, **terms})

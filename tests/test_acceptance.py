@@ -21,7 +21,7 @@ from imae.data import (CANONICAL_FILES, Dataset, NoiseSpec, load_idx,
 from imae.errors import IdxFormatError
 from imae.evaluation import cluster_eval, rand_index, robustness_sweep, sigma_prime
 from imae.ndcore import derive_rng, derive_seed
-from imae.objectives import LossSpec, cae_penalty, imae_latent_entropy, vae_kl
+from imae.objectives import LossSpec, cae_penalty_and_grads, imae_entropy_and_grad, vae_kl
 from imae.training import TrainConfig, train
 
 from test_evaluation import brute_force_rand
@@ -68,7 +68,7 @@ def test_criterion_2_contractive_penalty_oracle():
         b = 0.3 * rng.standard_normal(l)
         x = rng.random((batch, d))
         y = 1.0 / (1.0 + np.exp(-(x @ w0.T + b)))
-        closed = cae_penalty(y, w0)
+        closed = cae_penalty_and_grads(y, w0, 1.0)[0]
         numeric = jacobian_frobenius_oracle(w0, b, x)
         worst = max(worst, abs(closed - numeric) / abs(numeric))
     ok = worst <= 1e-4
@@ -91,7 +91,7 @@ def test_criterion_3_rand_index_oracle():
 
 
 def test_criterion_4_closed_form_spot_values():
-    entropy_ok = all(imae_latent_entropy(np.zeros((1, l))) == 0.25 * l
+    entropy_ok = all(imae_entropy_and_grad(np.zeros((1, l)))[0] == 0.25 * l
                      for l in (1, 3, 200))
     kl_ok = vae_kl(np.zeros((2, 4)), np.zeros((2, 4))) == 0.0
     zero_net = nn.init_params(nn.shallow_arch(7, 11), derive_rng(0))
@@ -123,11 +123,11 @@ def test_criterion_9b_corrupted_magic_rejected(tmp_path):
 # --- desk-scale criteria on real MNIST -----------------------------------
 
 SHALLOW_LOSSES = {
-    "AE": LossSpec.ae(),
-    "CAE": LossSpec.cae(0.1),
-    "DAE-b": LossSpec.dae(NoiseSpec("mask", 0.3)),
-    "DAE-g": LossSpec.dae(NoiseSpec("gaussian", 0.3)),
-    "IMAE": LossSpec.imae(1.0),
+    "AE": LossSpec("AE"),
+    "CAE": LossSpec("CAE"),
+    "DAE-b": LossSpec("DAE", noise=NoiseSpec("mask", 0.3)),
+    "DAE-g": LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3)),
+    "IMAE": LossSpec("IMAE"),
 }
 
 
@@ -217,7 +217,7 @@ def test_criterion_7_deep_clusterization(mnist):
     train_ds, test_ds = mnist
     subset = Dataset(train_ds.images[:10000], train_ds.labels[:10000], train_ds.name)
     reports = {}
-    for tag, loss in (("VAE", LossSpec.vae()), ("IMAE", LossSpec.imae(1.0))):
+    for tag, loss in (("VAE", LossSpec("VAE")), ("IMAE", LossSpec("IMAE"))):
         cfg = TrainConfig(arch=nn.deep_arch(10), loss=loss, learning_rate=0.005,
                           epochs=150, batch_size=500, tied=False,
                           seed=derive_seed(MASTER_SEED, "deep-train", tag))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from imae import cli, evaluation, nn, objectives, training
+from imae import cli, evaluation, nn, objectives, reference, training
 from imae.cli import UsageError, read_config_file, resolve_config
 from imae.data import (CANONICAL_FILES, NoiseSpec, make_synthetic_digits,
                        write_idx_images, write_idx_labels)
@@ -262,6 +262,26 @@ class TestTrainCommand:
         assert (out / "model.ckpt").is_file()
 
 
+@pytest.mark.parametrize("variant, noise_kind, tag", [
+    *((v, "mask", "DAE-b" if v == "DAE" else v) for v in objectives.VARIANTS),
+    ("DAE", "gaussian", "DAE-g")])
+def test_every_variant_trains_and_evaluates(idx_dir, tmp_path, variant, noise_kind, tag):
+    # shallow200 decoders are tied unless the variant has Gaussian-latent
+    # heads, and only a sigmoid code reports sigma-prime
+    trained, evaluated = tmp_path / "train", tmp_path / "eval"
+    assert cli.main(["train", "--data-dir", str(idx_dir), "--seed", "9", "--out", str(trained),
+                     "--set", f"model.variant={variant}"]
+                    + fast_overrides(["train.epochs=1", f"model.noise_kind={noise_kind}"])) == 0
+    _, tcfg = training.load_checkpoint(trained / "model.ckpt")
+    assert tcfg.tied == (variant != "VAE")
+    assert cli.main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--data-dir",
+                     str(idx_dir), "--out", str(evaluated), "--protocol", "cluster",
+                     "--iterations", "1", "--n", "100"]) == 0
+    report = json.loads((evaluated / "report.json").read_text())
+    assert report["model"] == tag
+    assert (report["sigma_prime"] is None) == (variant == "VAE")
+
+
 @pytest.fixture(scope="session")
 def checkpoint(idx_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -305,6 +325,27 @@ class TestEvalCommand:
         assert rows[0] == ["model", "rand_clean", "rand_noisy", "sigma_prime", "iterations"]
         assert rows[1][0] == "IMAE"
 
+    @pytest.mark.parametrize("argv, setting", [
+        (["--iterations", "0"], "iterations"),
+        (["--iterations", "-2"], "iterations"),
+        (["--k", "0"], "k"),
+        (["--n", "5"], "n"),      # fewer points than the 10 clusters
+        (["--n", "301"], "n"),    # more points than the 300 test images
+    ])
+    def test_cluster_setting_out_of_domain_exits_one(self, checkpoint, idx_dir, tmp_path,
+                                                     capsys, monkeypatch, argv, setting):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the protocol started before its settings were checked")
+
+        monkeypatch.setattr(evaluation, "sample_subset", no_work)
+        monkeypatch.setattr(evaluation, "encode_rows", no_work)
+        out = tmp_path / "bad"
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--protocol", "cluster",
+                         "--data-dir", str(idx_dir), "--out", str(out), "--n", "100"]
+                        + argv) == 1
+        assert f"cluster protocol: {setting} must be " in capsys.readouterr().err
+        assert not (out / "cluster.csv").exists()
+
     def test_codes_columns(self, checkpoint, idx_dir, tmp_path):
         out = tmp_path / "codes"
         code = cli.main(["eval", "--checkpoint", str(checkpoint), "--protocol",
@@ -337,7 +378,7 @@ class TestEvalCommand:
         assert json.loads((out / "report.json").read_text())["resolved_config"] == snapshot
 
     def test_checkpoint_matching_no_preset_exits_one(self, tmp_path, capsys):
-        tcfg = training.TrainConfig(arch=nn.shallow_arch(7), loss=objectives.LossSpec.ae(),
+        tcfg = training.TrainConfig(arch=nn.shallow_arch(7), loss=objectives.LossSpec("AE"),
                                     learning_rate=0.1, epochs=1, batch_size=1)
         path = tmp_path / "odd.ckpt"
         training.save_checkpoint(training.build_network(tcfg, derive_rng(1)), tcfg, path)
@@ -400,6 +441,40 @@ class TestReproduceCommand:
         assert len(rows) == 1 + 5 * 8
         ae_mask0 = [r for r in rows[1:] if r[0] == "AE" and r[1] == "mask" and r[2] == "0"]
         assert ae_mask0[0][4] == "37.4"
+
+    def test_table1_reference_by_level(self):
+        # a level the paper did not run gets no reference, at any grid position
+        levels = (0.1, 0.3, 0.0, 0.2, 0.5, 0.75)
+        report = evaluation.EvalReport(model="AE", robustness=[
+            *(evaluation.RobustnessRow(NoiseSpec("mask", p), 1.0) for p in levels),
+            evaluation.RobustnessRow(NoiseSpec("gaussian", 0.15), 2.0)])
+        unpublished = evaluation.EvalReport(model="X", robustness=report.robustness[:2])
+        rows = list(cli._robustness_rows({"AE": report, "X": unpublished},
+                                         reference.TABLE1[200]))
+        assert [r[2:] for r in rows[1:]] == [
+            ["0.1", "1", ""], ["0.3", "1", "97.4"], ["0", "1", "37.4"], ["0.2", "1", ""],
+            ["0.5", "1", "133"], ["0.75", "1", "176.3"], ["0.15", "2", "122.2"],
+            ["0.1", "1", ""], ["0.3", "1", ""]]
+
+    @pytest.mark.parametrize("variant, lam, weights", [
+        ("IMAE", "0.5", {"AE": 0.0, "CAE": 0.1, "DAE-b": 0.0, "DAE-g": 0.0, "IMAE": 0.5}),
+        ("CAE", "0.2", {"AE": 0.0, "CAE": 0.2, "DAE-b": 0.0, "DAE-g": 0.0, "IMAE": 1.0}),
+        ("AE", "0", {"AE": 0.0, "CAE": 0.1, "DAE-b": 0.0, "DAE-g": 0.0, "IMAE": 1.0}),
+    ])
+    def test_model_lambda_weights_the_variant_it_names(self, idx_dir, tmp_path, monkeypatch,
+                                                       variant, lam, weights):
+        trained = {}
+
+        def record_loss(cfg, loss, *args):
+            trained[loss.tag] = loss.lam
+
+        monkeypatch.setattr(cli, "train_and_save", record_loss)
+        monkeypatch.setattr(cli, "evaluate", lambda cfg, net, test_ds, seed, tag:
+                            evaluation.EvalReport(model=tag, rand_clean=0.5, rand_noisy=0.5))
+        assert cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
+                         "--out", str(tmp_path / "t2"), "--set", f"model.variant={variant}",
+                         "--set", f"model.lambda={lam}"]) == 0
+        assert trained == weights
 
     def test_table1_runs_no_cluster_eval(self, tmp_path):
         # 500 test images is fewer than eval.n (1000), which only the cluster

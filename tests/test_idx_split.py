@@ -37,7 +37,7 @@ def float_twin(raw, labels):
 
 
 def shallow200(loss=None, **kw):
-    settings = dict(arch=nn.shallow_arch(200), loss=loss or LossSpec.ae(),
+    settings = dict(arch=nn.shallow_arch(200), loss=loss or LossSpec("AE"),
                     learning_rate=0.015, epochs=1, batch_size=500, seed=9)
     settings.update(kw)
     return TrainConfig(**settings)
@@ -75,9 +75,9 @@ def test_batches_equal_whole_split_division(split, shuffle):
 
 
 @pytest.mark.parametrize("loss,shuffle", [
-    (LossSpec.ae(), False),
-    (LossSpec.dae(NoiseSpec("mask", 0.3)), True),
-    (LossSpec.cae(), False),
+    (LossSpec("AE"), False),
+    (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), True),
+    (LossSpec("CAE"), False),
 ], ids=["AE", "DAE-b-shuffled", "CAE"])
 def test_checkpoint_bytes_match_float_dataset(split, tmp_path, loss, shuffle):
     ip, lp, raw = split

@@ -204,7 +204,7 @@ class TestBackward:
         net.layers[0].weights[:] = np.eye(5)
         x = rng.standard_normal((4, 5))
         trace = nn.forward(net, x)
-        _, _, grads = nn.backward(net, trace, objectives.LossSpec.ae(), x)
+        _, _, grads = nn.backward(net, trace, objectives.LossSpec("AE"), x)
         for g in grads.values():
             assert np.array_equal(g, np.zeros_like(g))
 
@@ -215,7 +215,7 @@ class TestBackward:
         untied.layers[0].weights[:] = tied.layers[0].weights
         untied.layers[1].weights[:] = tied.layers[0].weights.T.copy()
         x = rng.random((5, 9))
-        spec = objectives.LossSpec.ae()
+        spec = objectives.LossSpec("AE")
         _, _, g_tied = nn.backward(tied, nn.forward(tied, x), spec, x)
         _, _, g_untied = nn.backward(untied, nn.forward(untied, x), spec, x)
         np.testing.assert_allclose(
@@ -227,16 +227,16 @@ class TestBackward:
         gauss = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1), vae=True)
         x = np.zeros((2, 4))
         with pytest.raises(ConfigurationError):
-            nn.backward(plain, nn.forward(plain, x), objectives.LossSpec.vae(), x)
+            nn.backward(plain, nn.forward(plain, x), objectives.LossSpec("VAE"), x)
         trace = nn.forward(gauss, x, rng=derive_rng(2))
         with pytest.raises(ConfigurationError):
-            nn.backward(gauss, trace, objectives.LossSpec.ae(), x)
+            nn.backward(gauss, trace, objectives.LossSpec("AE"), x)
 
     def test_cae_needs_single_layer_encoder(self):
         net = nn.init_params(nn.deep_arch(4, 20, trunk=(8, 6)), derive_rng(1))
         x = np.zeros((2, 20))
         with pytest.raises(ConfigurationError):
-            nn.backward(net, nn.forward(net, x), objectives.LossSpec.cae(), x)
+            nn.backward(net, nn.forward(net, x), objectives.LossSpec("CAE"), x)
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -253,7 +253,7 @@ class TestGradientsAgainstFiniteDifferences:
         result = gradcheck.check_variant(variant, 11, widths=(8, 6, 8), batch=5, tied=True)
         assert result.passed, (variant, result.max_rel_err)
 
-    def test_deep_imae_and_vae(self):
+    def test_deep_imae_and_vae(self, spec_for):
         # multi-layer softplus trunks, as used by the deep preset
         for variant, vae in (("IMAE", False), ("VAE", True), ("AE", False), ("DAE", False)):
             rng = derive_rng(3, "deep-gradcheck", variant)
@@ -263,7 +263,7 @@ class TestGradientsAgainstFiniteDifferences:
                 if name.endswith(".b"):
                     arr += 0.05 * rng.standard_normal(arr.shape)
             x = rng.random((4, 12))
-            spec = gradcheck._spec_for(variant)
+            spec = spec_for(variant)
             x_in = x if variant != "DAE" else x * (rng.random(x.shape) > 0.3)
             eps = rng.standard_normal((4, 3)) if vae else None
             trace = nn.forward(net, x_in, eps=eps)
@@ -272,7 +272,7 @@ class TestGradientsAgainstFiniteDifferences:
             blocks = gradcheck.compare_grads(analytic, numeric)
             assert all(b.passed for b in blocks), [(b.name, b.max_rel_err) for b in blocks]
 
-    def test_bias_free_nets(self, rng):
+    def test_bias_free_nets(self, spec_for):
         # literal form with untrained biases: no bias entries, grads still match
         for variant in ("IMAE", "CAE", "VAE"):
             r = derive_rng(5, "biasfree", variant)
@@ -280,7 +280,7 @@ class TestGradientsAgainstFiniteDifferences:
                                  vae=(variant == "VAE"))
             assert not any(k.endswith(".b") for k in net.param_items())
             x = r.random((4, 8))
-            spec = gradcheck._spec_for(variant)
+            spec = spec_for(variant)
             eps = r.standard_normal((4, 5)) if variant == "VAE" else None
             trace = nn.forward(net, x, eps=eps)
             _, _, analytic = nn.backward(net, trace, spec, x)
@@ -291,13 +291,13 @@ class TestGradientsAgainstFiniteDifferences:
         ("AE", "shallow200", True), ("CAE", "shallow200", True),
         ("DAE", "shallow200", True), ("IMAE", "shallow200", True),
         ("VAE", "shallow200", False), ("IMAE", "deep10", False), ("VAE", "deep10", False)])
-    def test_directional_derivative_at_preset_shapes(self, variant, preset, tied):
+    def test_directional_derivative_at_preset_shapes(self, spec_for, variant, preset, tied):
         # full 784-pixel presets at batch 500: <grad, v> against the central
         # difference of the total loss along a random direction v
         rng = derive_rng(17, "preset-direction", variant, preset)
         arch = nn.shallow_arch(200) if preset == "shallow200" else nn.deep_arch(10)
         net = nn.init_params(arch, rng, vae=(variant == "VAE"), tied=tied)
-        spec = gradcheck._spec_for(variant)
+        spec = spec_for(variant)
         x = rng.random((500, 784))
         x_in = corrupt(x, spec.noise, rng) if variant == "DAE" else x
         latent = arch.layers[arch.latent_index][0]
@@ -320,7 +320,7 @@ class TestGradientsAgainstFiniteDifferences:
         # negative control: a sign flip must fail the comparison
         net = nn.init_params(nn.shallow_arch(5, 8), derive_rng(2))
         x = rng.random((4, 8))
-        spec = objectives.LossSpec.ae()
+        spec = objectives.LossSpec("AE")
         _, _, analytic = nn.backward(net, nn.forward(net, x), spec, x)
         analytic["layers.0.W"] = -analytic["layers.0.W"]
         numeric = gradcheck.finite_difference_grads(net, spec, x, x)

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from imae import gradcheck, nn
+from imae import nn
 from imae.errors import ConfigurationError, ShapeError
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
-from imae.objectives import (LossSpec, cae_penalty, imae_latent_entropy,
+from imae.objectives import (LossSpec, cae_penalty_and_grads, imae_entropy_and_grad,
                              log_cosh, reconstruction_l2, total_loss, vae_kl)
 
 # single-unit entropy term at y0 = 1, frozen from a 40-digit mpmath evaluation
@@ -66,11 +66,11 @@ class TestLossSpec:
             LossSpec("DAE")
         with pytest.raises(ConfigurationError):
             LossSpec("AE", noise=NoiseSpec("mask", 0.3))
-        LossSpec.dae(NoiseSpec("mask", 0.3))
+        LossSpec("DAE", noise=NoiseSpec("mask", 0.3))
 
     def test_defaults(self):
-        assert LossSpec.cae().lam == 0.1
-        assert LossSpec.imae().lam == 1.0
+        assert LossSpec("CAE").lam == 0.1
+        assert LossSpec("IMAE").lam == 1.0
 
 
 class TestReconstructionL2:
@@ -92,7 +92,7 @@ class TestReconstructionL2:
         net = nn.init_params(nn.shallow_arch(2, 3), derive_rng(1))
         trace = nn.forward(net, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            total_loss(LossSpec.ae(), trace, np.zeros((3, 2)))
+            total_loss(LossSpec("AE"), trace, np.zeros((3, 2)))
 
     def test_row_blocks_equal_one_full_reduction(self, rng):
         # the per-row distances of the whole array are those of its row
@@ -117,10 +117,10 @@ class TestReconstructionL2:
 class TestLatentEntropy:
     def test_zero_vector_maximum(self):
         for l in (1, 7, 32):
-            assert imae_latent_entropy(np.zeros((1, l))) == 0.25 * l
+            assert imae_entropy_and_grad(np.zeros((1, l)))[0] == 0.25 * l
 
     def test_single_unit_at_one(self):
-        value = imae_latent_entropy(np.array([[1.0]]))
+        value = imae_entropy_and_grad(np.array([[1.0]]))[0]
         np.testing.assert_allclose(value, ENTROPY_AT_ONE, rtol=0, atol=1e-15)
 
     def test_frozen_value_matches_live_high_precision(self):
@@ -132,12 +132,12 @@ class TestLatentEntropy:
 
     def test_never_exceeds_zero_point(self, rng):
         y0 = rng.standard_normal((10, 6)) * 3
-        assert imae_latent_entropy(y0) <= imae_latent_entropy(np.zeros((10, 6)))
+        assert imae_entropy_and_grad(y0)[0] <= imae_entropy_and_grad(np.zeros((10, 6)))[0]
 
     def test_even_in_y0(self, rng):
         y0 = rng.standard_normal((5, 8)) * 2
-        np.testing.assert_allclose(imae_latent_entropy(y0),
-                                   imae_latent_entropy(-y0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(imae_entropy_and_grad(y0)[0],
+                                   imae_entropy_and_grad(-y0)[0], rtol=0, atol=1e-12)
 
     def test_log_cosh_overflow_safe(self):
         big = np.array([[500.0, -500.0, 0.0]])
@@ -149,11 +149,11 @@ class TestLatentEntropy:
 
 class TestCaePenalty:
     def test_zero_weights(self):
-        assert cae_penalty(np.full((3, 4), 0.5), np.zeros((4, 6))) == 0.0
+        assert cae_penalty_and_grads(np.full((3, 4), 0.5), np.zeros((4, 6)), 1.0)[0] == 0.0
 
     def test_hand_checked_single_unit(self):
         # y=0.5, w=2: (0.25)^2 * 4
-        assert cae_penalty([[0.5]], [[2.0]]) == 0.25
+        assert cae_penalty_and_grads([[0.5]], [[2.0]], 1.0)[0] == 0.25
 
     def test_matches_numeric_jacobian(self, rng):
         w0 = rng.standard_normal((3, 5))
@@ -161,17 +161,18 @@ class TestCaePenalty:
         x = rng.random((4, 5))
         y = 1.0 / (1.0 + np.exp(-(x @ w0.T + b)))
         oracle = jacobian_frobenius_oracle(w0, b, x)
-        np.testing.assert_allclose(cae_penalty(y, w0), oracle, rtol=1e-4)
+        np.testing.assert_allclose(cae_penalty_and_grads(y, w0, 1.0)[0], oracle, rtol=1e-4)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            cae_penalty(np.full((2, 3), 0.5), np.zeros((4, 5)))
+            cae_penalty_and_grads(np.full((2, 3), 0.5), np.zeros((4, 5)), 1.0)[0]
 
     def test_row_permutation_invariant(self, rng):
         y = rng.uniform(0.1, 0.9, (6, 4))
         w0 = rng.standard_normal((4, 7))
         perm = rng.permutation(6)
-        np.testing.assert_allclose(cae_penalty(y, w0), cae_penalty(y[perm], w0),
+        np.testing.assert_allclose(cae_penalty_and_grads(y, w0, 1.0)[0],
+                                   cae_penalty_and_grads(y[perm], w0, 1.0)[0],
                                    rtol=1e-12)
 
 
@@ -226,7 +227,7 @@ class TestTotalLoss:
 
     def test_zero_lambda_degenerates_to_ae(self, rng):
         _, trace, x = self._net_and_trace(rng)
-        base, _, _ = total_loss(LossSpec.ae(), trace, x)
+        base, _, _ = total_loss(LossSpec("AE"), trace, x)
         for spec in (LossSpec("CAE", lam=0.0), LossSpec("IMAE", lam=0.0)):
             value, _, _ = total_loss(spec, trace, x)
             assert value == base
@@ -238,7 +239,7 @@ class TestTotalLoss:
             arr[:] = 0.0
         x = np.zeros((3, 10))
         trace = nn.forward(net, x)
-        value, terms, _ = total_loss(LossSpec.imae(1.0), trace, x)
+        value, terms, _ = total_loss(LossSpec("IMAE"), trace, x)
         assert value == -0.25 * l
         assert terms["reconstruction"] == 0.0
 
@@ -256,7 +257,7 @@ class TestTotalLoss:
         x = rng.random((4, 10))
         noisy = corrupt(x, NoiseSpec("mask", 0.5), derive_rng(6))
         trace = nn.forward(net, noisy)
-        spec = LossSpec.dae(NoiseSpec("mask", 0.5))
+        spec = LossSpec("DAE", noise=NoiseSpec("mask", 0.5))
         value, terms, _ = total_loss(spec, trace, x)
         assert value == reconstruction_l2(trace.xhat - x).mean()
         assert terms["latent"] == 0.0
@@ -264,7 +265,7 @@ class TestTotalLoss:
     def test_mismatched_spec_rejected(self, rng):
         _, trace, x = self._net_and_trace(rng)
         with pytest.raises(ConfigurationError):
-            total_loss(LossSpec.vae(), trace, x)
+            total_loss(LossSpec("VAE"), trace, x)
 
 
 def moved_trace(trace, key, step):
@@ -288,13 +289,13 @@ class TestTraceGradients:
     @pytest.mark.parametrize("variant,key", [
         ("AE", "xhat"), ("CAE", "xhat"), ("DAE", "xhat"), ("IMAE", "xhat"), ("VAE", "xhat"),
         ("IMAE", "latent_pre"), ("CAE", "latent_W"), ("VAE", "mu"), ("VAE", "logvar")])
-    def test_directional_derivative(self, variant, key):
+    def test_directional_derivative(self, spec_for, variant, key):
         rng = derive_rng(23, "trace-direction", variant, key)
         vae = variant == "VAE"
         net = nn.init_params(nn.shallow_arch(200), rng, vae=vae)
         x = rng.random((500, 784))
         trace = nn.forward(net, x, rng=rng if vae else None)
-        spec = gradcheck._spec_for(variant)
+        spec = spec_for(variant)
         _, _, grads = total_loss(spec, trace, x)
         direction = rng.standard_normal(grads[key].shape)
         along = float(np.vdot(grads[key], direction))

@@ -21,11 +21,11 @@ from imae.training import TrainConfig, train
 SEED = 404
 
 SHALLOW_LOSSES = {
-    "AE": LossSpec.ae(),
-    "CAE": LossSpec.cae(0.1),
-    "DAE-b": LossSpec.dae(NoiseSpec("mask", 0.3)),
-    "DAE-g": LossSpec.dae(NoiseSpec("gaussian", 0.3)),
-    "IMAE": LossSpec.imae(1.0),
+    "AE": LossSpec("AE"),
+    "CAE": LossSpec("CAE"),
+    "DAE-b": LossSpec("DAE", noise=NoiseSpec("mask", 0.3)),
+    "DAE-g": LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3)),
+    "IMAE": LossSpec("IMAE"),
 }
 
 
@@ -96,7 +96,7 @@ def deep_pair(digits_train, digits_test):
     d = digits_train.images.shape[1]
     arch = nn.deep_arch(8, input_dim=d, trunk=(160, 80))
     out = {}
-    for tag, loss in (("VAE", LossSpec.vae()), ("IMAE", LossSpec.imae(1.0))):
+    for tag, loss in (("VAE", LossSpec("VAE")), ("IMAE", LossSpec("IMAE"))):
         cfg = TrainConfig(arch=arch, loss=loss, learning_rate=0.005,
                           epochs=150, batch_size=250, tied=False,
                           seed=derive_seed(SEED, "deep", tag))

@@ -12,7 +12,7 @@ from imae.training import (TrainConfig, build_network, config_from_text,
 
 
 def tiny_config(loss=None, **kw):
-    defaults = dict(arch=nn.shallow_arch(6, 16), loss=loss or LossSpec.ae(),
+    defaults = dict(arch=nn.shallow_arch(6, 16), loss=loss or LossSpec("AE"),
                     learning_rate=0.05, epochs=3, batch_size=10, seed=5)
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -35,7 +35,7 @@ class TestTrain:
 
     def test_descent_on_small_autoencoder(self):
         ds = make_synthetic_digits(20, seed=3, side=28)
-        cfg = TrainConfig(arch=nn.shallow_arch(16, 784), loss=LossSpec.ae(),
+        cfg = TrainConfig(arch=nn.shallow_arch(16, 784), loss=LossSpec("AE"),
                           learning_rate=0.05, epochs=200, batch_size=20, seed=2)
         _, history = train(cfg, ds)
         assert history.records[-1].total < history.records[0].total
@@ -50,10 +50,10 @@ class TestTrain:
         assert [r.total for r in hist1.records] == [r.total for r in hist2.records]
 
     @pytest.mark.parametrize("loss", [
-        LossSpec.ae(), LossSpec.cae(0.1),
-        LossSpec.dae(NoiseSpec("mask", 0.3)),
-        LossSpec.dae(NoiseSpec("gaussian", 0.3)),
-        LossSpec.imae(1.0), LossSpec.vae()])
+        LossSpec("AE"), LossSpec("CAE"),
+        LossSpec("DAE", noise=NoiseSpec("mask", 0.3)),
+        LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3)),
+        LossSpec("IMAE"), LossSpec("VAE")])
     def test_every_variant_trains(self, loss):
         ds = tiny_dataset()
         tied = loss.variant not in ("VAE",)
@@ -64,12 +64,12 @@ class TestTrain:
             assert np.all(np.isfinite(arr))
 
     @pytest.mark.parametrize("loss,arch,tied", [
-        (LossSpec.ae(), nn.shallow_arch(200), True),
-        (LossSpec.cae(0.1), nn.shallow_arch(200), True),
-        (LossSpec.dae(NoiseSpec("mask", 0.3)), nn.shallow_arch(200), True),
-        (LossSpec.dae(NoiseSpec("gaussian", 0.3)), nn.shallow_arch(200), True),
-        (LossSpec.imae(1.0), nn.shallow_arch(200), True),
-        (LossSpec.imae(1.0), nn.deep_arch(10), False)])
+        (LossSpec("AE"), nn.shallow_arch(200), True),
+        (LossSpec("CAE"), nn.shallow_arch(200), True),
+        (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), nn.shallow_arch(200), True),
+        (LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3)), nn.shallow_arch(200), True),
+        (LossSpec("IMAE"), nn.shallow_arch(200), True),
+        (LossSpec("IMAE"), nn.deep_arch(10), False)])
     def test_training_leaves_images_untouched(self, loss, arch, tied):
         # unshuffled batches are views of the dataset and the step works in
         # place, so no in-place write may land on a batch
@@ -97,7 +97,7 @@ class TestTrain:
 
     def test_line_search_decreases_imae_loss(self):
         ds = tiny_dataset(n=12)
-        cfg = tiny_config(loss=LossSpec.imae(1.0), epochs=1, batch_size=12)
+        cfg = tiny_config(loss=LossSpec("IMAE"), epochs=1, batch_size=12)
         net = build_network(cfg, derive_rng(cfg.seed, "init"))
         x = ds.images
         spec = cfg.loss
@@ -134,7 +134,7 @@ class TestTrain:
 
 class TestConfigText:
     def test_round_trip(self):
-        cfg = tiny_config(loss=LossSpec.dae(NoiseSpec("gaussian", 0.3)),
+        cfg = tiny_config(loss=LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3)),
                           tied=True, shuffle=True, seed=99)
         back = config_from_text(config_to_text(cfg))
         assert back == cfg
@@ -160,7 +160,7 @@ class TestConfigText:
 
 class TestCheckpoints:
     @pytest.mark.parametrize("loss,tied", [
-        (LossSpec.ae(), True), (LossSpec.imae(1.0), False), (LossSpec.vae(), False)])
+        (LossSpec("AE"), True), (LossSpec("IMAE"), False), (LossSpec("VAE"), False)])
     def test_save_load_save_identical(self, tmp_path, loss, tied):
         ds = tiny_dataset()
         cfg = tiny_config(loss=loss, tied=tied)
