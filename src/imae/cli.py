@@ -433,6 +433,9 @@ def cmd_reproduce(args) -> int:
           f"lr={cfg.learning_rate:g} batch={cfg.batch_size} seed={cfg.seed}")
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
+    if cfg.eval_protocol == "cluster":  # fail before any model trains
+        evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k,
+                                          len(test_ds))
     reports = {}
     for loss in table.losses:
         if loss.variant == cfg.variant:  # model.lambda weights the variant it names

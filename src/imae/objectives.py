@@ -42,7 +42,8 @@ class LossSpec:
 
     ``lam`` weights the latent term: by default the variant's own weight, and
     zero for a variant that takes none. ``noise`` is the training corruption,
-    required exactly for the variants that train on corrupted input.
+    required exactly for the variants that train on corrupted input; a noise
+    of kind "none" is no noise.
     """
     variant: str
     lam: float = None
@@ -58,6 +59,8 @@ class LossSpec:
             raise ConfigurationError(f"{self.variant} takes no latent weight, got lam={self.lam}")
         if self.lam < 0:
             raise ConfigurationError(f"lam must be >= 0, got {self.lam}")
+        if self.noise is not None and self.noise.kind == "none":
+            self.noise = None
         if (self.noise is not None) != record.noise:
             noisy = "/".join(name for name, v in VARIANTS.items() if v.noise)
             raise ConfigurationError(

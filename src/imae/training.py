@@ -177,10 +177,10 @@ def config_from_text(text: str) -> TrainConfig:
             v[key] = parse(kv[key])
         except ValueError as e:
             raise CheckpointFormatError(f"config block key {key}: {e}") from None
-    noise = None if v["noise_kind"] == "none" else NoiseSpec(v["noise_kind"], v["noise_level"])
     return TrainConfig(
         arch=nn.Arch(v["input_dim"], v["layers"], v["latent_index"]),
-        loss=objectives.LossSpec(v["variant"], lam=v["lambda"], noise=noise),
+        loss=objectives.LossSpec(v["variant"], lam=v["lambda"],
+                                 noise=NoiseSpec(v["noise_kind"], v["noise_level"])),
         learning_rate=v["learning_rate"], epochs=v["epochs"],
         batch_size=v["batch_size"], tied=v["tied"], seed=v["seed"],
         biases=v["biases"], shuffle=v["shuffle"])

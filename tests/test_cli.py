@@ -6,26 +6,8 @@ import pytest
 
 from imae import cli, evaluation, nn, objectives, reference, training
 from imae.cli import UsageError, read_config_file, resolve_config
-from imae.data import (CANONICAL_FILES, NoiseSpec, make_synthetic_digits,
-                       write_idx_images, write_idx_labels)
+from imae.data import NoiseSpec
 from imae.ndcore import derive_rng
-
-
-def write_idx_dir(root, splits):
-    """MNIST-shaped synthetic IDX files (28x28, 10 classes) for CLI runs;
-    ``splits`` holds (split, image count, seed) triples."""
-    for split, n, seed in splits:
-        ds = make_synthetic_digits(n, seed=seed, side=28)
-        images = (ds.images * 255.0).round().astype(np.uint8).reshape(n, 28, 28)
-        write_idx_images(root / CANONICAL_FILES[f"{split}_images"], images)
-        write_idx_labels(root / CANONICAL_FILES[f"{split}_labels"], ds.labels)
-    return root
-
-
-@pytest.fixture(scope="session")
-def idx_dir(tmp_path_factory):
-    return write_idx_dir(tmp_path_factory.mktemp("idxdata"),
-                         (("train", 400, 21), ("test", 300, 22)))
 
 
 def fast_overrides(extra=()):
@@ -253,6 +235,15 @@ class TestTrainCommand:
         assert owned_bytes(ds.images) == 100 * 784
         assert owned_bytes(ds.labels) == ds.labels.nbytes
 
+    def test_dae_without_noise_exits_one_before_training(self, idx_dir, tmp_path, capsys):
+        out = tmp_path / "dae"
+        code = cli.main(["train", "--data-dir", str(idx_dir), "--out", str(out),
+                         "--set", "model.variant=DAE", "--set", "model.noise_kind=none"]
+                        + fast_overrides())
+        assert code == 1
+        assert "training noise is required for DAE" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_env_var_dataset_dir(self, idx_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_DATA_DIR, str(idx_dir))
         out = tmp_path / "envrun"
@@ -429,6 +420,14 @@ class TestReproduceCommand:
         assert rows[2][1:] == ["53.5", "17.9", "53.8", "51.3", "54.4"]
         assert (out1 / "table2.csv").read_bytes() == (out2 / "table2.csv").read_bytes()
 
+    def test_cluster_setting_checked_before_training(self, idx_dir, tmp_path, capsys):
+        out = tmp_path / "t2"
+        code = cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
+                         "--out", str(out)] + fast_overrides(["eval.n=5000"]))
+        assert code == 1
+        assert "cluster protocol: n must be <= the 300 test images" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
+
     def test_table1_rows(self, idx_dir, tmp_path):
         out = tmp_path / "t1"
         code = cli.main(["reproduce", "--table", "table1", "--data-dir", str(idx_dir),
@@ -473,10 +472,10 @@ class TestReproduceCommand:
                             evaluation.EvalReport(model=tag, rand_clean=0.5, rand_noisy=0.5))
         assert cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
                          "--out", str(tmp_path / "t2"), "--set", f"model.variant={variant}",
-                         "--set", f"model.lambda={lam}"]) == 0
+                         "--set", f"model.lambda={lam}", "--set", "eval.n=100"]) == 0
         assert trained == weights
 
-    def test_table1_runs_no_cluster_eval(self, tmp_path):
+    def test_table1_runs_no_cluster_eval(self, tmp_path, write_idx_dir):
         # 500 test images is fewer than eval.n (1000), which only the cluster
         # protocol samples; table1 needs the robustness sweep alone
         (tmp_path / "data").mkdir()

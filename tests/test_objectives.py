@@ -68,6 +68,13 @@ class TestLossSpec:
             LossSpec("AE", noise=NoiseSpec("mask", 0.3))
         LossSpec("DAE", noise=NoiseSpec("mask", 0.3))
 
+    def test_none_kind_is_no_noise(self):
+        from imae.data import NoiseSpec
+        with pytest.raises(ConfigurationError, match="training noise is required"):
+            LossSpec("DAE", noise=NoiseSpec("none", 0.3))
+        spec = LossSpec("AE", noise=NoiseSpec("none", 0.0))
+        assert spec.noise is None and spec.tag == "AE"
+
     def test_defaults(self):
         assert LossSpec("CAE").lam == 0.1
         assert LossSpec("IMAE").lam == 1.0
