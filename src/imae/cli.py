@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import evaluation, gradcheck, nn, objectives, reference, training
-from .data import CANONICAL_FILES, Dataset, NoiseSpec, load_idx
+from .data import CANONICAL_FILES, NOISE_KINDS, Dataset, NoiseSpec, load_idx
 from .errors import (CheckpointFormatError, ConfigurationError, IdxFormatError,
                      TrainingDiverged)
 from .ndcore import derive_rng, derive_seed
@@ -92,7 +92,8 @@ _KEYS = {f"{section}.{key}": entry
          for section, keys in _SCHEMA.items() for key, entry in keys.items()}
 
 _CHOICES = {"experiment.scale": SCALES, "model.variant": tuple(objectives.VARIANTS),
-            "model.preset": PRESETS, "data.dataset": DATASETS, "eval.protocol": PROTOCOLS}
+            "model.preset": PRESETS, "data.dataset": DATASETS, "eval.protocol": PROTOCOLS,
+            "model.noise_kind": NOISE_KINDS, "eval.noise_kind": NOISE_KINDS}
 
 ExperimentConfig = make_dataclass(
     "ExperimentConfig", [field for field, _, _ in _KEYS.values()],
@@ -182,11 +183,30 @@ def preset_arch(preset, nh) -> nn.Arch:
     return nn.deep_arch(nh)
 
 
-def make_loss(cfg: ExperimentConfig) -> objectives.LossSpec:
-    """The loss of ``[model]``; its noise applies to a variant that takes one."""
-    takes_noise = objectives.VARIANTS[cfg.variant].noise
-    noise = NoiseSpec(cfg.noise_kind, cfg.noise_level) if takes_noise else None
-    return objectives.LossSpec(cfg.variant, lam=cfg.lam, noise=noise)
+def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig:
+    """One model's training settings, checked as they are built. The loss
+    defaults to ``[model]``'s; ``model.lambda`` weights the variant it names,
+    and ``model.tied`` ties any decoder without Gaussian-latent heads."""
+    if loss is None:
+        loss = objectives.LossSpec(cfg.variant, noise=NoiseSpec(cfg.noise_kind, cfg.noise_level)
+                                   if objectives.VARIANTS[cfg.variant].noise else None)
+    if loss.variant == cfg.variant:
+        loss = replace(loss, lam=cfg.lam)
+    return training.TrainConfig(
+        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
+        learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        tied=cfg.tied and not loss.record.heads, seed=seed, biases=cfg.biases,
+        shuffle=cfg.shuffle)
+
+
+def eval_noise(cfg: ExperimentConfig):
+    """The eval protocol's corruption, checked as it is built: the robustness
+    grid's NoiseSpecs, the cluster noise, or None for the codes export."""
+    if cfg.eval_protocol == "cluster":
+        return NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level)
+    if cfg.eval_protocol == "robustness":
+        return ([NoiseSpec("mask", p) for p in cfg.mask_grid]
+                + [NoiseSpec("gaussian", s) for s in cfg.gaussian_grid])
 
 
 def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
@@ -211,7 +231,10 @@ def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
 
 
 def load_split(cfg: ExperimentConfig, split) -> Dataset:
-    """Load the train or test IDX pair, erroring with the canonical names."""
+    """Load the train or test IDX pair and check the settings that read its size."""
+    limit = cfg.train_limit if split == "train" else 0
+    if limit < 0:
+        raise ConfigurationError(f"train.train_limit must be >= 0 (0 is all rows), got {limit}")
     images = Path(cfg.data_dir) / getattr(cfg, f"{split}_images")
     labels = Path(cfg.data_dir) / getattr(cfg, f"{split}_labels")
     missing = [str(p) for p in (images, labels) if not p.is_file()]
@@ -222,7 +245,8 @@ def load_split(cfg: ExperimentConfig, split) -> Dataset:
             f"expected IDX files under {cfg.data_dir} "
             f"(canonical names: {expected}); set {ENV_DATA_DIR} or data.dir")
     ds = load_idx(images, labels, name=cfg.dataset)
-    limit = cfg.train_limit if split == "train" else 0
+    if split == "test" and cfg.eval_protocol == "cluster":
+        evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k, len(ds))
     if 0 < limit < len(ds):
         # copies, so the rows past the limit are freed when loading returns
         ds = Dataset(ds.images[:limit].copy(), ds.labels[:limit].copy(), ds.name)
@@ -257,17 +281,10 @@ def _apply_overrides(raw, args):
     return raw
 
 
-def train_and_save(cfg, loss, seed, train_ds, checkpoint, history_csv):
+def train_and_save(cfg, tcfg, train_ds, checkpoint, history_csv):
     """The train step of ``train`` and ``reproduce``: train one model under
-    ``cfg``, then write its checkpoint and loss history. Only shallow decoders
-    without Gaussian-latent heads are tied."""
-    tied = cfg.tied and cfg.preset.startswith("shallow") and not loss.record.heads
-    tcfg = training.TrainConfig(
-        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
-        learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, tied=tied, seed=seed,
-        biases=cfg.biases, shuffle=cfg.shuffle)
-    print(f"training {loss.tag} ({cfg.preset}, {cfg.epochs} epochs, "
+    ``tcfg``, then write its checkpoint and loss history."""
+    print(f"training {tcfg.loss.tag} ({cfg.preset}, {cfg.epochs} epochs, "
           f"lr {cfg.learning_rate:g}, batch {cfg.batch_size}) ...", flush=True)
     net, history = training.train(tcfg, train_ds)
     training.save_checkpoint(net, tcfg, checkpoint)
@@ -276,25 +293,27 @@ def train_and_save(cfg, loss, seed, train_ds, checkpoint, history_csv):
     return net
 
 
-def evaluate(cfg, net, test_ds, seed, tag) -> evaluation.EvalReport:
+def evaluate(cfg, noise, net, test_ds, seed, tag) -> evaluation.EvalReport:
     """The evaluate step of ``eval`` and ``reproduce``: run the robustness or
-    cluster protocol that ``cfg`` names on one network."""
+    cluster protocol that ``cfg`` names, with its ``eval_noise``, on one network."""
     if cfg.eval_protocol == "robustness":
-        specs = ([NoiseSpec("mask", p) for p in cfg.mask_grid]
-                 + [NoiseSpec("gaussian", s) for s in cfg.gaussian_grid])
-        rows = evaluation.robustness_sweep(net, test_ds, specs, derive_rng(seed, "robustness"))
+        rows = evaluation.robustness_sweep(net, test_ds, noise, derive_rng(seed, "robustness"))
         return evaluation.EvalReport(model=tag, robustness=rows, seeds=[seed])
     return evaluation.cluster_eval(
         net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
-        noise=NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level), seed=seed, model_tag=tag)
+        noise=noise, seed=seed, model_tag=tag)
 
+
+# Each command resolves its config, builds the objects that check it, loads
+# the splits (checking the settings that need their sizes), then creates out.
 
 def cmd_train(args) -> int:
     cfg = resolve_config(_apply_overrides(read_config_file(args.config), args))
     _warn_paper_scale(cfg)
+    tcfg = train_config(cfg, derive_seed(cfg.seed, "train"))
+    train_ds = load_split(cfg, "train")
     out, _ = start_run(cfg)
-    train_and_save(cfg, make_loss(cfg), derive_seed(cfg.seed, "train"),
-                   load_split(cfg, "train"), out / "model.ckpt", out / "history.csv")
+    train_and_save(cfg, tcfg, train_ds, out / "model.ckpt", out / "history.csv")
     return 0
 
 
@@ -303,13 +322,14 @@ def cmd_eval(args) -> int:
     net, tcfg = training.load_checkpoint(args.checkpoint)
     raw.update(checkpoint_model_section(tcfg))
     cfg = resolve_config(raw)
-    out, resolved = start_run(cfg)
+    noise = eval_noise(cfg)
     test_ds = load_split(cfg, "test")
+    out, resolved = start_run(cfg)
     if cfg.eval_protocol == "codes":
         evaluation.export_codes(net, test_ds, out / "codes.csv")
         print(f"wrote {out / 'codes.csv'}")
         return 0
-    report = evaluate(cfg, net, test_ds, derive_seed(cfg.seed, "eval"), tcfg.loss.tag)
+    report = evaluate(cfg, noise, net, test_ds, derive_seed(cfg.seed, "eval"), tcfg.loss.tag)
     csv_path = out / f"{cfg.eval_protocol}.csv"
     if cfg.eval_protocol == "robustness":
         evaluation.robustness_to_csv(report, csv_path)
@@ -427,23 +447,20 @@ def cmd_reproduce(args) -> int:
     # resolved twice: a table's settings may read the config they override
     cfg = resolve_config({**raw, **table.settings(resolve_config(raw))})
     _warn_paper_scale(cfg)
-    out, resolved = start_run(cfg)
+    tcfgs = [train_config(cfg, derive_seed(cfg.seed, "train", loss.tag), loss)
+             for loss in table.losses]
+    noise = eval_noise(cfg)
     print(f"resolved {cfg.scale} defaults: preset={cfg.preset} "
           f"train_limit={cfg.train_limit or 'all'} epochs={cfg.epochs} "
           f"lr={cfg.learning_rate:g} batch={cfg.batch_size} seed={cfg.seed}")
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
-    if cfg.eval_protocol == "cluster":  # fail before any model trains
-        evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k,
-                                          len(test_ds))
+    out, resolved = start_run(cfg)
     reports = {}
-    for loss in table.losses:
-        if loss.variant == cfg.variant:  # model.lambda weights the variant it names
-            loss = replace(loss, lam=cfg.lam)
-        tag = loss.tag
-        net = train_and_save(cfg, loss, derive_seed(cfg.seed, "train", tag), train_ds,
-                             out / f"{tag}.ckpt", out / f"{tag}.history.csv")
-        reports[tag] = evaluate(cfg, net, test_ds, derive_seed(cfg.seed, "eval", tag), tag)
+    for tcfg in tcfgs:
+        tag = tcfg.loss.tag
+        net = train_and_save(cfg, tcfg, train_ds, out / f"{tag}.ckpt", out / f"{tag}.history.csv")
+        reports[tag] = evaluate(cfg, noise, net, test_ds, derive_seed(cfg.seed, "eval", tag), tag)
         if cfg.eval_protocol == "cluster":
             evaluation.report_to_json(reports[tag], out / f"{tag}.cluster.json", resolved)
     path = out / f"{args.table}.csv"
@@ -465,7 +482,7 @@ def _common_flags(p):
     p.add_argument("--config", default=None, help="experiment config file (INI)")
     p.add_argument("--seed", dest="experiment.seed", type=int, help="master seed")
     p.add_argument("--out", dest="experiment.out", help="output directory")
-    p.add_argument("--scale", dest="experiment.scale", choices=SCALES)
+    p.add_argument("--scale", dest="experiment.scale")
     p.add_argument("--nh", dest="model.nh", type=int, help="deep-preset code size")
     p.add_argument("--data-dir", dest="data.dir",
                    help=f"dataset directory (or set {ENV_DATA_DIR})")
@@ -484,11 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--protocol", dest="eval.protocol", choices=PROTOCOLS)
+    p.add_argument("--protocol", dest="eval.protocol")
     p.add_argument("--iterations", dest="eval.iterations", type=int)
     p.add_argument("--n", dest="eval.n", type=int)
     p.add_argument("--k", dest="eval.k", type=int)
-    p.add_argument("--noise-kind", dest="eval.noise_kind", choices=("none", "mask", "gaussian"))
+    p.add_argument("--noise-kind", dest="eval.noise_kind")
     p.add_argument("--noise-level", dest="eval.noise_level", type=float)
     _common_flags(p)
     p.set_defaults(func=cmd_eval)

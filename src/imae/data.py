@@ -27,6 +27,7 @@ CANONICAL_FILES = {
 }
 
 N_CLASSES = 10
+NOISE_KINDS = ("none", "mask", "gaussian")
 
 
 def pixel_rows(pixels, index=slice(None)) -> np.ndarray:
@@ -78,7 +79,7 @@ class NoiseSpec:
     level: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "mask", "gaussian"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "mask" and not 0.0 <= self.level <= 1.0:
             raise ValueError(f"mask probability must be in [0,1], got {self.level}")

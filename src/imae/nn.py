@@ -36,9 +36,7 @@ def _activate(tag, z):
         return expit(z)
     if tag == "softplus":
         return softplus(z)
-    if tag == "identity":
-        return z
-    raise ConfigurationError(f"unknown activation {tag!r}")
+    return z  # identity, the one other activation an Arch admits
 
 
 def _activation_deriv(tag, act):
@@ -52,11 +50,9 @@ def _activation_deriv(tag, act):
         d = 1.0 - act
         d *= act
         return d
-    if tag == "softplus":
-        d = np.negative(act)
-        np.expm1(d, out=d)
-        return np.negative(d, out=d)
-    raise ConfigurationError(f"unknown activation {tag!r}")
+    d = np.negative(act)  # softplus; identity layers skip this call
+    np.expm1(d, out=d)
+    return np.negative(d, out=d)
 
 
 @dataclass
@@ -76,6 +72,14 @@ class Arch:
     input_dim: int
     layers: tuple
     latent_index: int
+
+    def __post_init__(self):
+        if not self.layers or min(self.widths()) < 1:
+            raise ValueError(f"layers must be non-empty with widths >= 1, got {self.widths()}")
+        if any(a not in ACTIVATIONS for _, a in self.layers):
+            raise ConfigurationError(f"unknown activation in {self.layers}")
+        if not 0 <= self.latent_index < len(self.layers):
+            raise ConfigurationError(f"latent_index {self.latent_index} out of range")
 
     def widths(self):
         return (self.input_dim,) + tuple(w for w, _ in self.layers)
@@ -189,18 +193,9 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Netwo
     ``tied=True`` stores encoder weights once and exposes decoder weights as
     transpose views of them.
     """
-    if not arch.layers:
-        raise ValueError("empty architecture")
-    widths = arch.widths()
-    if any(w < 1 for w in widths):
-        raise ValueError(f"layer widths must be >= 1, got {widths}")
-    acts = [a for _, a in arch.layers]
-    if any(a not in ACTIVATIONS for a in acts):
-        raise ConfigurationError(f"unknown activation in {acts}")
-    if not 0 <= arch.latent_index < len(arch.layers):
-        raise ConfigurationError(f"latent_index {arch.latent_index} out of range")
     if vae and tied:
         raise ConfigurationError("tied weights are not supported with Gaussian-latent heads")
+    widths = arch.widths()
     n_layers = len(arch.layers)
     if tied:
         if n_layers % 2 != 0:

@@ -36,12 +36,9 @@ class TrainConfig:
     shuffle: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("learning_rate", 0), ("epochs", 1), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass

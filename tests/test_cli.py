@@ -244,6 +244,14 @@ class TestTrainCommand:
         assert "training noise is required for DAE" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    def test_explicit_tied_deep_is_honoured(self, idx_dir, tmp_path):
+        out = tmp_path / "deep-tied"
+        assert cli.main(["train", "--data-dir", str(idx_dir), "--out", str(out), "--nh", "5",
+                         "--set", "model.preset=deep", "--set", "model.tied=true"]
+                        + fast_overrides(["train.epochs=1"])) == 0
+        _, tcfg = training.load_checkpoint(out / "model.ckpt")
+        assert tcfg.tied is True
+
     def test_env_var_dataset_dir(self, idx_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_DATA_DIR, str(idx_dir))
         out = tmp_path / "envrun"
@@ -281,6 +289,52 @@ def checkpoint(idx_dir, tmp_path_factory):
                     + fast_overrides())
     assert code == 0
     return out / "model.ckpt"
+
+
+# command line, text the error must hold, and whether the rule reads the
+# splits' sizes (the test split here has 300 images)
+CONFIG_ERRORS = [
+    (["reproduce", "--table", "table1", "--set", "eval.mask_grid=0,1.5"],
+     "mask probability must be in [0,1], got 1.5", False),
+    (["reproduce", "--table", "table2", "--set", "eval.noise_level=-1"],
+     "gaussian std must be >= 0, got -1.0", False),
+    (["eval", "--protocol", "cluster", "--set", "eval.noise_kind=bogus"],
+     "eval.noise_kind must be one of ('none', 'mask', 'gaussian'), got 'bogus'", False),
+    (["train", "--scale", "bogus"], "experiment.scale must be one of", False),
+    (["train", "--set", "train.epochs=0"], "epochs must be >= 1, got 0", False),
+    (["train", "--set", "train.batch_size=0"], "batch_size must be >= 1, got 0", False),
+    (["train", "--set", "train.learning_rate=-1"], "learning_rate must be >= 0, got -1.0", False),
+    (["train", "--set", "model.lambda=-1"], "lam must be >= 0, got -1.0", False),
+    (["train", "--set", "model.variant=DAE", "--set", "model.noise_level=1.5"],
+     "mask probability must be in [0,1], got 1.5", False),
+    (["train", "--set", "train.train_limit=-3"], "train.train_limit must be >= 0", False),
+    (["train", "--nh", "0", "--set", "model.preset=deep"],
+     "widths >= 1, got (784, 1100, 700, 0, 700, 1100, 784)", False),
+    (["eval", "--protocol", "cluster", "--n", "301"],
+     "cluster protocol: n must be <= the 300 test images, got 301", True),
+]
+
+
+@pytest.mark.parametrize("argv, message, reads_data", CONFIG_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in CONFIG_ERRORS])
+def test_config_error_exits_before_any_output(checkpoint, idx_dir, tmp_path, capsys,
+                                              monkeypatch, argv, message, reads_data):
+    # every command checks its settings, and the splits' sizes, before it
+    # creates out; a rule that needs no data fails before any split loads
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before the settings were checked")
+
+    loads = []
+    real_load_idx = cli.load_idx
+    monkeypatch.setattr(cli, "load_idx", lambda *a, **kw: loads.append(a) or real_load_idx(*a, **kw))
+    monkeypatch.setattr(training, "train", no_training)
+    if argv[0] == "eval":
+        argv = argv + ["--checkpoint", str(checkpoint)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--data-dir", str(idx_dir), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert bool(loads) == reads_data
 
 
 class TestEvalCommand:
@@ -464,11 +518,11 @@ class TestReproduceCommand:
                                                        variant, lam, weights):
         trained = {}
 
-        def record_loss(cfg, loss, *args):
-            trained[loss.tag] = loss.lam
+        def record_loss(cfg, tcfg, *args):
+            trained[tcfg.loss.tag] = tcfg.loss.lam
 
         monkeypatch.setattr(cli, "train_and_save", record_loss)
-        monkeypatch.setattr(cli, "evaluate", lambda cfg, net, test_ds, seed, tag:
+        monkeypatch.setattr(cli, "evaluate", lambda cfg, noise, net, test_ds, seed, tag:
                             evaluation.EvalReport(model=tag, rand_clean=0.5, rand_noisy=0.5))
         assert cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
                          "--out", str(tmp_path / "t2"), "--set", f"model.variant={variant}",

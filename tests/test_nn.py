@@ -140,6 +140,15 @@ class TestInitParams:
         with pytest.raises(ValueError):
             nn.init_params(nn.Arch(4, (), 0), derive_rng(1))
 
+    @pytest.mark.parametrize("layers, latent_index, error", [
+        (((0, "sigmoid"), (4, "identity")), 0, ValueError),
+        (((3, "relu"), (4, "identity")), 0, ConfigurationError),
+        (((3, "sigmoid"), (4, "identity")), 2, ConfigurationError),
+    ])
+    def test_arch_checks_itself(self, layers, latent_index, error):
+        with pytest.raises(error):
+            nn.Arch(4, layers, latent_index)
+
     def test_tied_requires_palindrome(self):
         bad = nn.Arch(4, ((3, "sigmoid"), (5, "identity")), 0)
         with pytest.raises(ConfigurationError):
