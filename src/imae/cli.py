@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import evaluation, gradcheck, nn, objectives, reference, training
-from .data import CANONICAL_FILES, NOISE_KINDS, Dataset, NoiseSpec, load_idx
+from .data import CANONICAL_FILES, NOISE_KINDS, Dataset, NoiseSpec, check_batch_size, load_idx
 from .errors import (CheckpointFormatError, ConfigurationError, IdxFormatError,
                      TrainingDiverged)
 from .ndcore import derive_rng, derive_seed
@@ -245,11 +245,13 @@ def load_split(cfg: ExperimentConfig, split) -> Dataset:
             f"expected IDX files under {cfg.data_dir} "
             f"(canonical names: {expected}); set {ENV_DATA_DIR} or data.dir")
     ds = load_idx(images, labels, name=cfg.dataset)
-    if split == "test" and cfg.eval_protocol == "cluster":
-        evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k, len(ds))
     if 0 < limit < len(ds):
         # copies, so the rows past the limit are freed when loading returns
         ds = Dataset(ds.images[:limit].copy(), ds.labels[:limit].copy(), ds.name)
+    if split == "train":
+        check_batch_size(cfg.batch_size, len(ds), "train.batch_size")
+    elif cfg.eval_protocol == "cluster":
+        evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k, len(ds))
     return ds
 
 

@@ -198,12 +198,15 @@ def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:
     return np.add(batch, out, out=out)
 
 
+def check_batch_size(batch_size, n, key="batch_size"):
+    """Raise ValueError, naming ``key``, unless 1 <= batch_size <= n rows."""
+    if not 1 <= batch_size <= n:
+        raise ValueError(f"{key} must be between 1 and the dataset's {n} rows, got {batch_size}")
+
+
 def batch_indices(n, batch_size, rng=None, shuffle=False):
     """Partition 0..n-1 into consecutive chunks; the last may be short."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if batch_size > n:
-        raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
+    check_batch_size(batch_size, n)
     order = rng.permutation(n) if shuffle else np.arange(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]

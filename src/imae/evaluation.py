@@ -17,6 +17,8 @@ from .data import Dataset, NoiseSpec, corrupt, pixel_rows, sample_subset
 from .errors import ConfigurationError
 from .ndcore import as_matrix, derive_rng, row_blocks
 
+KMEANS_MAX_ITERS = 300  # Lloyd iterations before K-means stops unconverged
+
 
 @dataclass
 class ClusterResult:
@@ -44,9 +46,9 @@ def _cluster_sums(codes, assign, counts):
     return sums
 
 
-def kmeans(codes, k, rng, max_iters=300) -> ClusterResult:
+def kmeans(codes, k, rng) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding until the assignment stops
-    changing (or max_iters). Empty clusters are re-seeded to the point
+    changing (or KMEANS_MAX_ITERS). Empty clusters are re-seeded to the point
     currently farthest from its centroid."""
     # imported on first use: with scipy.linalg, ~0.15 s and 10 MB that only clustering needs
     from scipy.spatial.distance import cdist
@@ -73,9 +75,7 @@ def kmeans(codes, k, rng, max_iters=300) -> ClusterResult:
     d2 = cdist(codes, centroids, "sqeuclidean")
     assign = d2.argmin(axis=1)
     history = []
-    n_iter = 0
-    for _ in range(max_iters):
-        n_iter += 1
+    for n_iter in range(1, KMEANS_MAX_ITERS + 1):
         counts = np.bincount(assign, minlength=k)
         sums = _cluster_sums(codes, assign, counts)
         nonempty = counts > 0
@@ -143,8 +143,7 @@ def sigma_prime(net: nn.Network, data) -> float:
     pixel matrix."""
     if not net.sigmoid_code:
         raise ConfigurationError("sigma_prime needs a sigmoid latent layer")
-    y = encode_rows(net, data)
-    return float((y * (1.0 - y)).mean())
+    return float(objectives.sigmoid_slope(encode_rows(net, data)).mean())
 
 
 @dataclass
@@ -187,13 +186,12 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     networks draw their latent samples from the same ``rng``, after each
     block's corruption.
     """
-    sample_rng = rng if net.vae_heads is not None else None
     dist = np.empty(len(test))
     rows = []
     for spec in specs:
         for block in row_blocks(len(test)):
             x = pixel_rows(test.images, block)
-            xhat = nn.forward(net, corrupt(x, spec, rng), rng=sample_rng).xhat
+            xhat = nn.forward(net, corrupt(x, spec, rng), rng=rng).xhat
             dist[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
         rows.append(RobustnessRow(spec, float(dist.mean())))
     return rows
@@ -213,8 +211,7 @@ def check_cluster_settings(iterations, n, k, n_test) -> None:
 
 
 def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
-                 noise: NoiseSpec = None, seed=0, model_tag="",
-                 kmeans_max_iters=300) -> EvalReport:
+                 noise: NoiseSpec = None, seed=0, model_tag="") -> EvalReport:
     """Repeated subset/K-means protocol.
 
     Each iteration resamples ``n`` test points and reseeds K-means; the noisy
@@ -227,10 +224,10 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
     for it in range(iterations):
         rng = derive_rng(seed, "cluster-eval", it)
         sub = sample_subset(test, n, rng)
-        km = kmeans(encode_rows(net, sub.images), k, rng, kmeans_max_iters)
+        km = kmeans(encode_rows(net, sub.images), k, rng)
         clean_scores.append(rand_index(km.assignments, sub.labels, k))
         if noise is not None and noise.kind != "none":
-            km_n = kmeans(encode_rows(net, sub.images, noise, rng), k, rng, kmeans_max_iters)
+            km_n = kmeans(encode_rows(net, sub.images, noise, rng), k, rng)
             noisy_scores.append(rand_index(km_n.assignments, sub.labels, k))
     return EvalReport(
         model=model_tag,

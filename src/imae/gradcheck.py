@@ -12,8 +12,7 @@ from . import nn, objectives
 from .data import NoiseSpec, corrupt
 from .ndcore import derive_rng
 
-DEFAULT_WIDTHS = (10, 7, 10)
-DEFAULT_BATCH = 4
+H, RTOL, ATOL = 1e-5, 1e-5, 1e-8  # difference step; pass when |a-f| <= ATOL + RTOL*|f|
 NOISE = NoiseSpec("mask", 0.3)  # the training corruption of the variants that take one
 
 
@@ -23,7 +22,7 @@ def loss_at(net, spec, x_in, x_clean, eps=None) -> float:
     return total
 
 
-def finite_difference_grads(net, spec, x_in, x_clean, eps=None, h=1e-5) -> dict:
+def finite_difference_grads(net, spec, x_in, x_clean, eps=None) -> dict:
     """Central-difference gradient of the total loss for every parameter.
 
     Works on a clone of the network; for tied networks the shared encoder
@@ -38,12 +37,12 @@ def finite_difference_grads(net, spec, x_in, x_clean, eps=None, h=1e-5) -> dict:
         flat, gflat = arr.reshape(-1), g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H
             up = loss_at(net, spec, x_in, x_clean, eps)
-            flat[i] = orig - h
+            flat[i] = orig - H
             down = loss_at(net, spec, x_in, x_clean, eps)
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            gflat[i] = (up - down) / (2.0 * H)
         grads[name] = g
     return grads
 
@@ -71,29 +70,29 @@ class GradCheckResult:
         return max(b.max_rel_err for b in self.blocks)
 
 
-def compare_grads(analytic, numeric, rtol=1e-5, atol=1e-8) -> list:
-    """Per-parameter-block agreement stats; pass = |a-f| <= atol + rtol*|f|."""
+def compare_grads(analytic, numeric) -> list:
+    """Per-parameter-block agreement stats against RTOL and ATOL."""
     if set(analytic) != set(numeric):
         raise ValueError(f"gradient keys differ: {sorted(analytic)} vs {sorted(numeric)}")
     blocks = []
     for name in analytic:
         a, f = analytic[name], numeric[name]
         diff = np.abs(a - f)
-        denom = np.maximum(atol, np.maximum(np.abs(a), np.abs(f)))
+        denom = np.maximum(ATOL, np.maximum(np.abs(a), np.abs(f)))
         blocks.append(BlockStats(
             name=name,
             max_abs_diff=float(diff.max()),
             max_rel_err=float((diff / denom).max()),
-            passed=bool(np.all(diff <= atol + rtol * np.abs(f))),
+            passed=bool(np.all(diff <= ATOL + RTOL * np.abs(f))),
         ))
     return blocks
 
 
-def check_variant(variant, seed, widths=DEFAULT_WIDTHS, batch=DEFAULT_BATCH,
-                  h=1e-5, rtol=1e-5, atol=1e-8, tied=False) -> GradCheckResult:
-    """Check one loss variant on a random small network and batch."""
+def check_variant(variant, seed, widths=(10, 7), batch=4, tied=False) -> GradCheckResult:
+    """Check one loss variant on a random small shallow network, of input and
+    latent ``widths``, and batch."""
     rng = derive_rng(seed, "gradcheck", variant)
-    d, l, _ = widths
+    d, l = widths
     arch = nn.shallow_arch(l, input_dim=d)
     noise = NOISE if objectives.VARIANTS[variant].noise else None
     spec = objectives.LossSpec(variant, noise=noise)
@@ -107,5 +106,5 @@ def check_variant(variant, seed, widths=DEFAULT_WIDTHS, batch=DEFAULT_BATCH,
     eps = rng.standard_normal((batch, l)) if net.vae_heads is not None else None
     trace = nn.forward(net, x_in, eps=eps)
     _, _, analytic = nn.backward(net, trace, spec, x_clean)
-    numeric = finite_difference_grads(net, spec, x_in, x_clean, eps=eps, h=h)
-    return GradCheckResult(variant, seed, compare_grads(analytic, numeric, rtol, atol))
+    numeric = finite_difference_grads(net, spec, x_in, x_clean, eps=eps)
+    return GradCheckResult(variant, seed, compare_grads(analytic, numeric))

@@ -7,6 +7,7 @@ networks replace that layer with a pair of linear heads (mean, log-variance)
 and sample the code with the reparameterization trick.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,7 @@ def _activation_deriv(tag, act):
     where s is small (z very negative) instead of cancelling.
     """
     if tag == "sigmoid":
-        d = 1.0 - act
-        d *= act
-        return d
+        return objectives.sigmoid_slope(act)
     d = np.negative(act)  # softplus; identity layers skip this call
     np.expm1(d, out=d)
     return np.negative(d, out=d)
@@ -84,6 +83,11 @@ class Arch:
     def widths(self):
         return (self.input_dim,) + tuple(w for w, _ in self.layers)
 
+    @property
+    def sigmoid_code(self):
+        """Whether the latent layer is a sigmoid (see ``Network.sigmoid_code``)."""
+        return self.layers[self.latent_index][1] == "sigmoid"
+
 
 def shallow_arch(n_hidden, input_dim=784):
     """input -> n_hidden (sigmoid) -> input (linear decoder)."""
@@ -96,6 +100,12 @@ def deep_arch(n_h, input_dim=784, trunk=(1100, 700)):
     dec = tuple((w, "softplus") for w in reversed(trunk))
     layers = enc + ((n_h, "sigmoid"),) + dec + ((input_dim, "identity"),)
     return Arch(input_dim, layers, len(trunk))
+
+
+def mirror(tied, n_layers, k):
+    """The encoder layer whose weights, transposed, tied decoder layer ``k``
+    of ``n_layers`` reads; None when layer ``k`` owns its weights."""
+    return n_layers - 1 - k if tied and k >= n_layers // 2 else None
 
 
 @dataclass
@@ -119,10 +129,9 @@ class Network:
         not listed separately; their gradient is accumulated into the encoder
         entry.
         """
-        half = len(self.layers) // 2
         items = {}
         for k, layer in enumerate(self.layers):
-            if not (self.tied and k >= half):
+            if mirror(self.tied, len(self.layers), k) is None:
                 items[f"layers.{k}.W"] = layer.weights
             if self.biases:
                 items[f"layers.{k}.b"] = layer.bias
@@ -135,19 +144,12 @@ class Network:
 
     def clone(self):
         """Deep copy preserving weight tying."""
-        half = len(self.layers) // 2
-        layers = []
-        for k, layer in enumerate(self.layers):
-            if self.tied and k >= half:
-                w = layers[len(self.layers) - 1 - k].weights.T
-            else:
-                w = layer.weights.copy()
-            layers.append(DenseLayer(w, layer.bias.copy(), layer.activation))
-        heads = None
-        if self.vae_heads is not None:
-            heads = tuple(DenseLayer(h.weights.copy(), h.bias.copy(), h.activation)
-                          for h in self.vae_heads)
-        return Network(layers, self.latent_index, self.tied, heads, self.biases)
+        net = copy.deepcopy(self)
+        for k, layer in enumerate(net.layers):
+            j = mirror(net.tied, len(net.layers), k)
+            if j is not None:
+                layer.weights = net.layers[j].weights.T
+        return net
 
 
 @dataclass
@@ -156,10 +158,11 @@ class ForwardTrace:
     x: np.ndarray          # batch actually fed to the first layer
     act: list              # per-layer activations
     latent_pre: np.ndarray = None  # pre-activation of layer latent_index
-    mu: np.ndarray = None
+    mu: np.ndarray = None  # the rest: Gaussian-latent networks only
     logvar: np.ndarray = None
     eps: np.ndarray = None
-    z: np.ndarray = None   # sampled latent (Gaussian-latent networks only)
+    std: np.ndarray = None  # exp(logvar / 2)
+    z: np.ndarray = None   # sampled code, mu + std * eps
 
     @property
     def xhat(self):
@@ -168,16 +171,6 @@ class ForwardTrace:
     @property
     def latent_act(self):
         return self.act[self.net.latent_index]
-
-    def layer_input(self, k):
-        if self.net.vae_heads is not None and k == self.net.latent_index:
-            return self.z
-        return self.x if k == 0 else self.act[k - 1]
-
-    @property
-    def trunk_out(self):
-        i = self.net.latent_index
-        return self.x if i == 0 else self.act[i - 1]
 
 
 def _glorot(rng, out_dim, in_dim):
@@ -205,7 +198,6 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Netwo
 
     layers = []
     heads = None
-    half = n_layers // 2
     for k, (out_dim, act) in enumerate(arch.layers):
         in_dim = widths[k]
         if vae and k == arch.latent_index:
@@ -214,18 +206,15 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Netwo
             heads = tuple(DenseLayer(_glorot(rng, out_dim, in_dim), np.zeros(out_dim), "identity")
                           for _ in range(2))
             continue
-        if tied and k >= half:
-            w = layers[n_layers - 1 - k].weights.T
-        else:
-            w = _glorot(rng, out_dim, in_dim)
+        j = mirror(tied, n_layers, k)
+        w = _glorot(rng, out_dim, in_dim) if j is None else layers[j].weights.T
         layers.append(DenseLayer(w, np.zeros(out_dim), act))
     return Network(layers, arch.latent_index, tied, heads, biases)
 
 
 def _linear(layer, a):
     if a.shape[1] != layer.weights.shape[1]:
-        raise ShapeError(
-            f"layer expects {layer.weights.shape[1]} inputs, batch has {a.shape}")
+        raise ShapeError(f"layer expects {layer.weights.shape[1]} inputs, batch has {a.shape}")
     z = a @ layer.weights.T
     z += layer.bias
     return z
@@ -242,16 +231,14 @@ def forward(net: Network, batch, rng=None, eps=None) -> ForwardTrace:
     trace = ForwardTrace(net, a, [])
     for k, layer in enumerate(net.layers):
         if net.vae_heads is not None and k == net.latent_index:
-            mu_head, lv_head = net.vae_heads
-            trace.mu = _linear(mu_head, a)
-            trace.logvar = _linear(lv_head, a)
+            trace.mu, trace.logvar = (_linear(head, a) for head in net.vae_heads)
             if eps is None:
                 if rng is None:
                     raise ConfigurationError("Gaussian-latent forward pass needs rng or eps")
                 eps = rng.standard_normal(trace.mu.shape)
             trace.eps = np.asarray(eps, dtype=np.float64)
-            trace.z = trace.mu + np.exp(0.5 * trace.logvar) * trace.eps
-            a = trace.z
+            trace.std = np.exp(0.5 * trace.logvar)
+            a = trace.z = trace.mu + trace.std * trace.eps
         z = _linear(layer, a)
         a = _activate(layer.activation, z)
         if k == net.latent_index:
@@ -286,7 +273,6 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
     """
     total, terms, loss = objectives.total_loss(spec, trace, batch_clean)
     n_layers = len(net.layers)
-    half = n_layers // 2
     grads = {}
 
     def accumulate(key, value):
@@ -307,11 +293,13 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
                 dz += loss["latent_pre"]
             if "latent_W" in loss:
                 accumulate(f"layers.{k}.W", loss["latent_W"])
-        a_prev = trace.layer_input(k)
-        if net.tied and k >= half:
-            accumulate(f"layers.{n_layers - 1 - k}.W", a_prev.T @ dz)
-        else:
+        a_in = trace.x if k == 0 else trace.act[k - 1]  # at the heads, their input
+        a_prev = trace.z if heads_here else a_in  # the input of layer k
+        j = mirror(net.tied, n_layers, k)
+        if j is None:
             accumulate(f"layers.{k}.W", dz.T @ a_prev)
+        else:
+            accumulate(f"layers.{j}.W", a_prev.T @ dz)
         if net.biases:
             accumulate(f"layers.{k}.b", dz.sum(axis=0))
         if k == 0 and not heads_here:
@@ -320,12 +308,10 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
         if heads_here:
             # g is now d(loss)/d(sampled code); route through the heads
             mu_head, lv_head = net.vae_heads
-            std = np.exp(0.5 * trace.logvar)
             dmu = g + loss["mu"]
-            dlv = 0.5 * g * trace.eps * std + loss["logvar"]
-            h = trace.trunk_out
-            accumulate("heads.mu.W", dmu.T @ h)
-            accumulate("heads.logvar.W", dlv.T @ h)
+            dlv = 0.5 * g * trace.eps * trace.std + loss["logvar"]
+            accumulate("heads.mu.W", dmu.T @ a_in)
+            accumulate("heads.logvar.W", dlv.T @ a_in)
             if net.biases:
                 accumulate("heads.mu.b", dmu.sum(axis=0))
                 accumulate("heads.logvar.b", dlv.sum(axis=0))

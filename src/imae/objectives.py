@@ -79,21 +79,16 @@ class LossSpec:
         return f"{self.variant}-{'b' if self.noise.kind == 'mask' else 'g'}"
 
 
-def check_spec_matches_net(spec: LossSpec, net) -> None:
-    """Raise ConfigurationError when a loss cannot be computed on a network."""
+def check_code_fits(spec: LossSpec, model) -> None:
+    """Raise ConfigurationError unless the latent term of ``spec`` can read the
+    code of ``model``, an ``nn.Arch`` or an ``nn.Network``."""
     record = spec.record
-    has_heads = net.vae_heads is not None
-    if record.heads != has_heads:
-        raise ConfigurationError(
-            f"{spec.variant} loss on a network "
-            f"{'with' if has_heads else 'without'} Gaussian-latent heads")
-    if record.sigmoid_code and not net.sigmoid_code:
-        raise ConfigurationError(f"{spec.variant} needs a sigmoid latent layer, got "
-                                 f"{net.layers[net.latent_index].activation!r}")
-    if record.single_layer_encoder and net.latent_index != 0:
+    if record.sigmoid_code and not model.sigmoid_code:
+        raise ConfigurationError(f"{spec.variant} needs a sigmoid latent layer")
+    if record.single_layer_encoder and model.latent_index != 0:
         raise ConfigurationError(
             "the contractive penalty is defined for a single-layer encoder "
-            f"(latent_index 0), got latent_index={net.latent_index}")
+            f"(latent_index 0), got latent_index={model.latent_index}")
 
 
 def reconstruction_l2(r) -> np.ndarray:
@@ -101,6 +96,14 @@ def reconstruction_l2(r) -> np.ndarray:
     per-sample reconstruction distance. The loss is its mean."""
     r = as_matrix(r)
     return np.einsum("ij,ij->i", r, r)
+
+
+def sigmoid_slope(y) -> np.ndarray:
+    """y(1 - y), the sigmoid's derivative read from its output ``y``: the
+    slope that IMAE's entropy proxy, CAE's Jacobian and sigma-prime use."""
+    d = 1.0 - y
+    d *= y
+    return d
 
 
 def log_cosh(x) -> np.ndarray:
@@ -119,7 +122,7 @@ def imae_entropy_and_grad(y0):
     """
     y0 = as_matrix(y0)
     s = expit(y0)
-    d = s * (1.0 - s)
+    d = sigmoid_slope(s)
     lc = log_cosh(y0)
     value = float((d - lc ** 2).sum(axis=1).mean())
     return value, d * (1.0 - 2.0 * s) - 2.0 * lc * np.tanh(y0)
@@ -139,7 +142,7 @@ def cae_penalty_and_grads(y, w0, lam):
     if y.shape[1] != w0.shape[0]:
         raise ShapeError(
             f"cae_penalty: latent width {y.shape[1]} does not match encoder rows {w0.shape[0]}")
-    d = y * (1.0 - y)
+    d = sigmoid_slope(y)
     dd = d * d
     row_sq = np.einsum("ij,ij->i", w0, w0)
     scale = 2.0 * lam / len(y)
@@ -149,19 +152,22 @@ def cae_penalty_and_grads(y, w0, lam):
             scale * dd.sum(axis=0)[:, None] * w0)
 
 
-def vae_kl(mu, logvar) -> float:
-    """Divergence of the diagonal-Gaussian code from the unit prior.
+def vae_kl_and_grad(mu, logvar):
+    """Divergence of the diagonal-Gaussian code from the unit prior, and its
+    gradients w.r.t. ``mu`` and ``logvar``.
 
     Per sample: sum_i mu_i^2 + exp(logvar_i) - logvar_i - 1, batch mean.
     (Twice the textbook KL; kept in this form to match the rest of the
-    objective scaling.) Non-negative, zero only at mu=0, logvar=0.
+    objective scaling.) Non-negative, zero only at mu=0, logvar=0. Returns
+    (value, gradient w.r.t. mu, gradient w.r.t. logvar) of the batch mean.
     """
     mu = as_matrix(mu)
     logvar = as_matrix(logvar)
     if mu.shape != logvar.shape:
-        raise ShapeError(f"vae_kl: shapes differ, {mu.shape} vs {logvar.shape}")
-    per_unit = mu * mu + np.exp(logvar) - logvar - 1.0
-    return float(per_unit.sum(axis=1).mean())
+        raise ShapeError(f"vae_kl_and_grad: shapes differ, {mu.shape} vs {logvar.shape}")
+    var = np.exp(logvar)
+    per_unit = mu * mu + var - logvar - 1.0
+    return float(per_unit.sum(axis=1).mean()), (2.0 / len(mu)) * mu, (var - 1.0) / len(mu)
 
 
 def _imae_term(lam, trace, batch):
@@ -176,8 +182,8 @@ def _cae_term(lam, trace, batch):
 
 
 def _vae_term(lam, trace, batch):
-    return vae_kl(trace.mu, trace.logvar), {"mu": (2.0 / batch) * trace.mu,
-                                            "logvar": (np.exp(trace.logvar) - 1.0) / batch}
+    kl, mu, logvar = vae_kl_and_grad(trace.mu, trace.logvar)
+    return kl, {"mu": mu, "logvar": logvar}
 
 
 # in the paper's order; the default weights are those of all its experiments
@@ -201,7 +207,11 @@ def total_loss(spec: LossSpec, trace, x_clean):
     pre-activations; IMAE, CAE), ``"latent_W"`` (the latent layer's own
     weights; CAE) and ``"mu"``/``"logvar"`` (the Gaussian-latent heads; VAE).
     """
-    check_spec_matches_net(spec, trace.net)
+    has_heads = trace.net.vae_heads is not None
+    if spec.record.heads != has_heads:
+        raise ConfigurationError(f"{spec.variant} loss on a network "
+                                 f"{'with' if has_heads else 'without'} Gaussian-latent heads")
+    check_code_fits(spec, trace.net)
     x_clean = as_matrix(x_clean)
     if trace.xhat.shape != x_clean.shape:
         raise ShapeError(

@@ -39,6 +39,7 @@ class TrainConfig:
         for name, low in (("learning_rate", 0), ("epochs", 1), ("batch_size", 1)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        objectives.check_code_fits(self.loss, self.arch)
 
 
 @dataclass
@@ -82,7 +83,7 @@ def train(cfg: TrainConfig, ds: Dataset):
     noise_rng = derive_rng(cfg.seed, "corruption")
     net = build_network(cfg, init_rng)
     params = net.param_items()
-    latent_rng = derive_rng(cfg.seed, "latent-sample") if net.vae_heads is not None else None
+    latent_rng = derive_rng(cfg.seed, "latent-sample")  # drawn from only by Gaussian heads
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()

@@ -229,8 +229,8 @@ class TestTrainCommand:
                 a = a.base
             return memoryview(a).nbytes
 
-        ds = cli.load_split(resolve_config({"data.dir": str(idx_dir),
-                                            "train.train_limit": "100"}), "train")
+        ds = cli.load_split(resolve_config({"data.dir": str(idx_dir), "train.train_limit": "100",
+                                            "train.batch_size": "100"}), "train")
         assert ds.images.shape == (100, 784)
         assert owned_bytes(ds.images) == 100 * 784
         assert owned_bytes(ds.labels) == ds.labels.nbytes
@@ -310,8 +310,12 @@ CONFIG_ERRORS = [
     (["train", "--set", "train.train_limit=-3"], "train.train_limit must be >= 0", False),
     (["train", "--nh", "0", "--set", "model.preset=deep"],
      "widths >= 1, got (784, 1100, 700, 0, 700, 1100, 784)", False),
+    (["train", "--set", "model.variant=CAE", "--set", "model.preset=deep"],
+     "defined for a single-layer encoder (latent_index 0), got latent_index=2", False),
     (["eval", "--protocol", "cluster", "--n", "301"],
      "cluster protocol: n must be <= the 300 test images, got 301", True),
+    (["train", "--set", "train.batch_size=500"],
+     "train.batch_size must be between 1 and the dataset's 400 rows, got 500", True),
 ]
 
 
@@ -526,7 +530,8 @@ class TestReproduceCommand:
                             evaluation.EvalReport(model=tag, rand_clean=0.5, rand_noisy=0.5))
         assert cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
                          "--out", str(tmp_path / "t2"), "--set", f"model.variant={variant}",
-                         "--set", f"model.lambda={lam}", "--set", "eval.n=100"]) == 0
+                         "--set", f"model.lambda={lam}", "--set", "eval.n=100",
+                         "--set", "train.batch_size=100"]) == 0
         assert trained == weights
 
     def test_table1_runs_no_cluster_eval(self, tmp_path, write_idx_dir):

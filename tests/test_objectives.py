@@ -7,7 +7,8 @@ from imae import nn
 from imae.errors import ConfigurationError, ShapeError
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
 from imae.objectives import (LossSpec, cae_penalty_and_grads, imae_entropy_and_grad,
-                             log_cosh, reconstruction_l2, total_loss, vae_kl)
+                             log_cosh, reconstruction_l2, total_loss,
+                             vae_kl_and_grad)
 
 # single-unit entropy term at y0 = 1, frozen from a 40-digit mpmath evaluation
 # of sigma(1)(1 - sigma(1)) - log(cosh(1))^2
@@ -185,16 +186,16 @@ class TestCaePenalty:
 
 class TestVaeKl:
     def test_matched_prior_is_zero(self):
-        assert vae_kl(np.zeros((3, 4)), np.zeros((3, 4))) == 0.0
+        assert vae_kl_and_grad(np.zeros((3, 4)), np.zeros((3, 4)))[0] == 0.0
 
     def test_unit_mean(self):
-        assert vae_kl([[1.0]], [[0.0]]) == 1.0
+        assert vae_kl_and_grad([[1.0]], [[0.0]])[0] == 1.0
 
     def test_nonnegative(self, rng):
         mu = rng.standard_normal((10, 5))
         logvar = rng.standard_normal((10, 5))
-        assert vae_kl(mu, logvar) >= 0.0
-        assert vae_kl(mu, logvar) > 0.0  # generic inputs never hit the minimum
+        assert vae_kl_and_grad(mu, logvar)[0] >= 0.0
+        assert vae_kl_and_grad(mu, logvar)[0] > 0.0  # generic inputs never hit the minimum
 
 
 class TestReparameterize:

@@ -3,7 +3,7 @@ import pytest
 
 from imae import nn, objectives
 from imae.data import Dataset, NoiseSpec, make_synthetic_digits
-from imae.errors import CheckpointFormatError, TrainingDiverged
+from imae.errors import CheckpointFormatError, ConfigurationError, TrainingDiverged
 from imae.ndcore import derive_rng
 from imae.objectives import LossSpec
 from imae.training import (TrainConfig, build_network, config_from_text,
@@ -21,6 +21,14 @@ def tiny_config(loss=None, **kw):
 def tiny_dataset(n=30, d=16, seed=1):
     rng = derive_rng(seed)
     return Dataset(rng.random((n, d)), rng.integers(0, 10, size=n))
+
+
+class TestTrainConfig:
+    def test_cae_on_deep_encoder_rejected(self):
+        # the contractive penalty is exact only for a single-layer encoder
+        with pytest.raises(ConfigurationError, match="single-layer encoder"):
+            TrainConfig(arch=nn.deep_arch(10), loss=LossSpec("CAE"),
+                        learning_rate=0.005, epochs=1, batch_size=500)
 
 
 class TestTrain:
