@@ -183,20 +183,33 @@ def preset_arch(preset, nh) -> nn.Arch:
     return nn.deep_arch(nh)
 
 
+# the config key that feeds each LossSpec, Arch or TrainConfig field whose
+# value a ConfigurationError can name
+_FIELD_KEYS = {"lam": "model.lambda", "layers": "model.nh",
+               "learning_rate": "train.learning_rate", "epochs": "train.epochs",
+               "batch_size": "train.batch_size"}
+
+
 def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig:
-    """One model's training settings, checked as they are built. The loss
-    defaults to ``[model]``'s; ``model.lambda`` weights the variant it names,
-    and ``model.tied`` ties any decoder without Gaussian-latent heads."""
+    """One model's training settings, checked as they are built; an error in
+    one field names the config key that fed it. The loss defaults to
+    ``[model]``'s; ``model.lambda`` weights the variant it names, and
+    ``model.tied`` ties any decoder without Gaussian-latent heads."""
     if loss is None:
         loss = objectives.LossSpec(cfg.variant, noise=NoiseSpec(cfg.noise_kind, cfg.noise_level)
                                    if objectives.VARIANTS[cfg.variant].noise else None)
-    if loss.variant == cfg.variant:
-        loss = replace(loss, lam=cfg.lam)
-    return training.TrainConfig(
-        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
-        learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        tied=cfg.tied and not loss.record.heads, seed=seed, biases=cfg.biases,
-        shuffle=cfg.shuffle)
+    try:
+        if loss.variant == cfg.variant:
+            loss = replace(loss, lam=cfg.lam)
+        return training.TrainConfig(
+            arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
+            learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
+            tied=cfg.tied and not loss.record.heads, seed=seed, biases=cfg.biases,
+            shuffle=cfg.shuffle)
+    except ConfigurationError as e:
+        if e.field not in _FIELD_KEYS:
+            raise
+        raise ConfigurationError(f"{_FIELD_KEYS[e.field]}: {e}", e.field) from None
 
 
 def eval_noise(cfg: ExperimentConfig):

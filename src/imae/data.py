@@ -220,10 +220,9 @@ def batches(ds: Dataset, batch_size, rng=None, shuffle=False):
         yield pixel_rows(ds.images, idx if shuffle else slice(idx[0], idx[-1] + 1))
 
 
-def sample_subset(ds: Dataset, n, rng) -> Dataset:
-    """n rows drawn without replacement, labels kept aligned; the pixels keep
-    their dtype."""
+def sample_subset(ds: Dataset, n, rng) -> np.ndarray:
+    """The row numbers of n rows of ``ds``, drawn without replacement; index
+    its pixels, labels or codes with them."""
     if n > len(ds):
         raise ValueError(f"cannot sample {n} from {len(ds)} points")
-    idx = rng.choice(len(ds), size=int(n), replace=False)
-    return Dataset(ds.images[idx], ds.labels[idx], name=ds.name)
+    return rng.choice(len(ds), size=int(n), replace=False)

@@ -6,7 +6,12 @@ class ShapeError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """Loss/network/protocol combination is inconsistent."""
+    """Loss/network/protocol combination is inconsistent. ``field`` names the
+    one field at fault, when a single field is."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class IdxFormatError(ValueError):

@@ -138,12 +138,14 @@ def encode_rows(net: nn.Network, pixels, noise: NoiseSpec = None, rng=None) -> n
     return codes
 
 
-def sigma_prime(net: nn.Network, data) -> float:
+def sigma_prime(net: nn.Network, data, codes=None) -> float:
     """Mean derivative of the sigmoid latent over all samples and units of a
-    pixel matrix."""
+    pixel matrix; ``codes``, when given, are its rows' codes already encoded."""
     if not net.sigmoid_code:
         raise ConfigurationError("sigma_prime needs a sigmoid latent layer")
-    return float(objectives.sigmoid_slope(encode_rows(net, data)).mean())
+    if codes is None:
+        codes = encode_rows(net, data)
+    return float(objectives.sigmoid_slope(codes).mean())
 
 
 @dataclass
@@ -217,23 +219,27 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
     Each iteration resamples ``n`` test points and reseeds K-means; the noisy
     score corrupts the sampled inputs before encoding and refits K-means on
     the resulting codes. Reported values are means over iterations. Settings
-    outside their domain raise ConfigurationError before any work.
+    outside their domain raise ConfigurationError before any work. The test
+    set is encoded once: each iteration's clean codes, and sigma-prime, read
+    those rows.
     """
     check_cluster_settings(iterations, n, k, len(test))
+    codes = encode_rows(net, test.images)
     clean_scores, noisy_scores = [], []
     for it in range(iterations):
         rng = derive_rng(seed, "cluster-eval", it)
-        sub = sample_subset(test, n, rng)
-        km = kmeans(encode_rows(net, sub.images), k, rng)
-        clean_scores.append(rand_index(km.assignments, sub.labels, k))
+        rows = sample_subset(test, n, rng)
+        labels = test.labels[rows]
+        km = kmeans(codes[rows], k, rng)
+        clean_scores.append(rand_index(km.assignments, labels, k))
         if noise is not None and noise.kind != "none":
-            km_n = kmeans(encode_rows(net, sub.images, noise, rng), k, rng)
-            noisy_scores.append(rand_index(km_n.assignments, sub.labels, k))
+            km_n = kmeans(encode_rows(net, test.images[rows], noise, rng), k, rng)
+            noisy_scores.append(rand_index(km_n.assignments, labels, k))
     return EvalReport(
         model=model_tag,
         rand_clean=float(np.mean(clean_scores)),
         rand_noisy=float(np.mean(noisy_scores)) if noisy_scores else None,
-        sigma_prime=sigma_prime(net, test.images) if net.sigmoid_code else None,
+        sigma_prime=sigma_prime(net, test.images, codes) if net.sigmoid_code else None,
         iterations=iterations,
         seeds=[seed],
     )

@@ -74,7 +74,8 @@ class Arch:
 
     def __post_init__(self):
         if not self.layers or min(self.widths()) < 1:
-            raise ValueError(f"layers must be non-empty with widths >= 1, got {self.widths()}")
+            raise ConfigurationError(
+                f"layers must be non-empty with widths >= 1, got {self.widths()}", field="layers")
         if any(a not in ACTIVATIONS for _, a in self.layers):
             raise ConfigurationError(f"unknown activation in {self.layers}")
         if not 0 <= self.latent_index < len(self.layers):
@@ -259,7 +260,7 @@ def encode(net: Network, batch) -> np.ndarray:
     return _activate(layer.activation, _linear(layer, a))
 
 
-def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
+def backward(net: Network, trace: ForwardTrace, spec, batch_clean, out=None):
     """The total loss and its gradient w.r.t. every trainable parameter.
 
     ``batch_clean`` is the reconstruction target; for denoising training it
@@ -270,16 +271,29 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
     keyed like ``Network.param_items``; gradients are means over the batch.
     For tied networks the decoder contribution is accumulated, transposed,
     into the shared encoder entry.
+
+    ``out``, keyed like ``grads``, lends arrays whose values are spent (the
+    previous step's gradients): each entry's first contribution is written
+    into them, so the returned ``grads`` are those arrays, and a training
+    loop holds one gradient set instead of two.
     """
     total, terms, loss = objectives.total_loss(spec, trace, batch_clean)
     n_layers = len(net.layers)
     grads = {}
 
+    def slot(key):
+        """The array a first contribution to ``key`` is formed in, or None
+        for a new one; a later contribution is a temporary added in place."""
+        return None if out is None or key in grads else out[key]
+
     def accumulate(key, value):
         if key in grads:
             grads[key] += value
-        else:
+        elif out is None or value is out[key]:
             grads[key] = value
+        else:  # a first contribution formed outside its slot: CAE's latent_W
+            np.copyto(out[key], value)
+            grads[key] = out[key]
 
     g = loss.pop("xhat")  # d(loss)/d(output activations); freed once chained
     for k in range(n_layers - 1, -1, -1):
@@ -297,11 +311,14 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
         a_prev = trace.z if heads_here else a_in  # the input of layer k
         j = mirror(net.tied, n_layers, k)
         if j is None:
-            accumulate(f"layers.{k}.W", dz.T @ a_prev)
-        else:
-            accumulate(f"layers.{j}.W", a_prev.T @ dz)
+            key = f"layers.{k}.W"
+            accumulate(key, np.matmul(dz.T, a_prev, out=slot(key)))
+        else:  # tied: the decoder's contribution, transposed, to its encoder's entry
+            key = f"layers.{j}.W"
+            accumulate(key, np.matmul(a_prev.T, dz, out=slot(key)))
         if net.biases:
-            accumulate(f"layers.{k}.b", dz.sum(axis=0))
+            key = f"layers.{k}.b"
+            accumulate(key, dz.sum(axis=0, out=slot(key)))
         if k == 0 and not heads_here:
             break  # d(loss)/d(input) is never used
         g = dz @ layer.weights
@@ -310,11 +327,11 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean):
             mu_head, lv_head = net.vae_heads
             dmu = g + loss["mu"]
             dlv = 0.5 * g * trace.eps * trace.std + loss["logvar"]
-            accumulate("heads.mu.W", dmu.T @ a_in)
-            accumulate("heads.logvar.W", dlv.T @ a_in)
+            accumulate("heads.mu.W", np.matmul(dmu.T, a_in, out=slot("heads.mu.W")))
+            accumulate("heads.logvar.W", np.matmul(dlv.T, a_in, out=slot("heads.logvar.W")))
             if net.biases:
-                accumulate("heads.mu.b", dmu.sum(axis=0))
-                accumulate("heads.logvar.b", dlv.sum(axis=0))
+                accumulate("heads.mu.b", dmu.sum(axis=0, out=slot("heads.mu.b")))
+                accumulate("heads.logvar.b", dlv.sum(axis=0, out=slot("heads.logvar.b")))
             if k > 0:
                 g = dmu @ mu_head.weights + dlv @ lv_head.weights
     return total, terms, grads

@@ -56,9 +56,10 @@ class LossSpec:
         if self.lam is None:
             self.lam = record.lam
         if not record.lam and self.lam != 0.0:
-            raise ConfigurationError(f"{self.variant} takes no latent weight, got lam={self.lam}")
+            raise ConfigurationError(f"{self.variant} takes no latent weight, got lam={self.lam}",
+                                     field="lam")
         if self.lam < 0:
-            raise ConfigurationError(f"lam must be >= 0, got {self.lam}")
+            raise ConfigurationError(f"lam must be >= 0, got {self.lam}", field="lam")
         if self.noise is not None and self.noise.kind == "none":
             self.noise = None
         if (self.noise is not None) != record.noise:

@@ -38,7 +38,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("learning_rate", 0), ("epochs", 1), ("batch_size", 1)):
             if getattr(self, name) < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}",
+                                         field=name)
         objectives.check_code_fits(self.loss, self.arch)
 
 
@@ -85,6 +86,7 @@ def train(cfg: TrainConfig, ds: Dataset):
     params = net.param_items()
     latent_rng = derive_rng(cfg.seed, "latent-sample")  # drawn from only by Gaussian heads
     history = TrainHistory()
+    grads = None  # one gradient set, rewritten by each step's backward pass
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         tot = rec = lat = 0.0
@@ -92,11 +94,12 @@ def train(cfg: TrainConfig, ds: Dataset):
         for xb in batches(ds, cfg.batch_size, batch_rng, cfg.shuffle):
             x_in = xb if cfg.loss.noise is None else corrupt(xb, cfg.loss.noise, noise_rng)
             trace = nn.forward(net, x_in, rng=latent_rng)
-            total, terms, grads = nn.backward(net, trace, cfg.loss, xb)
+            total, terms, grads = nn.backward(net, trace, cfg.loss, xb, out=grads)
+            del trace  # else it lives on through the next step's forward pass
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch, {"total": total, **terms})
             for name, p in params.items():
-                step = grads[name]  # owned by this step, so scaled in place
+                step = grads[name]  # spent once applied, so scaled in place
                 step *= cfg.learning_rate
                 p -= step
             b = len(xb)

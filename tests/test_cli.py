@@ -341,6 +341,23 @@ def test_config_error_exits_before_any_output(checkpoint, idx_dir, tmp_path, cap
     assert bool(loads) == reads_data
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--set", "model.lambda=-1"], "model.lambda"),
+    (["--set", "model.variant=AE", "--set", "model.lambda=0.5"], "model.lambda"),
+    (["--nh", "0", "--set", "model.preset=deep"], "model.nh"),
+    (["--set", "train.learning_rate=-1"], "train.learning_rate"),
+    (["--set", "train.epochs=0"], "train.epochs"),
+    (["--set", "train.batch_size=0"], "train.batch_size"),
+])
+def test_config_error_names_its_key(tmp_path, capsys, argv, key):
+    # LossSpec, Arch and TrainConfig name their own fields; the command
+    # names the config key that fed the field
+    out = tmp_path / "out"
+    assert cli.main(["train"] + argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
 class TestEvalCommand:
 
     def test_robustness_grid_has_eight_rows(self, checkpoint, idx_dir, tmp_path):

@@ -6,10 +6,10 @@ import pytest
 
 from scipy.spatial.distance import cdist
 
-from imae import nn
-from imae.data import Dataset, NoiseSpec, corrupt
+from imae import evaluation, nn
+from imae.data import Dataset, NoiseSpec, corrupt, pixel_rows
 from imae.errors import ConfigurationError
-from imae.evaluation import (cluster_eval, export_codes, kmeans, rand_index,
+from imae.evaluation import (cluster_eval, encode_rows, export_codes, kmeans, rand_index,
                              robustness_sweep, sigma_prime)
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
 from imae.objectives import reconstruction_l2
@@ -303,6 +303,36 @@ class TestClusterEval:
         assert r1.rand_clean == r2.rand_clean
         assert r1.rand_noisy == r2.rand_noisy
         assert r1.sigma_prime == r2.sigma_prime
+
+    def test_test_set_encoded_once(self, digits_test, monkeypatch):
+        # the clean subsets and sigma-prime read one encoding of the test
+        # set; only the noisy subsets are encoded again, each once
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(5))
+        kwargs = dict(iterations=3, n=200, k=10, noise=NoiseSpec("gaussian", 0.2), seed=3)
+        sizes = []
+
+        def counted(net, pixels, noise=None, rng=None):
+            sizes.append((len(pixels), noise is not None))
+            return encode_rows(net, pixels, noise, rng)
+
+        with monkeypatch.context() as m:
+            m.setattr(evaluation, "encode_rows", counted)
+            report = cluster_eval(net, digits_test, **kwargs)
+        assert sizes == [(len(digits_test), False)] + [(200, True)] * 3
+
+        # the draws are those of encoding each clean subset on its own
+        clean, noisy = [], []
+        for it in range(3):
+            rng = derive_rng(3, "cluster-eval", it)
+            rows = rng.choice(len(digits_test), size=200, replace=False)
+            x = pixel_rows(digits_test.images, rows)
+            km = kmeans(nn.encode(net, x), 10, rng)
+            clean.append(rand_index(km.assignments, digits_test.labels[rows], 10))
+            km = kmeans(nn.encode(net, corrupt(x, kwargs["noise"], rng)), 10, rng)
+            noisy.append(rand_index(km.assignments, digits_test.labels[rows], 10))
+        assert report.rand_clean == np.mean(clean)
+        assert report.rand_noisy == np.mean(noisy)
+        assert report.sigma_prime == sigma_prime(net, digits_test.images)
 
     def test_vae_report_has_no_sigma_prime(self, digits_test):
         net = nn.init_params(nn.shallow_arch(8, digits_test.images.shape[1]),

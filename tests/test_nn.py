@@ -276,6 +276,30 @@ class TestBackward:
             g_tied["layers.0.W"],
             g_untied["layers.0.W"] + g_untied["layers.1.W"].T, rtol=1e-12)
 
+    @pytest.mark.parametrize("variant, arch, tied", [
+        ("CAE", nn.shallow_arch(6, 9), True),   # latent_W added after the tied decoder's GEMM
+        ("CAE", nn.shallow_arch(6, 9), False),  # latent_W is the first contribution
+        ("IMAE", nn.deep_arch(3, 9, trunk=(8, 5)), True),
+        ("VAE", nn.deep_arch(3, 9, trunk=(8, 5)), False),
+    ])
+    @pytest.mark.parametrize("biases", [True, False])
+    def test_out_buffers_take_every_gradient(self, rng, spec_for, variant, arch, tied, biases):
+        # stale values in the lent arrays must not leak: each is overwritten
+        # before anything is added to it
+        spec = spec_for(variant)
+        net = nn.init_params(arch, derive_rng(2), vae=spec.record.heads, tied=tied,
+                             biases=biases)
+        x = rng.random((5, 9))
+        trace = nn.forward(net, x, eps=rng.standard_normal((5, 3)))
+        total, terms, fresh = nn.backward(net, trace, spec, x)
+        out = {key: np.full_like(p, np.nan) for key, p in net.param_items().items()}
+        total2, terms2, grads = nn.backward(net, trace, spec, x, out=out)
+        assert (total2, terms2) == (total, terms)
+        assert grads.keys() == fresh.keys() == out.keys()
+        for key, g in grads.items():
+            assert g is out[key]
+            assert g.tobytes() == fresh[key].tobytes()
+
     def test_variant_net_mismatch_rejected(self):
         plain = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1))
         gauss = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1), vae=True)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from imae import nn, objectives
-from imae.data import Dataset, NoiseSpec, make_synthetic_digits
+from imae.data import Dataset, NoiseSpec, batches, corrupt, make_synthetic_digits
 from imae.errors import CheckpointFormatError, ConfigurationError, TrainingDiverged
 from imae.ndcore import derive_rng
 from imae.objectives import LossSpec
@@ -138,6 +140,95 @@ class TestTrain:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,total,reconstruction,latent,seconds"
         assert len(lines) == 4
+
+
+def fresh_gradients_train(cfg, ds):
+    """``train``'s SGD loop with a new gradient set each step: ``nn.backward``
+    without ``out``, the reference the reused buffers must match bit for bit."""
+    net = build_network(cfg, derive_rng(cfg.seed, "init"))
+    batch_rng = derive_rng(cfg.seed, "batches")
+    noise_rng = derive_rng(cfg.seed, "corruption")
+    latent_rng = derive_rng(cfg.seed, "latent-sample")
+    for _ in range(cfg.epochs):
+        for xb in batches(ds, cfg.batch_size, batch_rng, cfg.shuffle):
+            x_in = xb if cfg.loss.noise is None else corrupt(xb, cfg.loss.noise, noise_rng)
+            trace = nn.forward(net, x_in, rng=latent_rng)
+            _, _, grads = nn.backward(net, trace, cfg.loss, xb)
+            for name, p in net.param_items().items():
+                p -= cfg.learning_rate * grads[name]
+    return net
+
+
+class TestGradientBuffers:
+    """``train`` lends each step's spent gradients to the next backward pass."""
+
+    @pytest.mark.parametrize("loss, arch, kw", [
+        (LossSpec("AE"), nn.shallow_arch(40), dict(tied=True)),
+        (LossSpec("CAE"), nn.shallow_arch(40), dict(tied=True)),
+        (LossSpec("CAE"), nn.shallow_arch(40), dict(tied=False)),
+        (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), nn.shallow_arch(40),
+         dict(tied=True, shuffle=True)),
+        (LossSpec("IMAE"), nn.deep_arch(10, trunk=(60, 30)), dict(tied=False)),
+        (LossSpec("IMAE"), nn.deep_arch(10, trunk=(60, 30)), dict(tied=True)),
+        (LossSpec("VAE"), nn.deep_arch(10, trunk=(60, 30)), dict(learning_rate=0.001)),
+        (LossSpec("IMAE"), nn.shallow_arch(40), dict(tied=True, biases=False)),
+        (LossSpec("AE"), nn.shallow_arch(40), dict(tied=True, batch_size=70)),  # 200 = 2*70 + 60
+    ], ids=["AE-tied", "CAE-tied", "CAE-untied", "DAE-b", "deep-IMAE", "deep-IMAE-tied",
+            "deep-VAE", "no-biases", "short-final-batch"])
+    def test_parameters_equal_fresh_gradient_loop(self, loss, arch, kw):
+        ds = make_synthetic_digits(200, seed=4, side=28)
+        cfg = TrainConfig(**{**dict(arch=arch, loss=loss, learning_rate=0.015, epochs=2,
+                                    batch_size=50, seed=3), **kw})
+        net, _ = train(cfg, ds)
+        ref = fresh_gradients_train(cfg, ds)
+        assert net.param_items().keys() == ref.param_items().keys()
+        for name, p in net.param_items().items():
+            assert p.tobytes() == ref.param_items()[name].tobytes(), name
+
+    def test_divergence_raised_before_the_update(self, monkeypatch):
+        # the diverging step has overwritten the lent gradient arrays, but
+        # no parameter may have moved by then
+        true_backward = nn.backward
+        steps = []  # (network, its parameters when the step's gradients were formed)
+
+        def nan_on_third_step(net, trace, spec, clean, out=None):
+            total, terms, grads = true_backward(net, trace, spec, clean, out=out)
+            steps.append((net, {k: p.copy() for k, p in net.param_items().items()}))
+            return (float("nan") if len(steps) == 3 else total), terms, grads
+
+        monkeypatch.setattr(nn, "backward", nan_on_third_step)
+        with pytest.raises(TrainingDiverged):
+            train(tiny_config(tied=True), tiny_dataset())
+        assert len(steps) == 3
+        net, before = steps[-1]
+        for name, p in net.param_items().items():
+            assert np.array_equal(p, before[name]), name
+
+    def test_deep10_step_peak_holds_one_gradient_set(self):
+        # 3 SGD steps of the deep preset at its batch size. The traced numpy
+        # peak is bounded by the parameters, one gradient set, one forward
+        # trace (the input batch and every activation) and the backward
+        # pass's largest temporaries: three batch x widest-layer arrays (the
+        # chained gradient, the activation derivative, the next gradient).
+        # A previous step's gradients or trace kept alive past it adds 26 or
+        # 18 MB and breaks the bound (about 104 MB against about 82).
+        arch, batch = nn.deep_arch(10), 500
+        rng = derive_rng(1)
+        ds = Dataset(rng.integers(0, 256, size=(3 * batch, 784), dtype=np.uint8),
+                     rng.integers(0, 10, size=3 * batch))
+        cfg = TrainConfig(arch=arch, loss=LossSpec("IMAE"), learning_rate=0.001, epochs=1,
+                          batch_size=batch, seed=3)
+        tracemalloc.start()
+        try:
+            net, _ = train(cfg, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.nbytes for p in net.param_items().values())
+        trace_bytes = 8 * batch * sum(arch.widths())
+        temporaries = 3 * 8 * batch * max(arch.widths())
+        assert peak <= 2 * param_bytes + trace_bytes + temporaries, (
+            f"peak {peak / 1e6:.1f} MB, parameters {param_bytes / 1e6:.1f} MB")
 
 
 class TestConfigText:
