@@ -16,6 +16,7 @@ import configparser
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import make_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -23,8 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import evaluation, gradcheck, nn, objectives, reference, training
 from .data import CANONICAL_FILES, NOISE_KINDS, Dataset, NoiseSpec, check_batch_size, load_idx
-from .errors import (CheckpointFormatError, ConfigurationError, IdxFormatError,
-                     TrainingDiverged)
+from .errors import ConfigurationError, TrainingDiverged
 from .ndcore import derive_rng, derive_seed
 from .training import BOOL, FLOAT, INT, TEXT
 
@@ -149,7 +149,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             raise UsageError(f"{key}: {e}") from None
     for key, allowed in _CHOICES.items():
         if values[key] not in allowed:
-            raise UsageError(f"{key} must be one of {allowed}, got {values[key]!r}")
+            raise UsageError(f"{key}: must be one of {allowed}, got {values[key]!r}")
     for key, value in _derived_defaults(values).items():
         if values[key] is None:
             values[key] = value
@@ -183,43 +183,48 @@ def preset_arch(preset, nh) -> nn.Arch:
     return nn.deep_arch(nh)
 
 
-# the config key that feeds each LossSpec, Arch or TrainConfig field whose
-# value a ConfigurationError can name
-_FIELD_KEYS = {"lam": "model.lambda", "layers": "model.nh",
-               "learning_rate": "train.learning_rate", "epochs": "train.epochs",
-               "batch_size": "train.batch_size"}
+@contextmanager
+def keys_of(fields: dict):
+    """Raise a ConfigurationError about a field in ``fields`` again, prefixed by the
+    config key that feeds it at this site (a NoiseSpec's level is fed by four keys)."""
+    try:
+        yield
+    except ConfigurationError as e:
+        if e.field not in fields:
+            raise
+        raise ConfigurationError(f"{fields[e.field]}: {e}", e.field) from None
 
 
+@keys_of({"lam": "model.lambda", "layers": "model.nh", "learning_rate": "train.learning_rate",
+          "epochs": "train.epochs", "batch_size": "train.batch_size",
+          "level": "model.noise_level", "noise": "model.noise_kind"})
 def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig:
-    """One model's training settings, checked as they are built; an error in
-    one field names the config key that fed it. The loss defaults to
-    ``[model]``'s; ``model.lambda`` weights the variant it names, and
-    ``model.tied`` ties any decoder without Gaussian-latent heads."""
+    """One model's training settings, checked as they are built. The loss
+    defaults to ``[model]``'s; ``model.lambda`` weights the variant it names,
+    and ``model.tied`` ties any decoder without Gaussian-latent heads."""
     if loss is None:
         loss = objectives.LossSpec(cfg.variant, noise=NoiseSpec(cfg.noise_kind, cfg.noise_level)
                                    if objectives.VARIANTS[cfg.variant].noise else None)
-    try:
-        if loss.variant == cfg.variant:
-            loss = replace(loss, lam=cfg.lam)
-        return training.TrainConfig(
-            arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
-            learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
-            tied=cfg.tied and not loss.record.heads, seed=seed, biases=cfg.biases,
-            shuffle=cfg.shuffle)
-    except ConfigurationError as e:
-        if e.field not in _FIELD_KEYS:
-            raise
-        raise ConfigurationError(f"{_FIELD_KEYS[e.field]}: {e}", e.field) from None
+    if loss.variant == cfg.variant:
+        loss = replace(loss, lam=cfg.lam)
+    return training.TrainConfig(
+        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
+        learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        tied=cfg.tied and not loss.record.heads, seed=seed, biases=cfg.biases,
+        shuffle=cfg.shuffle)
 
 
 def eval_noise(cfg: ExperimentConfig):
     """The eval protocol's corruption, checked as it is built: the robustness
     grid's NoiseSpecs, the cluster noise, or None for the codes export."""
     if cfg.eval_protocol == "cluster":
-        return NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level)
+        with keys_of({"level": "eval.noise_level"}):
+            return NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level)
     if cfg.eval_protocol == "robustness":
-        return ([NoiseSpec("mask", p) for p in cfg.mask_grid]
-                + [NoiseSpec("gaussian", s) for s in cfg.gaussian_grid])
+        with keys_of({"level": "eval.mask_grid"}):
+            masks = [NoiseSpec("mask", p) for p in cfg.mask_grid]
+        with keys_of({"level": "eval.gaussian_grid"}):
+            return masks + [NoiseSpec("gaussian", s) for s in cfg.gaussian_grid]
 
 
 def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
@@ -243,11 +248,14 @@ def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
     return section
 
 
+@keys_of({"train_limit": "train.train_limit", "batch_size": "train.batch_size",
+          "iterations": "eval.iterations", "n": "eval.n", "k": "eval.k"})
 def load_split(cfg: ExperimentConfig, split) -> Dataset:
     """Load the train or test IDX pair and check the settings that read its size."""
     limit = cfg.train_limit if split == "train" else 0
     if limit < 0:
-        raise ConfigurationError(f"train.train_limit must be >= 0 (0 is all rows), got {limit}")
+        raise ConfigurationError(f"train_limit must be >= 0 (0 is all rows), got {limit}",
+                                 field="train_limit")
     images = Path(cfg.data_dir) / getattr(cfg, f"{split}_images")
     labels = Path(cfg.data_dir) / getattr(cfg, f"{split}_labels")
     missing = [str(p) for p in (images, labels) if not p.is_file()]
@@ -262,7 +270,7 @@ def load_split(cfg: ExperimentConfig, split) -> Dataset:
         # copies, so the rows past the limit are freed when loading returns
         ds = Dataset(ds.images[:limit].copy(), ds.labels[:limit].copy(), ds.name)
     if split == "train":
-        check_batch_size(cfg.batch_size, len(ds), "train.batch_size")
+        check_batch_size(cfg.batch_size, len(ds))
     elif cfg.eval_protocol == "cluster":
         evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k, len(ds))
     return ds
@@ -546,8 +554,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ConfigurationError, CheckpointFormatError, IdxFormatError,
-            OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ConfigurationError and the format errors too
         print(f"error: {e}", file=sys.stderr)
         return 1
     except TrainingDiverged as e:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdxFormatError
+from .errors import ConfigurationError, IdxFormatError
 from .ndcore import as_matrix, bernoulli_mask, derive_rng, gaussian
 
 IMAGES_MAGIC = 0x00000803
@@ -80,11 +80,12 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise ConfigurationError(f"unknown noise kind {self.kind!r}", field="kind")
         if self.kind == "mask" and not 0.0 <= self.level <= 1.0:
-            raise ValueError(f"mask probability must be in [0,1], got {self.level}")
+            raise ConfigurationError(f"mask probability must be in [0,1], got {self.level}",
+                                     field="level")
         if self.kind == "gaussian" and self.level < 0.0:
-            raise ValueError(f"gaussian std must be >= 0, got {self.level}")
+            raise ConfigurationError(f"gaussian std must be >= 0, got {self.level}", field="level")
 
     def describe(self):
         return "clean" if self.kind == "none" else f"{self.kind} {self.level:g}"
@@ -198,10 +199,11 @@ def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:
     return np.add(batch, out, out=out)
 
 
-def check_batch_size(batch_size, n, key="batch_size"):
-    """Raise ValueError, naming ``key``, unless 1 <= batch_size <= n rows."""
+def check_batch_size(batch_size, n):
+    """Raise ConfigurationError(field="batch_size") unless 1 <= batch_size <= n rows."""
     if not 1 <= batch_size <= n:
-        raise ValueError(f"{key} must be between 1 and the dataset's {n} rows, got {batch_size}")
+        raise ConfigurationError(f"batch_size must be between 1 and the dataset's {n} rows, "
+                                 f"got {batch_size}", field="batch_size")
 
 
 def batch_indices(n, batch_size, rng=None, shuffle=False):

@@ -26,7 +26,6 @@ class ClusterResult:
     centroids: np.ndarray    # (k, d)
     inertia: float
     n_iter: int = 0
-    inertia_history: list = field(default_factory=list)
 
 
 def _cluster_sums(codes, assign, counts):
@@ -65,16 +64,12 @@ def kmeans(codes, k, rng) -> ClusterResult:
     closest = ((codes - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = closest.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=closest / total))
-        else:
-            idx = int(rng.integers(n))
+        idx = int(rng.choice(n, p=closest / total)) if total > 0 else int(rng.integers(n))
         centroids[j] = codes[idx]
         closest = np.minimum(closest, ((codes - centroids[j]) ** 2).sum(axis=1))
 
     d2 = cdist(codes, centroids, "sqeuclidean")
     assign = d2.argmin(axis=1)
-    history = []
     for n_iter in range(1, KMEANS_MAX_ITERS + 1):
         counts = np.bincount(assign, minlength=k)
         sums = _cluster_sums(codes, assign, counts)
@@ -88,12 +83,10 @@ def kmeans(codes, k, rng) -> ClusterResult:
                 point_cost[far] = -1.0
         d2 = cdist(codes, centroids, "sqeuclidean")
         new_assign = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    inertia = float(d2[np.arange(n), assign].sum())
-    return ClusterResult(assign, centroids, inertia, n_iter, history)
+    return ClusterResult(assign, centroids, float(d2[np.arange(n), assign].sum()), n_iter)
 
 
 def rand_index(assignments, labels, k) -> float:
@@ -200,16 +193,14 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
 
 
 def check_cluster_settings(iterations, n, k, n_test) -> None:
-    """Raise ConfigurationError, naming the setting, unless the cluster
-    protocol can run ``iterations`` times on ``n`` of ``n_test`` test images
-    with ``k`` clusters."""
+    """Raise ConfigurationError, its field the setting at fault, unless the
+    cluster protocol can run ``iterations`` times on ``n`` of ``n_test`` test
+    images with ``k`` clusters."""
     for setting, value, low in (("iterations", iterations, 1), ("k", k, 1), ("n", n, k)):
         if value < low:
-            raise ConfigurationError(
-                f"cluster protocol: {setting} must be >= {low}, got {value}")
+            raise ConfigurationError(f"{setting} must be >= {low}, got {value}", field=setting)
     if n > n_test:
-        raise ConfigurationError(
-            f"cluster protocol: n must be <= the {n_test} test images, got {n}")
+        raise ConfigurationError(f"n must be <= the {n_test} test images, got {n}", field="n")
 
 
 def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,

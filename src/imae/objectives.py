@@ -65,7 +65,7 @@ class LossSpec:
         if (self.noise is not None) != record.noise:
             noisy = "/".join(name for name, v in VARIANTS.items() if v.noise)
             raise ConfigurationError(
-                f"training noise is required for {noisy} and only for {noisy}")
+                f"training noise is required for {noisy} and only for {noisy}", field="noise")
 
     @property
     def record(self) -> Variant:

@@ -198,7 +198,7 @@ class TestConfigSchema:
 
     def test_unknown_dataset_lists_choices(self):
         with pytest.raises(UsageError,
-                           match=r"data.dataset must be one of \('mnist', 'fashion'\)"):
+                           match=r"data.dataset: must be one of \('mnist', 'fashion'\)"):
             resolve_config({"data.dataset": "cifar"})
 
 
@@ -291,40 +291,56 @@ def checkpoint(idx_dir, tmp_path_factory):
     return out / "model.ckpt"
 
 
-# command line, text the error must hold, and whether the rule reads the
-# splits' sizes (the test split here has 300 images)
+# command line; the config key the error names (None for a rule about a
+# combination of settings); text the error must hold; and whether the rule
+# reads the splits' sizes (the train split here has 400 images, the test 300)
 CONFIG_ERRORS = [
     (["reproduce", "--table", "table1", "--set", "eval.mask_grid=0,1.5"],
-     "mask probability must be in [0,1], got 1.5", False),
+     "eval.mask_grid", "mask probability must be in [0,1], got 1.5", False),
+    (["reproduce", "--table", "table1", "--set", "eval.gaussian_grid=-0.1"],
+     "eval.gaussian_grid", "gaussian std must be >= 0, got -0.1", False),
     (["reproduce", "--table", "table2", "--set", "eval.noise_level=-1"],
-     "gaussian std must be >= 0, got -1.0", False),
+     "eval.noise_level", "gaussian std must be >= 0, got -1.0", False),
     (["eval", "--protocol", "cluster", "--set", "eval.noise_kind=bogus"],
-     "eval.noise_kind must be one of ('none', 'mask', 'gaussian'), got 'bogus'", False),
-    (["train", "--scale", "bogus"], "experiment.scale must be one of", False),
-    (["train", "--set", "train.epochs=0"], "epochs must be >= 1, got 0", False),
-    (["train", "--set", "train.batch_size=0"], "batch_size must be >= 1, got 0", False),
-    (["train", "--set", "train.learning_rate=-1"], "learning_rate must be >= 0, got -1.0", False),
-    (["train", "--set", "model.lambda=-1"], "lam must be >= 0, got -1.0", False),
+     "eval.noise_kind", "must be one of ('none', 'mask', 'gaussian'), got 'bogus'", False),
+    (["train", "--scale", "bogus"], "experiment.scale", "must be one of", False),
+    (["train", "--set", "train.epochs=0"], "train.epochs", "epochs must be >= 1, got 0", False),
+    (["train", "--set", "train.batch_size=0"],
+     "train.batch_size", "batch_size must be >= 1, got 0", False),
+    (["train", "--set", "train.learning_rate=-1"],
+     "train.learning_rate", "learning_rate must be >= 0, got -1.0", False),
+    (["train", "--set", "model.lambda=-1"], "model.lambda", "lam must be >= 0, got -1.0", False),
+    (["train", "--set", "model.variant=AE", "--set", "model.lambda=0.5"],
+     "model.lambda", "AE takes no latent weight, got lam=0.5", False),
     (["train", "--set", "model.variant=DAE", "--set", "model.noise_level=1.5"],
-     "mask probability must be in [0,1], got 1.5", False),
-    (["train", "--set", "train.train_limit=-3"], "train.train_limit must be >= 0", False),
+     "model.noise_level", "mask probability must be in [0,1], got 1.5", False),
+    (["train", "--set", "model.variant=DAE", "--set", "model.noise_kind=none"],
+     "model.noise_kind", "training noise is required for DAE", False),
+    (["train", "--set", "train.train_limit=-3"],
+     "train.train_limit", "train_limit must be >= 0", False),
     (["train", "--nh", "0", "--set", "model.preset=deep"],
-     "widths >= 1, got (784, 1100, 700, 0, 700, 1100, 784)", False),
+     "model.nh", "widths >= 1, got (784, 1100, 700, 0, 700, 1100, 784)", False),
     (["train", "--set", "model.variant=CAE", "--set", "model.preset=deep"],
-     "defined for a single-layer encoder (latent_index 0), got latent_index=2", False),
+     None, "defined for a single-layer encoder (latent_index 0), got latent_index=2", False),
     (["eval", "--protocol", "cluster", "--n", "301"],
-     "cluster protocol: n must be <= the 300 test images, got 301", True),
+     "eval.n", "n must be <= the 300 test images, got 301", True),
+    (["eval", "--protocol", "cluster", "--set", "eval.k=0"],
+     "eval.k", "k must be >= 1, got 0", True),
+    (["eval", "--protocol", "cluster", "--set", "eval.iterations=0"],
+     "eval.iterations", "iterations must be >= 1, got 0", True),
     (["train", "--set", "train.batch_size=500"],
-     "train.batch_size must be between 1 and the dataset's 400 rows, got 500", True),
+     "train.batch_size", "batch_size must be between 1 and the dataset's 400 rows, got 500", True),
 ]
 
 
-@pytest.mark.parametrize("argv, message, reads_data", CONFIG_ERRORS,
-                         ids=[" ".join(argv) for argv, _, _ in CONFIG_ERRORS])
+@pytest.mark.parametrize("argv, key, message, reads_data", CONFIG_ERRORS,
+                         ids=[" ".join(argv) for argv, *_ in CONFIG_ERRORS])
 def test_config_error_exits_before_any_output(checkpoint, idx_dir, tmp_path, capsys,
-                                              monkeypatch, argv, message, reads_data):
+                                              monkeypatch, argv, key, message, reads_data):
     # every command checks its settings, and the splits' sizes, before it
-    # creates out; a rule that needs no data fails before any split loads
+    # creates out; a rule that needs no data fails before any split loads.
+    # An error in one setting names the config key the user set, whichever
+    # object owns the rule: that object names its field, the command its key
     def no_training(*args, **kwargs):
         raise AssertionError("a model trained before the settings were checked")
 
@@ -336,26 +352,12 @@ def test_config_error_exits_before_any_output(checkpoint, idx_dir, tmp_path, cap
         argv = argv + ["--checkpoint", str(checkpoint)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--data-dir", str(idx_dir), "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if key is not None:
+        assert err.startswith((f"error: {key}: ", f"usage error: {key}: "))
     assert not out.exists()
     assert bool(loads) == reads_data
-
-
-@pytest.mark.parametrize("argv, key", [
-    (["--set", "model.lambda=-1"], "model.lambda"),
-    (["--set", "model.variant=AE", "--set", "model.lambda=0.5"], "model.lambda"),
-    (["--nh", "0", "--set", "model.preset=deep"], "model.nh"),
-    (["--set", "train.learning_rate=-1"], "train.learning_rate"),
-    (["--set", "train.epochs=0"], "train.epochs"),
-    (["--set", "train.batch_size=0"], "train.batch_size"),
-])
-def test_config_error_names_its_key(tmp_path, capsys, argv, key):
-    # LossSpec, Arch and TrainConfig name their own fields; the command
-    # names the config key that fed the field
-    out = tmp_path / "out"
-    assert cli.main(["train"] + argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key}: ")
-    assert not out.exists()
 
 
 class TestEvalCommand:
@@ -409,7 +411,7 @@ class TestEvalCommand:
         assert cli.main(["eval", "--checkpoint", str(checkpoint), "--protocol", "cluster",
                          "--data-dir", str(idx_dir), "--out", str(out), "--n", "100"]
                         + argv) == 1
-        assert f"cluster protocol: {setting} must be " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: eval.{setting}: {setting} must be ")
         assert not (out / "cluster.csv").exists()
 
     def test_codes_columns(self, checkpoint, idx_dir, tmp_path):
@@ -500,7 +502,8 @@ class TestReproduceCommand:
         code = cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
                          "--out", str(out)] + fast_overrides(["eval.n=5000"]))
         assert code == 1
-        assert "cluster protocol: n must be <= the 300 test images" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: eval.n: n must be <= the 300 test images")
         assert not list(out.glob("*.ckpt"))
 
     def test_table1_rows(self, idx_dir, tmp_path):

@@ -3,10 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from imae.data import (Dataset, NoiseSpec, batch_indices, batches, corrupt,
+from imae.data import (Dataset, NoiseSpec, batch_indices, batches, check_batch_size, corrupt,
                        load_idx, pixel_rows, read_idx_images, read_idx_labels,
                        sample_subset, write_idx_images, write_idx_labels)
-from imae.errors import IdxFormatError
+from imae.errors import ConfigurationError, IdxFormatError
 from imae.ndcore import derive_rng
 
 
@@ -155,6 +155,22 @@ class TestCorrupt:
             NoiseSpec("mask", 1.5)
         with pytest.raises(ValueError):
             NoiseSpec("salt", 0.1)
+
+
+@pytest.mark.parametrize("check, field", [
+    (lambda: NoiseSpec("mask", 1.5), "level"),
+    (lambda: NoiseSpec("gaussian", -1), "level"),
+    (lambda: NoiseSpec("salt", 0.1), "kind"),
+    (lambda: check_batch_size(0, 10), "batch_size"),
+    (lambda: check_batch_size(11, 10), "batch_size"),
+])
+def test_setting_error_names_its_field(check, field):
+    # the caller maps the field to its own name for the setting (cli: a config
+    # key); the error stays a ValueError for library callers
+    with pytest.raises(ConfigurationError) as info:
+        check()
+    assert info.value.field == field
+    assert isinstance(info.value, ValueError)
 
 
 class TestBatches:

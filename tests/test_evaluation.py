@@ -9,8 +9,8 @@ from scipy.spatial.distance import cdist
 from imae import evaluation, nn
 from imae.data import Dataset, NoiseSpec, corrupt, pixel_rows
 from imae.errors import ConfigurationError
-from imae.evaluation import (cluster_eval, encode_rows, export_codes, kmeans, rand_index,
-                             robustness_sweep, sigma_prime)
+from imae.evaluation import (check_cluster_settings, cluster_eval, encode_rows, export_codes,
+                             kmeans, rand_index, robustness_sweep, sigma_prime)
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
 from imae.objectives import reconstruction_l2
 
@@ -84,7 +84,7 @@ def assert_same_as_add_at(codes, k, seed):
     assert np.array_equal(result.assignments, assign)
     assert np.array_equal(result.centroids, centroids)
     assert result.n_iter == n_iter
-    assert result.inertia_history == history
+    assert result.inertia == history[-1]
     return saw_empty
 
 
@@ -113,10 +113,14 @@ class TestKmeans:
         assert first[0] != second[0]
 
     def test_inertia_non_increasing(self, rng):
+        # the reference loop records the inertia of every Lloyd iteration;
+        # kmeans reproduces that loop (assert_same_as_add_at), so its final
+        # inertia ends a history that never increases
         codes = rng.standard_normal((200, 5))
-        result = kmeans(codes, 7, derive_rng(5))
-        hist = result.inertia_history
+        _, _, n_iter, hist, _ = kmeans_add_at(codes, 7, derive_rng(5))
+        assert n_iter > 2
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
+        assert_same_as_add_at(codes, 7, seed=5)
 
     def test_deterministic_for_fixed_seed(self, rng):
         codes = rng.standard_normal((100, 4))
@@ -295,6 +299,16 @@ class TestChunkedSweep:
 
 
 class TestClusterEval:
+    @pytest.mark.parametrize("settings, field", [
+        ((0, 10, 10, 100), "iterations"), ((1, 10, 0, 100), "k"),
+        ((1, 5, 10, 100), "n"), ((1, 101, 10, 100), "n"),
+    ])
+    def test_setting_error_names_its_field(self, settings, field):
+        with pytest.raises(ConfigurationError) as info:
+            check_cluster_settings(*settings)
+        assert info.value.field == field
+        assert isinstance(info.value, ValueError)
+
     def test_single_iteration_reproducible(self, digits_test):
         net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(5))
         kwargs = dict(iterations=1, n=200, k=10, noise=NoiseSpec("gaussian", 0.2), seed=3)
