@@ -11,7 +11,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import objectives
 from .errors import ConfigurationError, ShapeError
@@ -34,7 +33,7 @@ def softplus(x):
 
 def _activate(tag, z):
     if tag == "sigmoid":
-        return expit(z)
+        return objectives.sigmoid(z)
     if tag == "softplus":
         return softplus(z)
     return z  # identity, the one other activation an Arch admits

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, ShapeError
 from .ndcore import as_matrix
@@ -99,6 +98,17 @@ def reconstruction_l2(r) -> np.ndarray:
     return np.einsum("ij,ij->i", r, r)
 
 
+def sigmoid(z) -> np.ndarray:
+    """1 / (1 + exp(-z)), formed in one new array; ``z`` itself is left
+    unchanged (a forward trace keeps it as the latent pre-activation). Where
+    exp(-z) overflows (z < -709.78) it is inf and the sigmoid exactly 0."""
+    out = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def sigmoid_slope(y) -> np.ndarray:
     """y(1 - y), the sigmoid's derivative read from its output ``y``: the
     slope that IMAE's entropy proxy, CAE's Jacobian and sigma-prime use."""
@@ -122,7 +132,7 @@ def imae_entropy_and_grad(y0):
     y0 = 0. The derivative is that of each unit term, not divided by the batch.
     """
     y0 = as_matrix(y0)
-    s = expit(y0)
+    s = sigmoid(y0)
     d = sigmoid_slope(s)
     lc = log_cosh(y0)
     value = float((d - lc ** 2).sum(axis=1).mean())
@@ -147,9 +157,8 @@ def cae_penalty_and_grads(y, w0, lam):
     dd = d * d
     row_sq = np.einsum("ij,ij->i", w0, w0)
     scale = 2.0 * lam / len(y)
-    # (scale * d) * d rounds differently from scale * dd; checkpoints keep the former
     return (float((dd @ row_sq).mean()),
-            scale * d * d * (1.0 - 2.0 * y) * row_sq,
+            scale * dd * (1.0 - 2.0 * y) * row_sq,
             scale * dd.sum(axis=0)[:, None] * w0)
 
 

@@ -140,6 +140,12 @@ _CONFIG_CODECS = {
 }
 
 
+# the object field each domain rule names -> the block key that fed it,
+# where the two differ
+_BLOCK_KEYS = {"lam": "lambda", "kind": "noise_kind", "noise": "noise_kind",
+               "level": "noise_level"}
+
+
 def config_values(cfg: TrainConfig) -> dict:
     """The checkpoint config block as ordered key -> text."""
     noise = cfg.loss.noise or NoiseSpec("none", 0.0)
@@ -178,13 +184,19 @@ def config_from_text(text: str) -> TrainConfig:
             v[key] = parse(kv[key])
         except ValueError as e:
             raise CheckpointFormatError(f"config block key {key}: {e}") from None
-    return TrainConfig(
-        arch=nn.Arch(v["input_dim"], v["layers"], v["latent_index"]),
-        loss=objectives.LossSpec(v["variant"], lam=v["lambda"],
-                                 noise=NoiseSpec(v["noise_kind"], v["noise_level"])),
-        learning_rate=v["learning_rate"], epochs=v["epochs"],
-        batch_size=v["batch_size"], tied=v["tied"], seed=v["seed"],
-        biases=v["biases"], shuffle=v["shuffle"])
+    try:
+        return TrainConfig(
+            arch=nn.Arch(v["input_dim"], v["layers"], v["latent_index"]),
+            loss=objectives.LossSpec(v["variant"], lam=v["lambda"],
+                                     noise=NoiseSpec(v["noise_kind"], v["noise_level"])),
+            learning_rate=v["learning_rate"], epochs=v["epochs"],
+            batch_size=v["batch_size"], tied=v["tied"], seed=v["seed"],
+            biases=v["biases"], shuffle=v["shuffle"])
+    except ConfigurationError as e:
+        # a value out of its domain; a rule over several values names no key
+        key = _BLOCK_KEYS.get(e.field, e.field)
+        where = f"config block key {key}" if key else "config block"
+        raise CheckpointFormatError(f"{where}: {e}") from None
 
 
 # --- checkpoint io ---
@@ -217,33 +229,37 @@ def save_checkpoint(net: nn.Network, cfg: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (network, config) from a checkpoint; exact round trip."""
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad checkpoint magic: {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", read_exact(f, 4, "config length"))
-        cfg = config_from_text(read_exact(f, cfg_len, "config").decode("utf-8"))
-        net = build_network(cfg, derive_rng(0, "checkpoint-skeleton"))
-        params = net.param_items()
-        (count,) = struct.unpack("<I", read_exact(f, 4, "array count"))
-        if count != len(params):
-            raise CheckpointFormatError(
-                f"checkpoint holds {count} arrays, network needs {len(params)}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", read_exact(f, 4, "name length"))
-            name = read_exact(f, name_len, "name").decode("ascii")
-            if name not in params:
-                raise CheckpointFormatError(f"unexpected array {name!r} in checkpoint")
-            (ndim,) = struct.unpack("<I", read_exact(f, 4, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "shape"))
-            dst = params[name]
-            if shape != dst.shape:
+    """Rebuild (network, config) from a checkpoint; exact round trip. A format
+    error names the file."""
+    try:
+        with open(path, "rb") as f:
+            magic = read_exact(f, 4, "magic")
+            if magic != CHECKPOINT_MAGIC:
+                raise CheckpointFormatError(f"bad checkpoint magic: {magic!r}")
+            (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+            (cfg_len,) = struct.unpack("<I", read_exact(f, 4, "config length"))
+            cfg = config_from_text(read_exact(f, cfg_len, "config").decode("utf-8"))
+            net = build_network(cfg, derive_rng(0, "checkpoint-skeleton"))
+            params = net.param_items()
+            (count,) = struct.unpack("<I", read_exact(f, 4, "array count"))
+            if count != len(params):
                 raise CheckpointFormatError(
-                    f"array {name!r} has shape {shape}, network needs {dst.shape}")
-            payload = read_exact(f, 8 * dst.size, f"data of {name}")
-            np.copyto(dst, np.frombuffer(payload, dtype="<f8").reshape(shape))
+                    f"checkpoint holds {count} arrays, network needs {len(params)}")
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", read_exact(f, 4, "name length"))
+                name = read_exact(f, name_len, "name").decode("ascii")
+                if name not in params:
+                    raise CheckpointFormatError(f"unexpected array {name!r} in checkpoint")
+                (ndim,) = struct.unpack("<I", read_exact(f, 4, "ndim"))
+                shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "shape"))
+                dst = params[name]
+                if shape != dst.shape:
+                    raise CheckpointFormatError(
+                        f"array {name!r} has shape {shape}, network needs {dst.shape}")
+                payload = read_exact(f, 8 * dst.size, f"data of {name}")
+                np.copyto(dst, np.frombuffer(payload, dtype="<f8").reshape(shape))
+    except (CheckpointFormatError, ConfigurationError) as e:  # the latter from build_network
+        raise CheckpointFormatError(f"{os.fspath(path)}: {e}") from None
     return net, cfg

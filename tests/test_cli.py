@@ -471,6 +471,19 @@ class TestEvalCommand:
                          "--out", str(tmp_path / "out")]) == 1
         assert "(784, 7, 784)" in capsys.readouterr().err
 
+    def test_out_of_domain_checkpoint_value_names_file_and_key(self, tmp_path, capsys):
+        tcfg = training.TrainConfig(
+            arch=nn.shallow_arch(200), learning_rate=0.1, epochs=1, batch_size=1,
+            loss=objectives.LossSpec("DAE", noise=NoiseSpec("mask", 0.3)))
+        path = tmp_path / "dae.ckpt"
+        training.save_checkpoint(training.build_network(tcfg, derive_rng(1)), tcfg, path)
+        path.write_bytes(path.read_bytes().replace(b"noise_level = 0.3", b"noise_level = 1.3"))
+        assert cli.main(["eval", "--checkpoint", str(path), "--protocol", "codes",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: config block key noise_level: mask probability")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_checkpoint_exits_one(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNKJUNKJUNK")

@@ -1,9 +1,13 @@
-"""Which scipy stacks each command loads.
+"""Which scipy modules each command loads.
 
-scipy.spatial (with the scipy.linalg it loads) and scipy.optimize cost about
-0.3 s of start-up and 22 MB of resident memory, and only the cluster protocol
-uses them. Each command runs in a fresh interpreter, because this process
-has imported them already (tests/test_evaluation.py imports cdist).
+The package itself loads no scipy module: its sigmoid is numpy's. Only the
+cluster protocol loads scipy, on its first K-means call: scipy.spatial (with
+the scipy.linalg it loads) and scipy.optimize, which both load scipy.special.
+On a 2-core x86-64 machine (Python 3.11, numpy 2.4, scipy 1.17) that first
+call costs about 0.5 s and 41 MB of resident memory, while
+``import imae, imae.cli`` takes about 0.3 s and 36 MB (numpy alone: 0.2 s,
+27 MB). Each command runs in a fresh interpreter, because this process has
+imported scipy already (tests/test_evaluation.py imports cdist).
 """
 
 import json
@@ -25,9 +29,8 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def cluster_stacks(modules):
-    return sorted(m for m in modules if m in ("scipy.optimize", "scipy.linalg")
-                  or m.startswith("scipy.spatial"))
+def scipy_modules(modules):
+    return sorted(m for m in modules if m.split(".")[0] == "scipy")
 
 
 def probe(argv, cwd):
@@ -51,15 +54,15 @@ def trained(idx_dir, tmp_path_factory):
 
 def test_train_loads_no_cluster_stack(trained):
     _, modules = trained
-    assert cluster_stacks(modules) == []
+    assert scipy_modules(modules) == []
 
 
 @pytest.mark.parametrize("argv", [
     [],
-    ["gradcheck", "--variant", "AE", "--seeds", "1"],
+    ["gradcheck", "--variant", "all", "--seeds", "1"],
 ], ids=["import", "gradcheck"])
 def test_command_loads_no_cluster_stack(tmp_path, argv):
-    assert cluster_stacks(probe(argv, tmp_path)) == []
+    assert scipy_modules(probe(argv, tmp_path)) == []
 
 
 @pytest.mark.parametrize("protocol", ["robustness", "codes"])
@@ -68,13 +71,14 @@ def test_eval_without_clustering_loads_no_cluster_stack(trained, idx_dir, protoc
     modules = probe(["eval", "--checkpoint", str(out / "train" / "model.ckpt"),
                      "--data-dir", str(idx_dir), "--out", str(out / protocol),
                      "--protocol", protocol], out)
-    assert cluster_stacks(modules) == []
+    assert scipy_modules(modules) == []
 
 
 def test_cluster_eval_loads_the_cluster_stacks(trained, idx_dir):
-    # the control: the probe does see the stacks when a command needs them
+    # the control: the probe does see scipy when a command needs it
     out, _ = trained
     modules = probe(["eval", "--checkpoint", str(out / "train" / "model.ckpt"),
                      "--data-dir", str(idx_dir), "--out", str(out / "cluster"),
                      "--protocol", "cluster", "--iterations", "1", "--n", "100"], out)
-    assert {"scipy.linalg", "scipy.optimize", "scipy.spatial.distance"} <= set(modules)
+    assert {"scipy.linalg", "scipy.optimize", "scipy.spatial.distance",
+            "scipy.special"} <= set(modules)

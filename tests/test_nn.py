@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -84,6 +86,21 @@ class TestActivationKernels:
         x = np.array([np.inf, -np.inf, np.nan])
         with np.errstate(invalid="ignore"):
             np.testing.assert_array_equal(nn.softplus(x), np.logaddexp(0.0, x))
+
+    def test_sigmoid_within_two_ulps_of_expit(self):
+        # N(0, 5) draws, plus both sides of exp's overflow at |z| = 709.78,
+        # of its underflow to 0 at 745, and the far ends of the float range
+        tails = [709.8, 745.0, 800.0, 1e308]
+        z = np.concatenate([derive_rng(6, "sigmoid-inputs").normal(0.0, 5.0, 1_000_000),
+                            tails, np.negative(tails)])
+        before = z.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = objectives.sigmoid(z)
+        assert np.array_equal(z, before)
+        assert not np.shares_memory(got, z)
+        assert ulps(got, expit(z)).max() <= 2
+        assert got[z == -800.0] == 0.0 and got[z == 800.0] == 1.0
 
     def test_softplus_derivative_matches_expit(self):
         x = kernel_inputs()
@@ -223,6 +240,16 @@ class TestForward:
         net = nn.init_params(nn.shallow_arch(200, 784), derive_rng(3))
         trace = nn.forward(net, rng.random((5, 784)))
         assert np.all((trace.latent_act > 0) & (trace.latent_act < 1))
+
+    @pytest.mark.parametrize("arch", [nn.shallow_arch(20, 30), nn.deep_arch(4, 30, (12, 8))],
+                             ids=["shallow", "deep"])
+    def test_latent_pre_survives_the_sigmoid(self, rng, arch):
+        net = nn.init_params(arch, derive_rng(3))
+        trace = nn.forward(net, rng.random((5, 30)))
+        k = net.latent_index
+        a_in = trace.x if k == 0 else trace.act[k - 1]
+        assert np.array_equal(trace.latent_pre, nn._linear(net.layers[k], a_in))
+        assert np.array_equal(trace.latent_act, objectives.sigmoid(trace.latent_pre))
 
     def test_batch_width_mismatch(self):
         net = nn.init_params(nn.shallow_arch(4, 6), derive_rng(1))

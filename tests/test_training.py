@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,28 @@ class TestConfigText:
         with pytest.raises(CheckpointFormatError, match=f"key {key}: "):
             config_from_text(text.replace(line, bad))
 
+    @pytest.mark.parametrize("loss, line, bad, key", [
+        (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), "noise_level = 0.3", "noise_level = 1.3",
+         "noise_level"),
+        (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), "noise_kind = mask", "noise_kind = none",
+         "noise_kind"),
+        (LossSpec("IMAE"), "lambda = 1.0", "lambda = -1.0", "lambda"),
+        (None, "epochs = 3", "epochs = 0", "epochs"),
+        (None, "layers = 6:sigmoid", "layers = 0:sigmoid", "layers"),
+    ])
+    def test_out_of_domain_value_names_its_key(self, loss, line, bad, key):
+        text = config_to_text(tiny_config(loss=loss))
+        assert line in text
+        with pytest.raises(CheckpointFormatError, match=f"^config block key {key}: "):
+            config_from_text(text.replace(line, bad))
+
+    def test_rule_over_several_values_names_no_key(self):
+        text = config_to_text(tiny_config(loss=LossSpec("CAE")))
+        deep = "layers = 5:softplus,6:sigmoid,5:softplus,16:identity\nlatent_index = 1"
+        with pytest.raises(CheckpointFormatError, match="^config block: the contractive"):
+            config_from_text(text.replace("layers = 6:sigmoid,16:identity\nlatent_index = 0",
+                                          deep))
+
 
 class TestCheckpoints:
     @pytest.mark.parametrize("loss,tied", [
@@ -293,6 +316,20 @@ class TestCheckpoints:
         body = path.read_bytes()
         path.write_bytes(body.replace(b"shuffle = false", b"shuffle = maybe"))
         with pytest.raises(CheckpointFormatError, match="shuffle: expected a boolean"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("loss, tied, line, bad, error", [
+        (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), False, b"noise_level = 0.3",
+         b"noise_level = 1.3", "config block key noise_level: mask probability must be in [0,1]"),
+        (LossSpec("AE"), True, b"variant = AE", b"variant = VAE",
+         "tied weights are not supported with Gaussian-latent heads"),
+    ], ids=["value", "network"])
+    def test_config_error_names_the_file(self, tmp_path, loss, tied, line, bad, error):
+        cfg = tiny_config(loss=loss, tied=tied)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_network(cfg, derive_rng(1)), cfg, path)
+        path.write_bytes(path.read_bytes().replace(line, bad))
+        with pytest.raises(CheckpointFormatError, match=re.escape(f"{path}: {error}")):
             load_checkpoint(path)
 
     def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch):
