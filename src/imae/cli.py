@@ -121,8 +121,11 @@ def read_config_file(path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     if path is None:
         return {}
-    if not parser.read(path):
-        raise UsageError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise UsageError(f"config file not found: {path}")
+    except configparser.Error as e:
+        raise UsageError(f"config file {path}: {e}") from None
     raw = {}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -195,9 +198,7 @@ def keys_of(fields: dict):
         raise ConfigurationError(f"{fields[e.field]}: {e}", e.field) from None
 
 
-@keys_of({"lam": "model.lambda", "layers": "model.nh", "learning_rate": "train.learning_rate",
-          "epochs": "train.epochs", "batch_size": "train.batch_size",
-          "level": "model.noise_level", "noise": "model.noise_kind"})
+@keys_of({**training.CONFIG_KEYS, "layers": "model.nh"})
 def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig:
     """One model's training settings, checked as they are built. The loss
     defaults to ``[model]``'s; ``model.lambda`` weights the variant it names,
@@ -239,13 +240,10 @@ def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
     if preset is None:
         raise UsageError(f"checkpoint architecture {arch.widths()} (latent index "
                          f"{arch.latent_index}) matches no preset of {PRESETS}")
-    trained = training.config_values(tcfg)
-    section = {f"model.{k}": trained[k]
-               for k in ("variant", "lambda", "noise_kind", "noise_level", "tied", "biases")}
-    section["model.preset"] = preset
+    trained = {**training.config_values(tcfg), "preset": preset}
     if preset == "deep":
-        section["model.nh"] = str(nh)
-    return section
+        trained["nh"] = str(nh)
+    return {f"model.{k}": trained[k] for k in _SCHEMA["model"] if k in trained}
 
 
 @keys_of({"train_limit": "train.train_limit", "batch_size": "train.batch_size",

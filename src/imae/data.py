@@ -100,8 +100,8 @@ def read_exact(f, n, what):
     return buf
 
 
-def _read_u32(f, what):
-    return struct.unpack(">I", read_exact(f, 4, what))[0]
+def read_u32(f, what, order=">"):  # IDX is big-endian, checkpoints little-endian
+    return struct.unpack(f"{order}I", read_exact(f, 4, what))[0]
 
 
 def _read_payload(f, n, what):
@@ -116,24 +116,24 @@ def _read_payload(f, n, what):
 def read_idx_images(path) -> np.ndarray:
     """Raw (count, rows, cols) uint8 pixel array from an IDX image file."""
     with open(path, "rb") as f:
-        magic = _read_u32(f, "magic")
+        magic = read_u32(f, "magic")
         if magic != IMAGES_MAGIC:
             raise IdxFormatError(
                 f"bad image magic in {path}: got 0x{magic:08x}, want 0x{IMAGES_MAGIC:08x}")
-        count = _read_u32(f, "count")
-        rows = _read_u32(f, "rows")
-        cols = _read_u32(f, "cols")
+        count = read_u32(f, "count")
+        rows = read_u32(f, "rows")
+        cols = read_u32(f, "cols")
         payload = _read_payload(f, count * rows * cols, "pixels")
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
 
 def read_idx_labels(path) -> np.ndarray:
     with open(path, "rb") as f:
-        magic = _read_u32(f, "magic")
+        magic = read_u32(f, "magic")
         if magic != LABELS_MAGIC:
             raise IdxFormatError(
                 f"bad label magic in {path}: got 0x{magic:08x}, want 0x{LABELS_MAGIC:08x}")
-        count = _read_u32(f, "count")
+        count = read_u32(f, "count")
         payload = _read_payload(f, count, "labels")
     return np.frombuffer(payload, dtype=np.uint8)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn, objectives
-from .data import Dataset, NoiseSpec, batches, corrupt, read_exact
+from .data import Dataset, NoiseSpec, batches, corrupt, read_exact, read_u32
 from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged
 from .ndcore import derive_rng
 
@@ -140,10 +140,10 @@ _CONFIG_CODECS = {
 }
 
 
-# the object field each domain rule names -> the block key that fed it,
-# where the two differ
-_BLOCK_KEYS = {"lam": "lambda", "kind": "noise_kind", "noise": "noise_kind",
-               "level": "noise_level"}
+# field a domain rule names -> config key feeding it; a checkpoint block drops the section
+CONFIG_KEYS = {"lam": "model.lambda", "kind": "model.noise_kind", "noise": "model.noise_kind",
+               "level": "model.noise_level", "learning_rate": "train.learning_rate",
+               "epochs": "train.epochs", "batch_size": "train.batch_size"}
 
 
 def config_values(cfg: TrainConfig) -> dict:
@@ -166,12 +166,13 @@ def config_to_text(cfg: TrainConfig) -> str:
 
 def config_from_text(text: str) -> TrainConfig:
     kv = {}
-    for line in text.splitlines():
-        line = line.strip()
+    for line in map(str.strip, text.splitlines()):
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in kv:
+            raise CheckpointFormatError(f"config block key {key}: given twice")
+        kv[key] = value
     missing = [k for k in _CONFIG_CODECS if k not in kv]
     if missing:
         raise CheckpointFormatError(f"config block missing keys: {missing}")
@@ -194,7 +195,7 @@ def config_from_text(text: str) -> TrainConfig:
             biases=v["biases"], shuffle=v["shuffle"])
     except ConfigurationError as e:
         # a value out of its domain; a rule over several values names no key
-        key = _BLOCK_KEYS.get(e.field, e.field)
+        key = CONFIG_KEYS.get(e.field, e.field or "").rpartition(".")[2]
         where = f"config block key {key}" if key else "config block"
         raise CheckpointFormatError(f"{where}: {e}") from None
 
@@ -229,37 +230,38 @@ def save_checkpoint(net: nn.Network, cfg: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (network, config) from a checkpoint; exact round trip. A format
-    error names the file."""
+    """Rebuild (network, config) from a checkpoint, filling each parameter once;
+    exact round trip. A format error names the file."""
     try:
         with open(path, "rb") as f:
             magic = read_exact(f, 4, "magic")
             if magic != CHECKPOINT_MAGIC:
                 raise CheckpointFormatError(f"bad checkpoint magic: {magic!r}")
-            (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
+            version = read_u32(f, "version", "<")
             if version != CHECKPOINT_VERSION:
                 raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-            (cfg_len,) = struct.unpack("<I", read_exact(f, 4, "config length"))
+            cfg_len = read_u32(f, "config length", "<")
             cfg = config_from_text(read_exact(f, cfg_len, "config").decode("utf-8"))
             net = build_network(cfg, derive_rng(0, "checkpoint-skeleton"))
             params = net.param_items()
-            (count,) = struct.unpack("<I", read_exact(f, 4, "array count"))
+            count = read_u32(f, "array count", "<")
             if count != len(params):
                 raise CheckpointFormatError(
                     f"checkpoint holds {count} arrays, network needs {len(params)}")
             for _ in range(count):
-                (name_len,) = struct.unpack("<I", read_exact(f, 4, "name length"))
-                name = read_exact(f, name_len, "name").decode("ascii")
-                if name not in params:
+                name = read_exact(f, read_u32(f, "name length", "<"), "name").decode("ascii")
+                dst = params.pop(name, None)  # so a repeated name is unexpected too
+                if dst is None:
                     raise CheckpointFormatError(f"unexpected array {name!r} in checkpoint")
-                (ndim,) = struct.unpack("<I", read_exact(f, 4, "ndim"))
+                ndim = read_u32(f, "ndim", "<")
                 shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "shape"))
-                dst = params[name]
                 if shape != dst.shape:
                     raise CheckpointFormatError(
                         f"array {name!r} has shape {shape}, network needs {dst.shape}")
                 payload = read_exact(f, 8 * dst.size, f"data of {name}")
                 np.copyto(dst, np.frombuffer(payload, dtype="<f8").reshape(shape))
-    except (CheckpointFormatError, ConfigurationError) as e:  # the latter from build_network
+            if f.read(1):
+                raise CheckpointFormatError("bytes past the last array")
+    except (CheckpointFormatError, ConfigurationError, UnicodeDecodeError) as e:
         raise CheckpointFormatError(f"{os.fspath(path)}: {e}") from None
     return net, cfg

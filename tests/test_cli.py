@@ -291,10 +291,22 @@ def checkpoint(idx_dir, tmp_path_factory):
     return out / "model.ckpt"
 
 
+# malformed INI files, written to the directory each CONFIG_ERRORS row runs in
+MALFORMED_INI = {"no-header.ini": "epochs = 3\n",
+                 "repeated-key.ini": "[train]\nepochs = 3\nepochs = 7\n",
+                 "no-equals.ini": "[train]\nepochs\n"}
+
 # command line; the config key the error names (None for a rule about a
-# combination of settings); text the error must hold; and whether the rule
-# reads the splits' sizes (the train split here has 400 images, the test 300)
+# combination of settings, the file for a malformed INI file); text the error
+# must hold; and whether the rule reads the splits' sizes (the train split here
+# has 400 images, the test 300)
 CONFIG_ERRORS = [
+    (["train", "--config", "no-header.ini"], "config file no-header.ini",
+     "File contains no section headers", False),
+    (["train", "--config", "repeated-key.ini"], "config file repeated-key.ini",
+     "option 'epochs' in section 'train' already exists", False),
+    (["train", "--config", "no-equals.ini"], "config file no-equals.ini",
+     "Source contains parsing errors", False),
     (["reproduce", "--table", "table1", "--set", "eval.mask_grid=0,1.5"],
      "eval.mask_grid", "mask probability must be in [0,1], got 1.5", False),
     (["reproduce", "--table", "table1", "--set", "eval.gaussian_grid=-0.1"],
@@ -350,6 +362,9 @@ def test_config_error_exits_before_any_output(checkpoint, idx_dir, tmp_path, cap
     monkeypatch.setattr(training, "train", no_training)
     if argv[0] == "eval":
         argv = argv + ["--checkpoint", str(checkpoint)]
+    monkeypatch.chdir(tmp_path)
+    for name, text in MALFORMED_INI.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "out"
     assert cli.main(argv + ["--data-dir", str(idx_dir), "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -272,6 +272,12 @@ class TestConfigText:
         with pytest.raises(CheckpointFormatError, match=f"^config block key {key}: "):
             config_from_text(text.replace(line, bad))
 
+    def test_repeated_key_rejected(self):
+        # the block once kept the last of two values
+        text = config_to_text(tiny_config()).replace("epochs = 3\n", "epochs = 3\nepochs = 7\n")
+        with pytest.raises(CheckpointFormatError, match="^config block key epochs: given twice"):
+            config_from_text(text)
+
     def test_rule_over_several_values_names_no_key(self):
         text = config_to_text(tiny_config(loss=LossSpec("CAE")))
         deep = "layers = 5:softplus,6:sigmoid,5:softplus,16:identity\nlatent_index = 1"
@@ -330,6 +336,22 @@ class TestCheckpoints:
         save_checkpoint(build_network(cfg, derive_rng(1)), cfg, path)
         path.write_bytes(path.read_bytes().replace(line, bad))
         with pytest.raises(CheckpointFormatError, match=re.escape(f"{path}: {error}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, error", [
+        # equal shapes, so layers.1.W would keep the skeleton's initial values
+        (lambda body: body.replace(b"layers.1.W", b"layers.0.W"),
+         "unexpected array 'layers.0.W' in checkpoint"),
+        (lambda body: body + b"\x00\x07", "bytes past the last array"),
+        (lambda body: body.replace(b"layers.0.W", b"layers.\xff.W"),
+         "'ascii' codec can't decode byte 0xff"),
+    ], ids=["repeated-name", "trailing-bytes", "non-ascii-name"])
+    def test_malformed_array_table_names_the_file(self, tmp_path, edit, error):
+        cfg = tiny_config(arch=nn.shallow_arch(8, input_dim=8))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_network(cfg, derive_rng(1)), cfg, path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointFormatError, match="^" + re.escape(f"{path}: {error}")):
             load_checkpoint(path)
 
     def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch):
