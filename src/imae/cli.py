@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import evaluation, gradcheck, nn, objectives, reference, training
 from .data import CANONICAL_FILES, NOISE_KINDS, Dataset, NoiseSpec, check_batch_size, load_idx
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError, TrainingDiverged, check_range
 from .ndcore import derive_rng, derive_seed
 from .training import BOOL, FLOAT, INT, TEXT
 
@@ -41,31 +41,40 @@ class UsageError(Exception):
 
 # --- experiment config -------------------------------------------------
 
+def choice(allowed, parse=str):
+    """The (parse, format) codec of a key whose value is one of ``allowed``."""
+    def parse_choice(text):
+        if (value := parse(text)) not in allowed:
+            raise ValueError(f"must be one of {allowed}, got {value!r}")
+        return value
+    return parse_choice, str
+
+
 GRID = (lambda text: tuple(float(v) for v in text.split(",") if v.strip() != ""),
         lambda grid: ",".join(f"{v:g}" for v in grid))
-VARIANT = (str.upper, str)
+VARIANT = choice(tuple(objectives.VARIANTS), str.upper)
 
 # section -> key -> (ExperimentConfig field, (parse, format), default). Every
-# config text goes through this one table: INI files, --set, the flags (each
-# an alias of one key) and the resolved snapshot. None defaults depend on
-# other keys and are filled by _derived_defaults.
+# config text is parsed, and its choices checked, by this one table: INI files,
+# --set, the flags (each an alias of one key) and the resolved snapshot. None
+# defaults depend on other keys and are filled by _derived_defaults.
 _SCHEMA = {
     "experiment": {
         "seed": ("seed", INT, 12345),
         "out": ("out", TEXT, "runs/experiment"),
-        "scale": ("scale", TEXT, "desk"),
+        "scale": ("scale", choice(SCALES), "desk"),
     },
     "data": {
         "dir": ("data_dir", TEXT, "./data"),
-        "dataset": ("dataset", TEXT, "mnist"),
+        "dataset": ("dataset", choice(DATASETS), "mnist"),
         **{key: (key, TEXT, name) for key, name in CANONICAL_FILES.items()},
     },
     "model": {
         "variant": ("variant", VARIANT, "IMAE"),
-        "preset": ("preset", TEXT, "shallow200"),
+        "preset": ("preset", choice(PRESETS), "shallow200"),
         "nh": ("nh", INT, 10),
         "lambda": ("lam", FLOAT, None),
-        "noise_kind": ("noise_kind", TEXT, "mask"),
+        "noise_kind": ("noise_kind", choice(NOISE_KINDS), "mask"),
         "noise_level": ("noise_level", FLOAT, 0.3),
         "tied": ("tied", BOOL, None),
         "biases": ("biases", BOOL, True),
@@ -78,11 +87,11 @@ _SCHEMA = {
         "train_limit": ("train_limit", INT, None),
     },
     "eval": {
-        "protocol": ("eval_protocol", TEXT, "robustness"),
+        "protocol": ("eval_protocol", choice(PROTOCOLS), "robustness"),
         "iterations": ("eval_iterations", INT, 50),
         "n": ("eval_n", INT, 1000),
         "k": ("eval_k", INT, 10),
-        "noise_kind": ("eval_noise_kind", TEXT, "gaussian"),
+        "noise_kind": ("eval_noise_kind", choice(NOISE_KINDS), "gaussian"),
         "noise_level": ("eval_noise_level", FLOAT, None),
         "mask_grid": ("mask_grid", GRID, reference.MASK_GRID),
         "gaussian_grid": ("gaussian_grid", GRID, reference.GAUSSIAN_GRID),
@@ -90,10 +99,6 @@ _SCHEMA = {
 }
 _KEYS = {f"{section}.{key}": entry
          for section, keys in _SCHEMA.items() for key, entry in keys.items()}
-
-_CHOICES = {"experiment.scale": SCALES, "model.variant": tuple(objectives.VARIANTS),
-            "model.preset": PRESETS, "data.dataset": DATASETS, "eval.protocol": PROTOCOLS,
-            "model.noise_kind": NOISE_KINDS, "eval.noise_kind": NOISE_KINDS}
 
 ExperimentConfig = make_dataclass(
     "ExperimentConfig", [field for field, _, _ in _KEYS.values()],
@@ -150,9 +155,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             values[key] = parse(raw[key]) if key in raw else default
         except ValueError as e:
             raise UsageError(f"{key}: {e}") from None
-    for key, allowed in _CHOICES.items():
-        if values[key] not in allowed:
-            raise UsageError(f"{key}: must be one of {allowed}, got {values[key]!r}")
     for key, value in _derived_defaults(values).items():
         if values[key] is None:
             values[key] = value
@@ -251,9 +253,7 @@ def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
 def load_split(cfg: ExperimentConfig, split) -> Dataset:
     """Load the train or test IDX pair and check the settings that read its size."""
     limit = cfg.train_limit if split == "train" else 0
-    if limit < 0:
-        raise ConfigurationError(f"train_limit must be >= 0 (0 is all rows), got {limit}",
-                                 field="train_limit")
+    check_range("train_limit", limit, 0, rule="train_limit must be >= 0 (0 is all rows)")
     images = Path(cfg.data_dir) / getattr(cfg, f"{split}_images")
     labels = Path(cfg.data_dir) / getattr(cfg, f"{split}_labels")
     missing = [str(p) for p in (images, labels) if not p.is_file()]
@@ -286,8 +286,7 @@ def _apply_overrides(raw, args):
     """Layer the command line over a config file's raw values. Flags (each an
     alias of one key) apply first and --set last, so --set wins. A dataset
     directory from either beats IMAE_DATA_DIR, which beats the config file."""
-    given = {key: str(value) for key, value in vars(args).items()
-             if key in _KEYS and value is not None}
+    given = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
@@ -501,10 +500,10 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags(p):
     """Each flag is an alias of the config key it names as its dest."""
     p.add_argument("--config", default=None, help="experiment config file (INI)")
-    p.add_argument("--seed", dest="experiment.seed", type=int, help="master seed")
+    p.add_argument("--seed", dest="experiment.seed", help="master seed")
     p.add_argument("--out", dest="experiment.out", help="output directory")
     p.add_argument("--scale", dest="experiment.scale")
-    p.add_argument("--nh", dest="model.nh", type=int, help="deep-preset code size")
+    p.add_argument("--nh", dest="model.nh", help="deep-preset code size")
     p.add_argument("--data-dir", dest="data.dir",
                    help=f"dataset directory (or set {ENV_DATA_DIR})")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
@@ -523,11 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--protocol", dest="eval.protocol")
-    p.add_argument("--iterations", dest="eval.iterations", type=int)
-    p.add_argument("--n", dest="eval.n", type=int)
-    p.add_argument("--k", dest="eval.k", type=int)
+    p.add_argument("--iterations", dest="eval.iterations")
+    p.add_argument("--n", dest="eval.n")
+    p.add_argument("--k", dest="eval.k")
     p.add_argument("--noise-kind", dest="eval.noise_kind")
-    p.add_argument("--noise-level", dest="eval.noise_level", type=float)
+    p.add_argument("--noise-level", dest="eval.noise_level")
     _common_flags(p)
     p.set_defaults(func=cmd_eval)
 

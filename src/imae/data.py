@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IdxFormatError
+from .errors import ConfigurationError, IdxFormatError, check_range
 from .ndcore import as_matrix, bernoulli_mask, derive_rng, gaussian
 
 IMAGES_MAGIC = 0x00000803
@@ -81,23 +81,22 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigurationError(f"unknown noise kind {self.kind!r}", field="kind")
-        if self.kind == "mask" and not 0.0 <= self.level <= 1.0:
-            raise ConfigurationError(f"mask probability must be in [0,1], got {self.level}",
-                                     field="level")
-        if self.kind == "gaussian" and self.level < 0.0:
-            raise ConfigurationError(f"gaussian std must be >= 0, got {self.level}", field="level")
+        if self.kind == "mask":
+            check_range("level", self.level, 0.0, 1.0, rule="mask probability must be in [0,1]")
+        elif self.kind == "gaussian":
+            check_range("level", self.level, 0.0, rule="gaussian std must be >= 0")
 
     def describe(self):
         return "clean" if self.kind == "none" else f"{self.kind} {self.level:g}"
 
 
 def read_exact(f, n, what):
-    """Exactly n bytes from binary file f; IOError naming the file and ``what`` if short."""
-    buf = f.read(n)
-    if len(buf) != n:
-        raise IOError(f"truncated file {f.name}: expected {n} bytes for {what}, "
-                      f"got {len(buf)}")
-    return buf
+    """Exactly n bytes from binary file f; IOError naming the file and ``what``,
+    before any read, if fewer are left."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise IOError(f"truncated file {f.name}: expected {n} bytes for {what}, got {left}")
+    return f.read(n)
 
 
 def read_u32(f, what, order=">"):  # IDX is big-endian, checkpoints little-endian
@@ -201,9 +200,8 @@ def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:
 
 def check_batch_size(batch_size, n):
     """Raise ConfigurationError(field="batch_size") unless 1 <= batch_size <= n rows."""
-    if not 1 <= batch_size <= n:
-        raise ConfigurationError(f"batch_size must be between 1 and the dataset's {n} rows, "
-                                 f"got {batch_size}", field="batch_size")
+    check_range("batch_size", batch_size, 1, n,
+                rule=f"batch_size must be between 1 and the dataset's {n} rows")
 
 
 def batch_indices(n, batch_size, rng=None, shuffle=False):

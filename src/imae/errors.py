@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one bound check."""
+
+import math
 
 
 class ShapeError(ValueError):
@@ -12,6 +14,16 @@ class ConfigurationError(ValueError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def check_range(field, value, low, high=None, rule=None):
+    """Raise ConfigurationError(field=field) unless ``value`` is a finite number
+    in [low, high]. ``rule`` words a finite value out of range; it defaults to
+    "<field> must be >= <low>", so a check with a ``high`` passes its own."""
+    if not -math.inf < value < math.inf:  # false for NaN as well; exact for any int
+        raise ConfigurationError(f"{field} must be finite, got {value}", field=field)
+    if value < low or high is not None and value > high:
+        raise ConfigurationError(f"{rule or f'{field} must be >= {low}'}, got {value}", field=field)
 
 
 class IdxFormatError(ValueError):

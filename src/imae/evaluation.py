@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn, objectives
 from .data import Dataset, NoiseSpec, corrupt, pixel_rows, sample_subset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_range
 from .ndcore import as_matrix, derive_rng, row_blocks
 
 KMEANS_MAX_ITERS = 300  # Lloyd iterations before K-means stops unconverged
@@ -197,10 +197,8 @@ def check_cluster_settings(iterations, n, k, n_test) -> None:
     cluster protocol can run ``iterations`` times on ``n`` of ``n_test`` test
     images with ``k`` clusters."""
     for setting, value, low in (("iterations", iterations, 1), ("k", k, 1), ("n", n, k)):
-        if value < low:
-            raise ConfigurationError(f"{setting} must be >= {low}, got {value}", field=setting)
-    if n > n_test:
-        raise ConfigurationError(f"n must be <= the {n_test} test images, got {n}", field="n")
+        check_range(setting, value, low)
+    check_range("n", n, k, n_test, rule=f"n must be <= the {n_test} test images")
 
 
 def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,

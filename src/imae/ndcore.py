@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_range
 
 # Most rows one forward-only chunk (or one row-wise reduction block) holds.
 ROW_BLOCK = 1000
@@ -54,14 +54,13 @@ def row_blocks(n):
 
 def gaussian(rng, rows, cols, mean=0.0, std=1.0) -> np.ndarray:
     """rows x cols matrix of i.i.d. normal draws."""
-    if std < 0:
-        raise ValueError(f"gaussian: std must be >= 0, got {std}")
+    check_range("std", std, 0, rule="gaussian: std must be >= 0")
     return rng.normal(loc=mean, scale=std, size=(int(rows), int(cols)))
 
 
 def bernoulli_mask(rng, rows, cols, keep_prob) -> np.ndarray:
     """0/1 matrix where each entry is 1 with probability keep_prob."""
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError(f"bernoulli_mask: keep_prob must be in [0,1], got {keep_prob}")
+    check_range("keep_prob", keep_prob, 0.0, 1.0,
+                rule="bernoulli_mask: keep_prob must be in [0,1]")
     u = rng.random(size=(int(rows), int(cols)))
     return np.less(u, keep_prob, out=u)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, check_range
 from .ndcore import as_matrix
 
 
@@ -57,8 +57,7 @@ class LossSpec:
         if not record.lam and self.lam != 0.0:
             raise ConfigurationError(f"{self.variant} takes no latent weight, got lam={self.lam}",
                                      field="lam")
-        if self.lam < 0:
-            raise ConfigurationError(f"lam must be >= 0, got {self.lam}", field="lam")
+        check_range("lam", self.lam, 0)
         if self.noise is not None and self.noise.kind == "none":
             self.noise = None
         if (self.noise is not None) != record.noise:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn, objectives
 from .data import Dataset, NoiseSpec, batches, corrupt, read_exact, read_u32
-from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged
+from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged, check_range
 from .ndcore import derive_rng
 
 CHECKPOINT_MAGIC = b"IMAE"
@@ -37,9 +37,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("learning_rate", 0), ("epochs", 1), ("batch_size", 1)):
-            if getattr(self, name) < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}",
-                                         field=name)
+            check_range(name, getattr(self, name), low)
         objectives.check_code_fits(self.loss, self.arch)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from imae import cli, evaluation, nn, objectives, reference, training
 from imae.cli import UsageError, read_config_file, resolve_config
-from imae.data import NoiseSpec
+from imae.data import CANONICAL_FILES, NoiseSpec
 from imae.ndcore import derive_rng
 
 
@@ -342,6 +342,21 @@ CONFIG_ERRORS = [
      "eval.iterations", "iterations must be >= 1, got 0", True),
     (["train", "--set", "train.batch_size=500"],
      "train.batch_size", "batch_size must be between 1 and the dataset's 400 rows, got 500", True),
+    # a NaN or an infinity passes no bound; every bound is checked finite first
+    (["train", "--set", "train.learning_rate=nan"],
+     "train.learning_rate", "learning_rate must be finite, got nan", False),
+    (["train", "--set", "train.learning_rate=inf"],
+     "train.learning_rate", "learning_rate must be finite, got inf", False),
+    (["train", "--set", "model.lambda=nan"], "model.lambda", "lam must be finite, got nan", False),
+    (["train", "--set", "model.variant=DAE", "--set", "model.noise_kind=gaussian",
+      "--set", "model.noise_level=nan"], "model.noise_level", "level must be finite, got nan", False),
+    (["eval", "--protocol", "cluster", "--noise-level", "nan"],
+     "eval.noise_level", "level must be finite, got nan", False),
+    (["reproduce", "--table", "table1", "--set", "eval.gaussian_grid=0.1,inf"],
+     "eval.gaussian_grid", "level must be finite, got inf", False),
+    # a flag's text is parsed by its key's codec, so a malformed one names the key
+    (["train", "--seed", "abc"], "experiment.seed", "invalid literal for int()", False),
+    (["eval", "--protocol", "cluster", "--k", "x"], "eval.k", "invalid literal for int()", False),
 ]
 
 
@@ -389,6 +404,23 @@ def test_config_error_names_its_key(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     assert cli.main(["train"] + argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
+def test_oversized_idx_header_exits_before_any_output(checkpoint, idx_dir, tmp_path, capsys):
+    # a header declaring 0xFFFFFFFF images, rows and cols is a truncated file,
+    # found before any read is asked for that many bytes
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in CANONICAL_FILES.values():
+        (data / name).write_bytes((idx_dir / name).read_bytes())
+    images = data / CANONICAL_FILES["test_images"]
+    body = images.read_bytes()
+    images.write_bytes(body[:4] + b"\xff" * 12 + body[16:])
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: truncated file {images}: ")
     assert not out.exists()
 
 

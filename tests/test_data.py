@@ -89,6 +89,15 @@ class TestIdxIo:
         with pytest.raises(IOError, match=r"truncated file .*cut\.idx.*pixels"):
             read_idx_images(cut)
 
+    def test_oversized_header_is_io_error(self, idx_pair, tmp_path):
+        # count, rows and cols of 0xFFFFFFFF: refused before any read of that size
+        ip, _, _, _ = idx_pair
+        huge = tmp_path / "huge.idx"
+        huge.write_bytes(ip.read_bytes()[:4] + b"\xff" * 12 + ip.read_bytes()[16:])
+        with pytest.raises(IOError, match=r"truncated file .*huge\.idx: expected \d+ bytes "
+                                          r"for pixels, got 800$"):
+            read_idx_images(huge)
+
     @pytest.mark.parametrize("reader,which,header", [
         (read_idx_images, 0, 16), (read_idx_labels, 1, 8)], ids=["images", "labels"])
     def test_bytes_past_payload_rejected(self, idx_pair, tmp_path, reader, which, header):

@@ -21,8 +21,10 @@ class TestGaussian:
         assert np.array_equal(a, b)
 
     def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian(derive_rng(1), 2, 2, 0.0, -0.1)
+        # and a non-finite one: a NaN std would draw NaN noise
+        for std in (-0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                gaussian(derive_rng(1), 2, 2, 0.0, std)
 
 
 class TestBernoulliMask:

@@ -329,7 +329,9 @@ class TestCheckpoints:
          b"noise_level = 1.3", "config block key noise_level: mask probability must be in [0,1]"),
         (LossSpec("AE"), True, b"variant = AE", b"variant = VAE",
          "tied weights are not supported with Gaussian-latent heads"),
-    ], ids=["value", "network"])
+        (LossSpec("AE"), False, b"learning_rate = 0.05", b"learning_rate =  nan",
+         "config block key learning_rate: learning_rate must be finite, got nan"),
+    ], ids=["value", "network", "non-finite"])
     def test_config_error_names_the_file(self, tmp_path, loss, tied, line, bad, error):
         cfg = tiny_config(loss=loss, tied=tied)
         path = tmp_path / "m.ckpt"
@@ -395,4 +397,15 @@ class TestCheckpoints:
         save_checkpoint(net, cfg, path)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(IOError, match=r"truncated file .*m\.ckpt.*data of "):
+            load_checkpoint(path)
+
+    def test_oversized_config_length_is_io_error(self, tmp_path):
+        # a u32 config length of 4 GiB is refused before any read of that size
+        cfg = tiny_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_network(cfg, derive_rng(1)), cfg, path)
+        body = path.read_bytes()
+        path.write_bytes(body[:8] + b"\xff" * 4 + body[12:])
+        with pytest.raises(IOError, match=r"truncated file .*m\.ckpt: expected 4294967295 "
+                                          r"bytes for config, got \d+$"):
             load_checkpoint(path)
