@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
 
 import argparse
-import configparser
 import csv
 import os
 import sys
@@ -50,7 +49,7 @@ def choice(allowed, parse=str):
     return parse_choice, str
 
 
-GRID = (lambda text: tuple(float(v) for v in text.split(",") if v.strip() != ""),
+GRID = (lambda text: tuple(FLOAT[0](v) for v in text.split(",") if v.strip() != ""),
         lambda grid: ",".join(f"{v:g}" for v in grid))
 VARIANT = choice(tuple(objectives.VARIANTS), str.upper)
 
@@ -121,25 +120,15 @@ def _derived_defaults(values) -> dict:
 
 
 def read_config_file(path) -> dict:
-    """Raw string values from an INI file, validated against the schema.
-    Unknown sections or keys are errors."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Raw "section.key" texts of an INI file; a section or key not in the schema is an error."""
     if path is None:
         return {}
     try:
-        if not parser.read(path):
-            raise UsageError(f"config file not found: {path}")
-    except configparser.Error as e:
+        return training.ini_values(Path(path).read_text(), _KEYS, os.fspath(path))
+    except OSError:
+        raise UsageError(f"config file not found: {path}") from None
+    except ValueError as e:
         raise UsageError(f"config file {path}: {e}") from None
-    raw = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise UsageError(f"unknown config section [{section}]")
-        for key, value in parser[section].items():
-            if key not in _SCHEMA[section]:
-                raise UsageError(f"unknown config key {section}.{key}")
-            raw[f"{section}.{key}"] = value
-    return raw
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
@@ -164,10 +153,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 def snapshot_text(cfg: ExperimentConfig) -> str:
     """The fully resolved configuration, every default materialized; it reads
     back through read_config_file and resolve_config to the same config."""
-    return "\n".join(
-        f"[{section}]\n" + "".join(f"{key} = {fmt(getattr(cfg, field))}\n"
-                                   for key, (field, (_, fmt), _) in keys.items())
-        for section, keys in _SCHEMA.items())
+    return training.ini_text({key: fmt(getattr(cfg, field))
+                              for key, (field, (_, fmt), _) in _KEYS.items()})
 
 
 def start_run(cfg: ExperimentConfig):
@@ -230,22 +217,21 @@ def eval_noise(cfg: ExperimentConfig):
             return masks + [NoiseSpec("gaussian", s) for s in cfg.gaussian_grid]
 
 
-def checkpoint_model_section(tcfg: training.TrainConfig) -> dict:
-    """The [model] settings a checkpoint was trained with, as raw config values.
-
-    The preset is the one whose architecture equals the checkpoint's, with
-    the deep preset's code size read from the latent width.
-    """
+def checkpoint_settings(tcfg: training.TrainConfig) -> dict:
+    """The settings a checkpoint was trained with, as raw config values: each
+    block key that is a config key, and the preset whose architecture equals
+    the checkpoint's, the deep preset's code size read from the latent width."""
     arch = tcfg.arch
     nh = arch.layers[arch.latent_index][0]
     preset = next((p for p in PRESETS if preset_arch(p, nh) == arch), None)
     if preset is None:
         raise UsageError(f"checkpoint architecture {arch.widths()} (latent index "
                          f"{arch.latent_index}) matches no preset of {PRESETS}")
-    trained = {**training.config_values(tcfg), "preset": preset}
+    trained = {k: v for k, v in training.config_values(tcfg).items() if k in _KEYS}
+    trained["model.preset"] = preset
     if preset == "deep":
-        trained["nh"] = str(nh)
-    return {f"model.{k}": trained[k] for k in _SCHEMA["model"] if k in trained}
+        trained["model.nh"] = str(nh)
+    return trained
 
 
 @keys_of({"train_limit": "train.train_limit", "batch_size": "train.batch_size",
@@ -340,7 +326,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     raw = _apply_overrides(read_config_file(args.config), args)
     net, tcfg = training.load_checkpoint(args.checkpoint)
-    raw.update(checkpoint_model_section(tcfg))
+    raw.update(checkpoint_settings(tcfg))
     cfg = resolve_config(raw)
     noise = eval_noise(cfg)
     test_ds = load_split(cfg, "test")

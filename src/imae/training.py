@@ -1,12 +1,14 @@
 """Mini-batch gradient descent training and checkpoint persistence.
 
 Checkpoint layout (all integers little-endian u32 unless noted):
-  magic "IMAE", version, config-text length, config text (utf-8 key = value
-  lines), array count, then per parameter array: name length, name bytes,
-  ndim, dims..., float64 little-endian payload. Tied decoder weights and
-  untrained biases never hit the file; they are reconstructed on load.
+  magic "IMAE", version 2, config-text length, config text (utf-8 INI, [model]
+  and [train] under the config keys), array count, then per array: name
+  length, name bytes, ndim, dims..., float64 little-endian payload. Tied decoder
+  weights and untrained biases never hit the file; they are rebuilt on load.
 """
 
+import configparser
+import math
 import os
 import struct
 import time
@@ -20,7 +22,7 @@ from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged,
 from .ndcore import derive_rng
 
 CHECKPOINT_MAGIC = b"IMAE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -110,7 +112,7 @@ def train(cfg: TrainConfig, ds: Dataset):
     return net, history
 
 
-# --- config text (embedded in checkpoints, also written as snapshots) ---
+# --- config text: INI files, resolved snapshots and checkpoint blocks ---
 
 def _parse_bool(text):
     if text.lower() in ("true", "yes", "1"):
@@ -120,80 +122,107 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text):
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 # (parse, format) pairs shared by every config text: checkpoint blocks here,
 # INI files and resolved snapshots in ``cli``. Parsers raise ValueError.
 INT = (int, str)
-FLOAT = (float, repr)
+FLOAT = (_parse_float, repr)
 BOOL = (_parse_bool, lambda value: str(value).lower())
 TEXT = (str, str)
 LAYERS = (lambda text: tuple((int(w), a) for w, _, a in
                              (part.partition(":") for part in text.split(","))),
           lambda layers: ",".join(f"{w}:{a}" for w, a in layers))
 
-_CONFIG_CODECS = {
-    "variant": TEXT, "lambda": FLOAT, "noise_kind": TEXT, "noise_level": FLOAT,
-    "input_dim": INT, "layers": LAYERS, "latent_index": INT, "learning_rate": FLOAT,
-    "epochs": INT, "batch_size": INT, "tied": BOOL, "seed": INT, "biases": BOOL,
-    "shuffle": BOOL,
+# the checkpoint config block: every key a config file also holds has its name
+_BLOCK_CODECS = {
+    "model.variant": TEXT, "model.lambda": FLOAT, "model.noise_kind": TEXT,
+    "model.noise_level": FLOAT, "model.tied": BOOL, "model.biases": BOOL,
+    "model.input_dim": INT, "model.layers": LAYERS, "model.latent_index": INT,
+    "train.learning_rate": FLOAT, "train.epochs": INT, "train.batch_size": INT,
+    "train.shuffle": BOOL, "train.seed": INT,
 }
 
-
-# field a domain rule names -> config key feeding it; a checkpoint block drops the section
+# field a domain rule names -> config key feeding it
 CONFIG_KEYS = {"lam": "model.lambda", "kind": "model.noise_kind", "noise": "model.noise_kind",
                "level": "model.noise_level", "learning_rate": "train.learning_rate",
                "epochs": "train.epochs", "batch_size": "train.batch_size"}
 
 
+def ini_text(values: dict) -> str:
+    """INI text of ordered "section.key" -> text, a blank line between sections."""
+    sections = {}
+    for name, text in values.items():
+        section, _, key = name.partition(".")
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    return "\n".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+
+
+def ini_values(text: str, keys, source) -> dict:
+    """Raw "section.key" -> text from INI ``text``; its errors name ``source``.
+    A malformed text, or a section ([DEFAULT] too) or key not in ``keys``, is a ValueError."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as e:
+        raise ValueError(e) from None
+    if unknown := set(parser.sections()) - {name.partition(".")[0] for name in keys}:
+        raise ValueError(f"unknown config sections {sorted(unknown)}")
+    raw = {f"{section}.{key}": value
+           for section in parser.sections() for key, value in parser[section].items()}
+    if unknown := [name for name in raw if name not in keys]:
+        raise ValueError(f"unknown config keys {unknown}")
+    return raw
+
+
 def config_values(cfg: TrainConfig) -> dict:
-    """The checkpoint config block as ordered key -> text."""
+    """The checkpoint config block as ordered "section.key" -> text."""
     noise = cfg.loss.noise or NoiseSpec("none", 0.0)
     values = {
-        "variant": cfg.loss.variant, "lambda": cfg.loss.lam,
-        "noise_kind": noise.kind, "noise_level": noise.level,
-        "input_dim": cfg.arch.input_dim, "layers": cfg.arch.layers,
-        "latent_index": cfg.arch.latent_index, "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "tied": cfg.tied,
-        "seed": cfg.seed, "biases": cfg.biases, "shuffle": cfg.shuffle,
+        "model.variant": cfg.loss.variant, "model.lambda": cfg.loss.lam,
+        "model.noise_kind": noise.kind, "model.noise_level": noise.level,
+        "model.tied": cfg.tied, "model.biases": cfg.biases,
+        "model.input_dim": cfg.arch.input_dim, "model.layers": cfg.arch.layers,
+        "model.latent_index": cfg.arch.latent_index, "train.learning_rate": cfg.learning_rate,
+        "train.epochs": cfg.epochs, "train.batch_size": cfg.batch_size,
+        "train.shuffle": cfg.shuffle, "train.seed": cfg.seed,
     }
-    return {key: fmt(values[key]) for key, (_, fmt) in _CONFIG_CODECS.items()}
+    return {key: fmt(values[key]) for key, (_, fmt) in _BLOCK_CODECS.items()}
 
 
 def config_to_text(cfg: TrainConfig) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in config_values(cfg).items())
+    return ini_text(config_values(cfg))
 
 
 def config_from_text(text: str) -> TrainConfig:
-    kv = {}
-    for line in map(str.strip, text.splitlines()):
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key in kv:
-            raise CheckpointFormatError(f"config block key {key}: given twice")
-        kv[key] = value
-    missing = [k for k in _CONFIG_CODECS if k not in kv]
-    if missing:
-        raise CheckpointFormatError(f"config block missing keys: {missing}")
-    unknown = [k for k in kv if k not in _CONFIG_CODECS]
-    if unknown:
-        raise CheckpointFormatError(f"config block has unknown keys: {unknown}")
+    try:
+        raw = ini_values(text, _BLOCK_CODECS, "config block")
+    except ValueError as e:
+        raise CheckpointFormatError(f"config block: {e}") from None
     v = {}
-    for key, (parse, _) in _CONFIG_CODECS.items():
+    for key, (parse, _) in _BLOCK_CODECS.items():
         try:
-            v[key] = parse(kv[key])
+            v[key] = parse(raw[key])
+        except KeyError:
+            raise CheckpointFormatError(f"config block key {key}: missing") from None
         except ValueError as e:
             raise CheckpointFormatError(f"config block key {key}: {e}") from None
     try:
         return TrainConfig(
-            arch=nn.Arch(v["input_dim"], v["layers"], v["latent_index"]),
-            loss=objectives.LossSpec(v["variant"], lam=v["lambda"],
-                                     noise=NoiseSpec(v["noise_kind"], v["noise_level"])),
-            learning_rate=v["learning_rate"], epochs=v["epochs"],
-            batch_size=v["batch_size"], tied=v["tied"], seed=v["seed"],
-            biases=v["biases"], shuffle=v["shuffle"])
+            arch=nn.Arch(v["model.input_dim"], v["model.layers"], v["model.latent_index"]),
+            loss=objectives.LossSpec(v["model.variant"], lam=v["model.lambda"],
+                                     noise=NoiseSpec(v["model.noise_kind"],
+                                                     v["model.noise_level"])),
+            learning_rate=v["train.learning_rate"], epochs=v["train.epochs"],
+            batch_size=v["train.batch_size"], tied=v["model.tied"], seed=v["train.seed"],
+            biases=v["model.biases"], shuffle=v["train.shuffle"])
     except ConfigurationError as e:
         # a value out of its domain; a rule over several values names no key
-        key = CONFIG_KEYS.get(e.field, e.field or "").rpartition(".")[2]
+        key = {**CONFIG_KEYS, "layers": "model.layers"}.get(e.field)
         where = f"config block key {key}" if key else "config block"
         raise CheckpointFormatError(f"{where}: {e}") from None
 

@@ -69,6 +69,15 @@ class TestConfigResolution:
         with pytest.raises(UsageError, match="optimizer"):
             read_config_file(path)
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 3\n",
+                                      "[DEFAULT]\nepochs = 3\n[train]\nbatch_size = 10\n"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser would drop its keys, or copy them into every section
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(UsageError, match=r"unknown config sections \['DEFAULT'\]"):
+            read_config_file(path)
+
     def test_preset_architectures(self):
         assert cli.preset_arch("shallow200", 10).widths() == (784, 200, 784)
         assert cli.preset_arch("shallow1000", 10).widths() == (784, 1000, 784)
@@ -342,18 +351,24 @@ CONFIG_ERRORS = [
      "eval.iterations", "iterations must be >= 1, got 0", True),
     (["train", "--set", "train.batch_size=500"],
      "train.batch_size", "batch_size must be between 1 and the dataset's 400 rows, got 500", True),
-    # a NaN or an infinity passes no bound; every bound is checked finite first
+    # a NaN or an infinity is a malformed number: its key's codec rejects it,
+    # whether or not the run reads the key
     (["train", "--set", "train.learning_rate=nan"],
-     "train.learning_rate", "learning_rate must be finite, got nan", False),
+     "train.learning_rate", "must be finite, got nan", False),
     (["train", "--set", "train.learning_rate=inf"],
-     "train.learning_rate", "learning_rate must be finite, got inf", False),
-    (["train", "--set", "model.lambda=nan"], "model.lambda", "lam must be finite, got nan", False),
+     "train.learning_rate", "must be finite, got inf", False),
+    (["train", "--set", "model.lambda=nan"], "model.lambda", "must be finite, got nan", False),
     (["train", "--set", "model.variant=DAE", "--set", "model.noise_kind=gaussian",
-      "--set", "model.noise_level=nan"], "model.noise_level", "level must be finite, got nan", False),
+      "--set", "model.noise_level=nan"], "model.noise_level", "must be finite, got nan", False),
     (["eval", "--protocol", "cluster", "--noise-level", "nan"],
-     "eval.noise_level", "level must be finite, got nan", False),
+     "eval.noise_level", "must be finite, got nan", False),
     (["reproduce", "--table", "table1", "--set", "eval.gaussian_grid=0.1,inf"],
-     "eval.gaussian_grid", "level must be finite, got inf", False),
+     "eval.gaussian_grid", "must be finite, got inf", False),
+    (["train", "--set", "model.variant=AE", "--set", "model.noise_level=nan"],
+     "model.noise_level", "must be finite, got nan", False),
+    (["train", "--set", "eval.noise_level=inf"], "eval.noise_level", "must be finite, got inf", False),
+    (["eval", "--protocol", "cluster", "--set", "eval.gaussian_grid=nan"],
+     "eval.gaussian_grid", "must be finite, got nan", False),
     # a flag's text is parsed by its key's codec, so a malformed one names the key
     (["train", "--seed", "abc"], "experiment.seed", "invalid literal for int()", False),
     (["eval", "--protocol", "cluster", "--k", "x"], "eval.k", "invalid literal for int()", False),
@@ -499,7 +514,7 @@ class TestEvalCommand:
         trained, out = tmp_path / "deep5", tmp_path / "deep5eval"
         assert cli.main(["train", "--data-dir", str(idx_dir), "--seed", "4", "--out", str(trained),
                          "--nh", "5", "--set", "model.preset=deep", "--set", "model.lambda=0.5"]
-                        + fast_overrides(["train.epochs=1"])) == 0
+                        + fast_overrides(["train.epochs=1", "train.learning_rate=0.002"])) == 0
         assert cli.main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--protocol",
                          "cluster", "--data-dir", str(idx_dir), "--out", str(out),
                          "--iterations", "1", "--n", "100"]) == 0
@@ -507,7 +522,36 @@ class TestEvalCommand:
         for line in ("variant = IMAE", "preset = deep", "nh = 5", "lambda = 0.5",
                      "noise_kind = none", "tied = false", "biases = true"):
             assert f"\n{line}\n" in snapshot
+        # the training settings too: the run's, not the preset defaults
+        def train_lines(text):
+            return [line for line in text.splitlines()
+                    if line.partition(" = ")[0] in ("learning_rate", "epochs", "batch_size")]
+        trained_lines = train_lines((trained / "config.resolved.ini").read_text())
+        assert trained_lines == ["learning_rate = 0.002", "epochs = 1", "batch_size = 100"]
+        assert train_lines(snapshot) == trained_lines
         assert json.loads((out / "report.json").read_text())["resolved_config"] == snapshot
+
+    @pytest.mark.parametrize("tcfg", [
+        training.TrainConfig(arch=nn.shallow_arch(200), learning_rate=0.02, epochs=4,
+                             batch_size=50, tied=True, seed=7, shuffle=True,
+                             loss=objectives.LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3))),
+        training.TrainConfig(arch=nn.deep_arch(10), loss=objectives.LossSpec("VAE"),
+                             learning_rate=0.005, epochs=2, batch_size=100, biases=False),
+    ], ids=["DAE-g", "deep-VAE"])
+    def test_checkpoint_block_shares_the_config_keys(self, tcfg):
+        # each block setting a config file also holds is written under its key,
+        # and that key's schema codec reads it back to the trained value
+        noise = tcfg.loss.noise or NoiseSpec("none")
+        trained = {
+            "model.variant": tcfg.loss.variant, "model.lambda": tcfg.loss.lam,
+            "model.noise_kind": noise.kind, "model.noise_level": noise.level,
+            "model.tied": tcfg.tied, "model.biases": tcfg.biases,
+            "train.learning_rate": tcfg.learning_rate, "train.epochs": tcfg.epochs,
+            "train.batch_size": tcfg.batch_size, "train.shuffle": tcfg.shuffle,
+        }
+        shared = {key: cli._KEYS[key][1][0](text)
+                  for key, text in training.config_values(tcfg).items() if key in cli._KEYS}
+        assert shared == trained
 
     def test_checkpoint_matching_no_preset_exits_one(self, tmp_path, capsys):
         tcfg = training.TrainConfig(arch=nn.shallow_arch(7), loss=objectives.LossSpec("AE"),
@@ -528,7 +572,7 @@ class TestEvalCommand:
         assert cli.main(["eval", "--checkpoint", str(path), "--protocol", "codes",
                          "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(
-            f"error: {path}: config block key noise_level: mask probability")
+            f"error: {path}: config block key model.noise_level: mask probability")
         assert not (tmp_path / "out").exists()
 
     def test_bad_checkpoint_exits_one(self, tmp_path):

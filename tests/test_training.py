@@ -9,9 +9,9 @@ from imae.data import Dataset, NoiseSpec, batches, corrupt, make_synthetic_digit
 from imae.errors import CheckpointFormatError, ConfigurationError, TrainingDiverged
 from imae.ndcore import derive_rng
 from imae.objectives import LossSpec
-from imae.training import (TrainConfig, build_network, config_from_text,
-                           config_to_text, load_checkpoint, save_checkpoint,
-                           train)
+from imae.training import (CHECKPOINT_VERSION, TrainConfig, build_network, config_from_text,
+                           config_to_text, config_values, load_checkpoint,
+                           save_checkpoint, train)
 
 
 def tiny_config(loss=None, **kw):
@@ -19,6 +19,11 @@ def tiny_config(loss=None, **kw):
                     learning_rate=0.05, epochs=3, batch_size=10, seed=5)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def block_key(name):
+    """The config key, section included, of a checkpoint block line's key."""
+    return next(key for key in config_values(tiny_config()) if key.partition(".")[2] == name)
 
 
 def tiny_dataset(n=30, d=16, seed=1):
@@ -240,6 +245,14 @@ class TestConfigText:
         assert back == cfg
         assert config_to_text(back) == config_to_text(cfg)
 
+    def test_block_is_ini_under_the_config_keys(self):
+        cfg = tiny_config(loss=LossSpec("DAE", noise=NoiseSpec("mask", 0.25)), tied=True)
+        assert config_to_text(cfg) == (
+            "[model]\nvariant = DAE\nlambda = 0.0\nnoise_kind = mask\nnoise_level = 0.25\n"
+            "tied = true\nbiases = true\ninput_dim = 16\nlayers = 6:sigmoid,16:identity\n"
+            "latent_index = 0\n\n[train]\nlearning_rate = 0.05\nepochs = 3\nbatch_size = 10\n"
+            "shuffle = false\nseed = 5\n")
+
     def test_unknown_key_rejected(self):
         text = config_to_text(tiny_config()) + "momentum = 0.9\n"
         with pytest.raises(CheckpointFormatError):
@@ -250,12 +263,18 @@ class TestConfigText:
         ("learning_rate = 0.05", "learning_rate = fast"),
         ("shuffle = false", "shuffle = maybe"),
         ("layers = 6:sigmoid,16:identity", "layers = six:sigmoid,16:identity"),
+        ("noise_level = 0.0", "noise_level = nan"),
     ])
     def test_malformed_value_names_its_key(self, line, bad):
         text = config_to_text(tiny_config())
-        key = line.partition(" =")[0]
-        with pytest.raises(CheckpointFormatError, match=f"key {key}: "):
+        key = block_key(line.partition(" =")[0])
+        with pytest.raises(CheckpointFormatError, match=f"^config block key {key}: "):
             config_from_text(text.replace(line, bad))
+
+    def test_missing_key_named(self):
+        text = config_to_text(tiny_config()).replace("seed = 5\n", "")
+        with pytest.raises(CheckpointFormatError, match="^config block key train.seed: missing"):
+            config_from_text(text)
 
     @pytest.mark.parametrize("loss, line, bad, key", [
         (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), "noise_level = 0.3", "noise_level = 1.3",
@@ -269,13 +288,14 @@ class TestConfigText:
     def test_out_of_domain_value_names_its_key(self, loss, line, bad, key):
         text = config_to_text(tiny_config(loss=loss))
         assert line in text
-        with pytest.raises(CheckpointFormatError, match=f"^config block key {key}: "):
+        with pytest.raises(CheckpointFormatError, match=f"^config block key {block_key(key)}: "):
             config_from_text(text.replace(line, bad))
 
     def test_repeated_key_rejected(self):
         # the block once kept the last of two values
         text = config_to_text(tiny_config()).replace("epochs = 3\n", "epochs = 3\nepochs = 7\n")
-        with pytest.raises(CheckpointFormatError, match="^config block key epochs: given twice"):
+        with pytest.raises(CheckpointFormatError,
+                           match="^config block: .*option 'epochs' in section 'train' already"):
             config_from_text(text)
 
     def test_rule_over_several_values_names_no_key(self):
@@ -316,6 +336,18 @@ class TestCheckpoints:
         loaded.layers[0].weights[0, 0] = 123.0
         assert loaded.layers[1].weights[0, 0] == 123.0
 
+    def test_version_1_rejected(self, tmp_path):
+        # version 1 held flat key = value lines under other names; no reader is kept
+        cfg = tiny_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_network(cfg, derive_rng(1)), cfg, path)
+        body = path.read_bytes()
+        assert body[4:8] == CHECKPOINT_VERSION.to_bytes(4, "little") == b"\x02\0\0\0"
+        path.write_bytes(body[:4] + b"\x01\0\0\0" + body[8:])
+        with pytest.raises(CheckpointFormatError,
+                           match="^" + re.escape(f"{path}: unsupported checkpoint version 1") + "$"):
+            load_checkpoint(path)
+
     def test_malformed_bool_in_file_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_network(tiny_config(), derive_rng(1)), tiny_config(), path)
@@ -326,11 +358,12 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("loss, tied, line, bad, error", [
         (LossSpec("DAE", noise=NoiseSpec("mask", 0.3)), False, b"noise_level = 0.3",
-         b"noise_level = 1.3", "config block key noise_level: mask probability must be in [0,1]"),
+         b"noise_level = 1.3",
+         "config block key model.noise_level: mask probability must be in [0,1]"),
         (LossSpec("AE"), True, b"variant = AE", b"variant = VAE",
          "tied weights are not supported with Gaussian-latent heads"),
         (LossSpec("AE"), False, b"learning_rate = 0.05", b"learning_rate =  nan",
-         "config block key learning_rate: learning_rate must be finite, got nan"),
+         "config block key train.learning_rate: must be finite, got nan"),
     ], ids=["value", "network", "non-finite"])
     def test_config_error_names_the_file(self, tmp_path, loss, tied, line, bad, error):
         cfg = tiny_config(loss=loss, tied=tied)
