@@ -53,9 +53,13 @@ def row_blocks(n):
 
 
 def gaussian(rng, rows, cols, mean=0.0, std=1.0) -> np.ndarray:
-    """rows x cols matrix of i.i.d. normal draws."""
+    """rows x cols matrix of i.i.d. normal draws: standard ones scaled and
+    shifted in place, byte for byte what ``rng.normal`` draws."""
     check_range("std", std, 0, rule="gaussian: std must be >= 0")
-    return rng.normal(loc=mean, scale=std, size=(int(rows), int(cols)))
+    out = rng.standard_normal((int(rows), int(cols)))
+    out *= std
+    out += mean
+    return out
 
 
 def bernoulli_mask(rng, rows, cols, keep_prob) -> np.ndarray:

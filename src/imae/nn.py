@@ -259,7 +259,7 @@ def encode(net: Network, batch) -> np.ndarray:
     return _activate(layer.activation, _linear(layer, a))
 
 
-def backward(net: Network, trace: ForwardTrace, spec, batch_clean, out=None):
+def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None, out=None):
     """The total loss and its gradient w.r.t. every trainable parameter.
 
     ``batch_clean`` is the reconstruction target; for denoising training it
@@ -269,30 +269,38 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, out=None):
     reparameterized sample. Returns (total, terms, grads), with ``grads``
     keyed like ``Network.param_items``; gradients are means over the batch.
     For tied networks the decoder contribution is accumulated, transposed,
-    into the shared encoder entry.
+    into the shared encoder entry. A non-finite total chains nothing.
 
-    ``out``, keyed like ``grads``, lends arrays whose values are spent (the
-    previous step's gradients): each entry's first contribution is written
-    into them, so the returned ``grads`` are those arrays, and a training
-    loop holds one gradient set instead of two.
+    ``consume(name, grad)``, if given, takes each gradient in place of
+    ``grads`` as soon as it is final, and after the gradient passed below
+    has been formed with the old weights, so a training loop can step that
+    block right there. ``out``, keyed like ``grads``, holds the arrays the
+    gradients are formed in. A first call fills it, and for an untied
+    network it makes every layer weight's array a view of one buffer sized
+    for the largest, so such a gradient is spent once consumed.
     """
     total, terms, loss = objectives.total_loss(spec, trace, batch_clean)
-    n_layers = len(net.layers)
     grads = {}
+    if not np.isfinite(total):
+        return total, terms, grads  # a diverged step moves no block
+    consume = consume or grads.__setitem__
+    n_layers = len(net.layers)
+    if out == {} and not net.tied:  # a first call; layer weights take turns in one buffer
+        shared = np.empty(max(layer.weights.size for layer in net.layers))
+        out.update({f"layers.{k}.W": shared[:layer.weights.size].reshape(layer.weights.shape)
+                    for k, layer in enumerate(net.layers)})
+    partial = {}  # each gradient from its first contribution until consumed
 
-    def slot(key):
-        """The array a first contribution to ``key`` is formed in, or None
-        for a new one; a later contribution is a temporary added in place."""
-        return None if out is None or key in grads else out[key]
-
-    def accumulate(key, value):
-        if key in grads:
-            grads[key] += value
-        elif out is None or value is out[key]:
-            grads[key] = value
-        else:  # a first contribution formed outside its slot: CAE's latent_W
-            np.copyto(out[key], value)
-            grads[key] = out[key]
+    def add(key, form, *args, **kwargs):
+        """Add ``form(*args, **kwargs)`` to ``key``'s gradient: a first
+        contribution is formed in (and by a first call, kept as) its array
+        in ``out``, a later one is a temporary added in place."""
+        if key in partial:
+            partial[key] += form(*args, **kwargs)
+        elif out is None:
+            partial[key] = form(*args, **kwargs)
+        else:
+            partial[key] = out.setdefault(key, form(*args, out=out.get(key), **kwargs))
 
     g = loss.pop("xhat")  # d(loss)/d(output activations); freed once chained
     for k in range(n_layers - 1, -1, -1):
@@ -301,36 +309,37 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, out=None):
         dz = g  # fresh each layer, so the derivative is multiplied in place
         if layer.activation != "identity":
             dz *= _activation_deriv(layer.activation, trace.act[k])
-        if k == net.latent_index:
-            if "latent_pre" in loss:
-                dz += loss["latent_pre"]
-            if "latent_W" in loss:
-                accumulate(f"layers.{k}.W", loss["latent_W"])
+        j = mirror(net.tied, n_layers, k)
+        key = f"layers.{k if j is None else j}.W"
+        if k == net.latent_index and "latent_pre" in loss:
+            dz += loss["latent_pre"]
         a_in = trace.x if k == 0 else trace.act[k - 1]  # at the heads, their input
         a_prev = trace.z if heads_here else a_in  # the input of layer k
-        j = mirror(net.tied, n_layers, k)
         if j is None:
-            key = f"layers.{k}.W"
-            accumulate(key, np.matmul(dz.T, a_prev, out=slot(key)))
+            add(key, np.matmul, dz.T, a_prev)
         else:  # tied: the decoder's contribution, transposed, to its encoder's entry
-            key = f"layers.{j}.W"
-            accumulate(key, np.matmul(a_prev.T, dz, out=slot(key)))
+            add(key, np.matmul, a_prev.T, dz)
+        if key == f"layers.{net.latent_index}.W" and "latent_W" in loss:
+            partial[key] += loss.pop("latent_W")  # CAE's, added to the first contribution
+        final = [key] if j is None else []  # a tied decoder's waits for its encoder
         if net.biases:
-            key = f"layers.{k}.b"
-            accumulate(key, dz.sum(axis=0, out=slot(key)))
-        if k == 0 and not heads_here:
-            break  # d(loss)/d(input) is never used
-        g = dz @ layer.weights
+            final.append(f"layers.{k}.b")
+            add(final[-1], np.sum, dz, axis=0)
+        if k > 0 or heads_here:  # d(loss)/d(input) is never used
+            g = dz @ layer.weights
         if heads_here:
             # g is now d(loss)/d(sampled code); route through the heads
             mu_head, lv_head = net.vae_heads
             dmu = g + loss["mu"]
             dlv = 0.5 * g * trace.eps * trace.std + loss["logvar"]
-            accumulate("heads.mu.W", np.matmul(dmu.T, a_in, out=slot("heads.mu.W")))
-            accumulate("heads.logvar.W", np.matmul(dlv.T, a_in, out=slot("heads.logvar.W")))
+            add("heads.mu.W", np.matmul, dmu.T, a_in)
+            add("heads.logvar.W", np.matmul, dlv.T, a_in)
             if net.biases:
-                accumulate("heads.mu.b", dmu.sum(axis=0, out=slot("heads.mu.b")))
-                accumulate("heads.logvar.b", dlv.sum(axis=0, out=slot("heads.logvar.b")))
+                add("heads.mu.b", np.sum, dmu, axis=0)
+                add("heads.logvar.b", np.sum, dlv, axis=0)
+            final += [name for name in partial if name.startswith("heads.")]
             if k > 0:
                 g = dmu @ mu_head.weights + dlv @ lv_head.weights
+        for name in final:
+            consume(name, partial.pop(name))
     return total, terms, grads

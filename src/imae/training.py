@@ -72,9 +72,10 @@ def build_network(cfg: TrainConfig, rng) -> nn.Network:
 def train(cfg: TrainConfig, ds: Dataset):
     """Train a fresh network on ``ds``; returns (network, history).
 
-    Plain SGD, theta <- theta - lr * grad per batch. Everything random (init,
-    batch order, corruption draws, latent samples) derives from cfg.seed, so
-    equal configs give bit-identical parameters. Aborts on non-finite loss.
+    Plain SGD, theta <- theta - lr * grad per batch, each block stepped in
+    ``nn.backward`` once its gradient is final. Everything random (init, batch
+    order, corruption draws, latent samples) derives from cfg.seed, so equal
+    configs give bit-identical parameters. A non-finite loss aborts first.
     """
     if ds.images.shape[1] != cfg.arch.input_dim:
         raise ConfigurationError(
@@ -86,7 +87,12 @@ def train(cfg: TrainConfig, ds: Dataset):
     params = net.param_items()
     latent_rng = derive_rng(cfg.seed, "latent-sample")  # drawn from only by Gaussian heads
     history = TrainHistory()
-    grads = None  # one gradient set, rewritten by each step's backward pass
+    buffers = {}  # backward's gradient arrays, made by its first call and reused by each step
+
+    def sgd_step(name, grad):
+        grad *= cfg.learning_rate  # spent once applied, so scaled in place
+        params[name] -= grad
+
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         tot = rec = lat = 0.0
@@ -94,14 +100,10 @@ def train(cfg: TrainConfig, ds: Dataset):
         for xb in batches(ds, cfg.batch_size, batch_rng, cfg.shuffle):
             x_in = xb if cfg.loss.noise is None else corrupt(xb, cfg.loss.noise, noise_rng)
             trace = nn.forward(net, x_in, rng=latent_rng)
-            total, terms, grads = nn.backward(net, trace, cfg.loss, xb, out=grads)
+            total, terms, _ = nn.backward(net, trace, cfg.loss, xb, sgd_step, buffers)
             del trace  # else it lives on through the next step's forward pass
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch, {"total": total, **terms})
-            for name, p in params.items():
-                step = grads[name]  # spent once applied, so scaled in place
-                step *= cfg.learning_rate
-                p -= step
             b = len(xb)
             tot += total * b
             rec += terms["reconstruction"] * b

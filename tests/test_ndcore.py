@@ -20,6 +20,15 @@ class TestGaussian:
         b = gaussian(derive_rng(3), 8, 8, 0.0, 1.0)
         assert np.array_equal(a, b)
 
+    def test_bytes_equal_rng_normal(self):
+        # scaling standard draws in place gives numpy's own normal draws
+        for seed in range(3):
+            for mean in (0.0, 2.5, -1.0):
+                for std in (0.0, 0.03, 0.15, 0.2, 0.3, 0.35, 0.45, 1.0):
+                    ours = gaussian(derive_rng(seed), 500, 784, mean, std)
+                    ref = derive_rng(seed).normal(mean, std, size=(500, 784))
+                    assert ours.tobytes() == ref.tobytes(), (seed, mean, std)
+
     def test_negative_std_rejected(self):
         # and a non-finite one: a NaN std would draw NaN noise
         for std in (-0.1, np.nan, np.inf, -np.inf):

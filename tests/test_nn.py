@@ -305,14 +305,16 @@ class TestBackward:
 
     @pytest.mark.parametrize("variant, arch, tied", [
         ("CAE", nn.shallow_arch(6, 9), True),   # latent_W added after the tied decoder's GEMM
-        ("CAE", nn.shallow_arch(6, 9), False),  # latent_W is the first contribution
+        ("CAE", nn.shallow_arch(6, 9), False),  # latent_W added after the layer's own GEMM
         ("IMAE", nn.deep_arch(3, 9, trunk=(8, 5)), True),
         ("VAE", nn.deep_arch(3, 9, trunk=(8, 5)), False),
     ])
     @pytest.mark.parametrize("biases", [True, False])
     def test_out_buffers_take_every_gradient(self, rng, spec_for, variant, arch, tied, biases):
         # stale values in the lent arrays must not leak: each is overwritten
-        # before anything is added to it
+        # before anything is added to it. An empty ``out`` is filled by the
+        # first call, an untied network's layer weights with views of one
+        # buffer, so each such gradient must be final when it is consumed.
         spec = spec_for(variant)
         net = nn.init_params(arch, derive_rng(2), vae=spec.record.heads, tied=tied,
                              biases=biases)
@@ -326,6 +328,17 @@ class TestBackward:
         for key, g in grads.items():
             assert g is out[key]
             assert g.tobytes() == fresh[key].tobytes()
+        filled = {}
+        for _ in range(2):  # the first call fills ``filled``, the second reuses it
+            consumed = {}  # key -> the bytes of each gradient handed over for it
+            total3, terms3, rest = nn.backward(
+                net, trace, spec, x,
+                lambda key, g: consumed.setdefault(key, []).append(g.tobytes()), filled)
+            assert (total3, terms3, rest) == (total, terms, {})
+            assert consumed == {key: [g.tobytes()] for key, g in fresh.items()}
+        assert filled.keys() == fresh.keys()
+        weights = [filled[f"layers.{k}.W"] for k in range(len(net.layers)) if not tied]
+        assert all(np.shares_memory(w, weights[0]) for w in weights)
 
     def test_variant_net_mismatch_rejected(self):
         plain = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1))
