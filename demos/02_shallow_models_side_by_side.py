@@ -9,7 +9,7 @@ command for the full protocol.
 """
 
 from imae import nn
-from imae.data import NoiseSpec, make_synthetic_digits
+from imae.data import NoiseSpec, synthetic_splits
 from imae.evaluation import cluster_eval, robustness_sweep
 from imae.ndcore import derive_rng, derive_seed
 from imae.objectives import LossSpec
@@ -17,8 +17,7 @@ from imae.training import TrainConfig, train
 
 SEED = 1234
 
-train_ds = make_synthetic_digits(1500, seed=3)
-test_ds = make_synthetic_digits(1000, seed=4)
+train_ds, test_ds = synthetic_splits(1500, 1000, seed=3)  # one draw: shared classes
 d = train_ds.images.shape[1]
 
 models = {

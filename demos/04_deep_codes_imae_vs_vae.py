@@ -8,7 +8,7 @@ them to CSV for external projection tools (t-SNE, UMAP, ...).
 """
 
 from imae import nn
-from imae.data import NoiseSpec, make_synthetic_digits
+from imae.data import NoiseSpec, synthetic_splits
 from imae.evaluation import cluster_eval, export_codes
 from imae.ndcore import derive_seed
 from imae.objectives import LossSpec
@@ -16,8 +16,7 @@ from imae.training import TrainConfig, train
 
 SEED = 77
 
-train_ds = make_synthetic_digits(1500, seed=5)
-test_ds = make_synthetic_digits(1000, seed=6)
+train_ds, test_ds = synthetic_splits(1500, 1000, seed=5)  # one draw: shared classes
 d = train_ds.images.shape[1]
 arch = nn.deep_arch(8, input_dim=d, trunk=(160, 80))
 print(f"deep architecture: {'-'.join(str(w) for w in arch.widths())}, "

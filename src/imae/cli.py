@@ -301,13 +301,18 @@ def train_and_save(cfg, tcfg, train_ds, checkpoint, history_csv):
 
 def evaluate(cfg, noise, net, test_ds, seed, tag) -> evaluation.EvalReport:
     """The evaluate step of ``eval`` and ``reproduce``: run the robustness or
-    cluster protocol that ``cfg`` names, with its ``eval_noise``, on one network."""
+    cluster protocol that ``cfg`` names, with its ``eval_noise``, on one network.
+    Warns on stderr when a K-means run of the cluster protocol hit the cap."""
     if cfg.eval_protocol == "robustness":
         rows = evaluation.robustness_sweep(net, test_ds, noise, derive_rng(seed, "robustness"))
         return evaluation.EvalReport(model=tag, robustness=rows, seeds=[seed])
-    return evaluation.cluster_eval(
+    report = evaluation.cluster_eval(
         net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
         noise=noise, seed=seed, model_tag=tag)
+    if report.kmeans_capped:
+        print(f"warning: {tag}: {report.kmeans_capped} K-means run(s) stopped unconverged "
+              f"after {evaluation.KMEANS_MAX_ITERS} Lloyd iterations", file=sys.stderr)
+    return report
 
 
 # Each command resolves its config, builds the objects that check it, loads

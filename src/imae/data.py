@@ -137,20 +137,34 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8)
 
 
+def _idx_payload(path, values, what) -> np.ndarray:
+    """``values`` as a C-contiguous uint8 array; IdxFormatError naming ``path``
+    unless they are integers in 0..255, which a uint8 cast keeps unchanged."""
+    values = np.asarray(values)
+    if values.dtype != np.uint8:
+        if values.dtype.kind not in "iu":
+            raise IdxFormatError(f"{path}: {what} must be integers in 0..255, got {values.dtype}")
+        if values.size and (values.min() < 0 or values.max() > 255):
+            raise IdxFormatError(f"{path}: {what} outside 0..255: "
+                                 f"min={values.min()}, max={values.max()}")
+    return np.ascontiguousarray(values, dtype=np.uint8)
+
+
 def write_idx_images(path, images_u8) -> None:
-    """Inverse of read_idx_images; images_u8 is (count, rows, cols) uint8."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    """Inverse of read_idx_images; images_u8 is (count, rows, cols) of
+    integers in 0..255."""
+    images_u8 = _idx_payload(path, images_u8, "pixels")
     count, rows, cols = images_u8.shape
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGES_MAGIC, count, rows, cols))
-        f.write(images_u8.tobytes())
+        f.write(images_u8)
 
 
 def write_idx_labels(path, labels) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
+    labels = _idx_payload(path, labels, "labels")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABELS_MAGIC, len(labels)))
-        f.write(labels.tobytes())
+        f.write(labels)
 
 
 def load_idx(images_path, labels_path, name="") -> Dataset:
@@ -184,6 +198,15 @@ def make_synthetic_digits(n, seed=7, side=16) -> Dataset:
     images = protos[labels] * brightness + 0.08 * rng.standard_normal((n, side, side))
     images = np.clip(images, 0.0, 1.0).reshape(n, side * side)
     return Dataset(images, labels, name="synthetic")
+
+
+def synthetic_splits(n_train, n_test, seed=7, side=16) -> tuple:
+    """(train, test): the first ``n_train`` rows and the next ``n_test`` rows
+    of one ``make_synthetic_digits`` draw, so both splits share its ten class
+    prototypes (each seed draws its own)."""
+    ds = make_synthetic_digits(n_train + n_test, seed, side)
+    return tuple(Dataset(ds.images[rows], ds.labels[rows], name=ds.name)
+                 for rows in (slice(None, n_train), slice(n_train, None)))
 
 
 def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:

@@ -26,29 +26,21 @@ class ClusterResult:
     centroids: np.ndarray    # (k, d)
     inertia: float
     n_iter: int = 0
-
-
-def _cluster_sums(codes, assign, counts):
-    """Sum of the codes in each cluster, adding its points in point order.
-
-    Points are grouped by a stable sort, so each cluster's rows stay in
-    point order. A reduction over the rows of a block adds them in row order
-    only when the block has more than one column (a single column is summed
-    pairwise); ``accumulate`` is sequential by definition.
-    """
-    grouped = codes[np.argsort(assign, kind="stable")]
-    ends = np.cumsum(counts)
-    sums = np.zeros((len(counts), codes.shape[1]))
-    for c in np.flatnonzero(counts):
-        block = grouped[ends[c] - counts[c]:ends[c]]
-        sums[c] = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block)[-1]
-    return sums
+    converged: bool = True   # False when KMEANS_MAX_ITERS stopped the Lloyd loop
 
 
 def kmeans(codes, k, rng) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding until the assignment stops
     changing (or KMEANS_MAX_ITERS). Empty clusters are re-seeded to the point
-    currently farthest from its centroid."""
+    currently farthest from its centroid.
+
+    Each iteration recomputes only the stale clusters, those whose member set
+    changed since their centroid was set (at first, all of them): an unchanged
+    set has the same sum, so the same centroid and distance row. A centroid
+    sums its members in point order: a reduction over the rows of a block adds
+    them in row order only when the block has more than one column (a single
+    column is summed pairwise), and ``accumulate`` is sequential by definition.
+    """
     # imported on first use: with scipy.linalg, ~0.15 s and 10 MB that only clustering needs
     from scipy.spatial.distance import cdist
 
@@ -68,25 +60,33 @@ def kmeans(codes, k, rng) -> ClusterResult:
         centroids[j] = codes[idx]
         closest = np.minimum(closest, ((codes - centroids[j]) ** 2).sum(axis=1))
 
-    d2 = cdist(codes, centroids, "sqeuclidean")
-    assign = d2.argmin(axis=1)
+    d2 = cdist(centroids, codes, "sqeuclidean")  # one row per centroid
+    assign = d2.argmin(axis=0)
+    stale = np.ones(k, dtype=bool)
     for n_iter in range(1, KMEANS_MAX_ITERS + 1):
         counts = np.bincount(assign, minlength=k)
-        sums = _cluster_sums(codes, assign, counts)
-        nonempty = counts > 0
-        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if not nonempty.all():
-            point_cost = d2[np.arange(n), assign].copy()
-            for c in np.flatnonzero(~nonempty):
+        members, ends = np.argsort(assign, kind="stable"), np.cumsum(counts)
+        for c in np.flatnonzero(stale & (counts > 0)):
+            block = codes[members[ends[c] - counts[c]:ends[c]]]
+            total = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block)[-1]
+            centroids[c] = total / counts[c]
+        if not counts.all():
+            point_cost = d2[assign, np.arange(n)]
+            for c in np.flatnonzero(counts == 0):
                 far = int(point_cost.argmax())
                 centroids[c] = codes[far]
                 point_cost[far] = -1.0
-        d2 = cdist(codes, centroids, "sqeuclidean")
-        new_assign = d2.argmin(axis=1)
-        if np.array_equal(new_assign, assign):
-            break
+            stale |= counts == 0
+        d2[stale] = cdist(centroids[stale], codes, "sqeuclidean")
+        new_assign = d2.argmin(axis=0)
+        moved = new_assign != assign
+        stale[:] = False
+        stale[assign[moved]] = stale[new_assign[moved]] = True
         assign = new_assign
-    return ClusterResult(assign, centroids, float(d2[np.arange(n), assign].sum()), n_iter)
+        if not moved.any():
+            break
+    return ClusterResult(assign, centroids, float(d2[assign, np.arange(n)].sum()), n_iter,
+                         converged=not moved.any())
 
 
 def rand_index(assignments, labels, k) -> float:
@@ -156,6 +156,7 @@ class EvalReport:
     sigma_prime: float = None
     iterations: int = 0
     seeds: list = field(default_factory=list)
+    kmeans_capped: int = 0  # K-means runs stopped unconverged; not in to_dict
 
     def to_dict(self):
         return {
@@ -207,23 +208,26 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
 
     Each iteration resamples ``n`` test points and reseeds K-means; the noisy
     score corrupts the sampled inputs before encoding and refits K-means on
-    the resulting codes. Reported values are means over iterations. Settings
+    the resulting codes. Reported values are means over iterations;
+    ``kmeans_capped`` counts the fits that KMEANS_MAX_ITERS stopped. Settings
     outside their domain raise ConfigurationError before any work. The test
     set is encoded once: each iteration's clean codes, and sigma-prime, read
     those rows.
     """
     check_cluster_settings(iterations, n, k, len(test))
     codes = encode_rows(net, test.images)
-    clean_scores, noisy_scores = [], []
+    clean_scores, noisy_scores, capped = [], [], 0
     for it in range(iterations):
         rng = derive_rng(seed, "cluster-eval", it)
         rows = sample_subset(test, n, rng)
         labels = test.labels[rows]
         km = kmeans(codes[rows], k, rng)
         clean_scores.append(rand_index(km.assignments, labels, k))
+        capped += not km.converged
         if noise is not None and noise.kind != "none":
-            km_n = kmeans(encode_rows(net, test.images[rows], noise, rng), k, rng)
-            noisy_scores.append(rand_index(km_n.assignments, labels, k))
+            km = kmeans(encode_rows(net, test.images[rows], noise, rng), k, rng)
+            noisy_scores.append(rand_index(km.assignments, labels, k))
+            capped += not km.converged
     return EvalReport(
         model=model_tag,
         rand_clean=float(np.mean(clean_scores)),
@@ -231,6 +235,7 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
         sigma_prime=sigma_prime(net, test.images, codes) if net.sigmoid_code else None,
         iterations=iterations,
         seeds=[seed],
+        kmeans_capped=capped,
     )
 
 

@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from imae import gradcheck
-from imae.data import (CANONICAL_FILES, make_synthetic_digits, write_idx_images,
-                       write_idx_labels)
+from imae.data import CANONICAL_FILES, synthetic_splits, write_idx_images, write_idx_labels
 from imae.ndcore import derive_rng
 from imae.objectives import VARIANTS, LossSpec
 
 
 @pytest.fixture(scope="session")
-def digits_train():
-    return make_synthetic_digits(1500, seed=7)
+def digits_splits():
+    """1500 train and 1200 test images of one draw: both share its classes."""
+    return synthetic_splits(1500, 1200, seed=7)
 
 
 @pytest.fixture(scope="session")
-def digits_test():
-    return make_synthetic_digits(1200, seed=8)
+def digits_train(digits_splits):
+    return digits_splits[0]
+
+
+@pytest.fixture(scope="session")
+def digits_test(digits_splits):
+    return digits_splits[1]
 
 
 @pytest.fixture
@@ -34,11 +39,11 @@ def spec_for():
 @pytest.fixture(scope="session")
 def write_idx_dir():
     """Writes MNIST-shaped synthetic IDX files (28x28, 10 classes) for CLI
-    runs: call it with a directory and (split, image count, seed) triples."""
-    def write(root, splits):
-        for split, n, seed in splits:
-            ds = make_synthetic_digits(n, seed=seed, side=28)
-            images = (ds.images * 255.0).round().astype(np.uint8).reshape(n, 28, 28)
+    runs: call it with a directory, the train and test image counts and a
+    seed. Both splits come from one draw, so they share its classes."""
+    def write(root, n_train, n_test, seed):
+        for split, ds in zip(("train", "test"), synthetic_splits(n_train, n_test, seed, side=28)):
+            images = (ds.images * 255.0).round().astype(np.uint8).reshape(len(ds), 28, 28)
             write_idx_images(root / CANONICAL_FILES[f"{split}_images"], images)
             write_idx_labels(root / CANONICAL_FILES[f"{split}_labels"], ds.labels)
         return root
@@ -47,5 +52,4 @@ def write_idx_dir():
 
 @pytest.fixture(scope="session")
 def idx_dir(tmp_path_factory, write_idx_dir):
-    return write_idx_dir(tmp_path_factory.mktemp("idxdata"),
-                         (("train", 400, 21), ("test", 300, 22)))
+    return write_idx_dir(tmp_path_factory.mktemp("idxdata"), 400, 300, seed=21)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -493,6 +494,23 @@ class TestEvalCommand:
         assert capsys.readouterr().err.startswith(f"error: eval.{setting}: {setting} must be ")
         assert not (out / "cluster.csv").exists()
 
+    def test_kmeans_cap_warns_once(self, idx_dir, tmp_path, capsys, monkeypatch):
+        # the IMAE checkpoint's codes all sit near 0, where one Lloyd
+        # iteration settles K-means; an AE trained at a stable rate needs more
+        trained = tmp_path / "ae"
+        assert cli.main(["train", "--data-dir", str(idx_dir), "--seed", "5", "--out", str(trained),
+                         "--set", "model.variant=AE"]
+                        + fast_overrides(["train.epochs=1", "train.learning_rate=0.01"])) == 0
+        argv = ["eval", "--checkpoint", str(trained / "model.ckpt"), "--protocol", "cluster",
+                "--data-dir", str(idx_dir), "--seed", "3", "--iterations", "2", "--n", "100"]
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(tmp_path / "free")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setattr(evaluation, "KMEANS_MAX_ITERS", 1)
+        assert cli.main(argv + ["--out", str(tmp_path / "capped")]) == 0
+        assert re.fullmatch(r"warning: AE: [1-4] K-means run\(s\) stopped unconverged after 1 "
+                            r"Lloyd iterations\n", capsys.readouterr().err)
+
     def test_codes_columns(self, checkpoint, idx_dir, tmp_path):
         out = tmp_path / "codes"
         code = cli.main(["eval", "--checkpoint", str(checkpoint), "--protocol",
@@ -618,6 +636,15 @@ class TestReproduceCommand:
         assert rows[2][1:] == ["53.5", "17.9", "53.8", "51.3", "54.4"]
         assert (out1 / "table2.csv").read_bytes() == (out2 / "table2.csv").read_bytes()
 
+    def test_kmeans_cap_warns_once_per_model(self, idx_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluation, "KMEANS_MAX_ITERS", 1)
+        assert cli.main(["reproduce", "--table", "table3", "--nh", "10", "--data-dir",
+                         str(idx_dir), "--seed", "13", "--out", str(tmp_path / "t3")]
+                        + fast_overrides(["train.epochs=1", "eval.iterations=1"])) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {tag}: 2 K-means run(s) stopped unconverged after 1 Lloyd iterations\n"
+            for tag in ("VAE", "IMAE"))
+
     def test_cluster_setting_checked_before_training(self, idx_dir, tmp_path, capsys):
         out = tmp_path / "t2"
         code = cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
@@ -679,7 +706,7 @@ class TestReproduceCommand:
         # 500 test images is fewer than eval.n (1000), which only the cluster
         # protocol samples; table1 needs the robustness sweep alone
         (tmp_path / "data").mkdir()
-        root = write_idx_dir(tmp_path / "data", (("train", 200, 31), ("test", 500, 32)))
+        root = write_idx_dir(tmp_path / "data", 200, 500, seed=31)
         out = tmp_path / "t1"
         code = cli.main(["reproduce", "--table", "table1", "--data-dir", str(root),
                          "--seed", "13", "--out", str(out), "--set", "train.epochs=1",

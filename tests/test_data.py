@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from imae.data import (Dataset, NoiseSpec, batch_indices, batches, check_batch_size, corrupt,
-                       load_idx, pixel_rows, read_idx_images, read_idx_labels,
-                       sample_subset, write_idx_images, write_idx_labels)
+                       load_idx, make_synthetic_digits, pixel_rows, read_idx_images,
+                       read_idx_labels, sample_subset, synthetic_splits, write_idx_images,
+                       write_idx_labels)
 from imae.errors import ConfigurationError, IdxFormatError
 from imae.ndcore import derive_rng
 
@@ -58,6 +59,35 @@ class TestIdxIo:
         out = tmp_path / "roundtrip.idx"
         write_idx_images(out, back)
         assert out.read_bytes() == ip.read_bytes()
+
+    def test_integer_input_writes_the_uint8_bytes(self, idx_pair, tmp_path):
+        ip, lp, images, labels = idx_pair
+        wide_ip, wide_lp = tmp_path / "wide-images.idx", tmp_path / "wide-labels.idx"
+        write_idx_images(wide_ip, images.astype(np.int64))
+        write_idx_labels(wide_lp, labels.astype(np.int64))
+        assert wide_ip.read_bytes() == ip.read_bytes()
+        assert wide_lp.read_bytes() == lp.read_bytes()
+
+    @pytest.mark.parametrize("values, message", [
+        (np.full((2, 3, 3), 0.5), "pixels must be integers in 0..255, got float64"),
+        (np.full((2, 3, 3), 256), "pixels outside 0..255: min=256, max=256"),
+        (np.full((2, 3, 3), -1), "pixels outside 0..255: min=-1, max=-1"),
+    ])
+    def test_images_a_uint8_cast_would_change_are_rejected(self, tmp_path, values, message):
+        # float pixels in [0,1] would become zeros and ones, and 256 would wrap to 0
+        path = tmp_path / "images.idx"
+        with pytest.raises(IdxFormatError) as info:
+            write_idx_images(path, values)
+        assert str(info.value) == f"{path}: {message}"
+        assert isinstance(info.value, ValueError)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [np.array([1.0, 2.0]), np.array([3, 256])])
+    def test_labels_a_uint8_cast_would_change_are_rejected(self, tmp_path, labels):
+        path = tmp_path / "labels.idx"
+        with pytest.raises(IdxFormatError, match=f"^{path}: labels "):
+            write_idx_labels(path, labels)
+        assert not path.exists()
 
     def test_bad_magic_rejected_naming_value(self, idx_pair, tmp_path):
         ip, lp, _, _ = idx_pair
@@ -230,3 +260,24 @@ class TestSampleSubset:
     def test_oversample_rejected(self, digits_test):
         with pytest.raises(ValueError):
             sample_subset(digits_test, len(digits_test) + 1, derive_rng(1))
+
+
+class TestSyntheticSplits:
+    def test_rows_of_one_draw(self):
+        whole = make_synthetic_digits(50, seed=3, side=8)
+        train, test = synthetic_splits(30, 20, seed=3, side=8)
+        assert np.array_equal(np.vstack([train.images, test.images]), whole.images)
+        assert np.array_equal(np.concatenate([train.labels, test.labels]), whole.labels)
+
+    def test_splits_share_class_prototypes(self):
+        # two seeds draw two sets of classes; one draw's splits share its set
+        train, test = synthetic_splits(600, 600, seed=7)
+        other = make_synthetic_digits(600, seed=8)
+
+        def class_means(ds):
+            return np.array([ds.images[ds.labels == c].mean(axis=0) for c in range(10)])
+
+        same = [np.corrcoef(a, b)[0, 1] for a, b in zip(class_means(train), class_means(test))]
+        apart = [np.corrcoef(a, b)[0, 1] for a, b in zip(class_means(train), class_means(other))]
+        assert min(same) > 0.95
+        assert max(apart) < 0.95

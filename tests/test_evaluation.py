@@ -12,7 +12,7 @@ from imae.errors import ConfigurationError
 from imae.evaluation import (check_cluster_settings, cluster_eval, encode_rows, export_codes,
                              kmeans, rand_index, robustness_sweep, sigma_prime)
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
-from imae.objectives import reconstruction_l2
+from imae.objectives import reconstruction_l2, sigmoid
 
 
 def brute_force_rand(assignments, labels, k):
@@ -40,9 +40,10 @@ def greedy_row_max(assignments, labels, k):
 
 
 def kmeans_add_at(codes, k, rng, max_iters=300):
-    """The Lloyd loop with scatter-add centroid sums (np.add.at), kept as the
-    reference the sort-based sums must reproduce bit for bit. Also reports
-    whether an empty cluster was re-seeded."""
+    """The Lloyd loop with scatter-add centroid sums (np.add.at) and every
+    centroid and distance recomputed on each iteration, kept as the reference
+    that kmeans must reproduce bit for bit. Also reports the iterations that
+    re-seeded an empty cluster, and whether the loop converged."""
     n = len(codes)
     centroids = np.empty((k, codes.shape[1]))
     centroids[0] = codes[int(rng.integers(n))]
@@ -54,7 +55,7 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
         closest = np.minimum(closest, ((codes - centroids[j]) ** 2).sum(axis=1))
     d2 = cdist(codes, centroids, "sqeuclidean")
     assign = d2.argmin(axis=1)
-    history, n_iter, saw_empty = [], 0, False
+    history, n_iter, reseeded = [], 0, []
     for _ in range(max_iters):
         n_iter += 1
         counts = np.bincount(assign, minlength=k)
@@ -63,7 +64,7 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
-            saw_empty = True
+            reseeded.append(n_iter)
             point_cost = d2[np.arange(n), assign].copy()
             for c in np.flatnonzero(~nonempty):
                 far = int(point_cost.argmax())
@@ -73,19 +74,23 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assign):
-            break
+            return assign, centroids, n_iter, history, reseeded, True
         assign = new_assign
-    return assign, centroids, n_iter, history, saw_empty
+    return assign, centroids, n_iter, history, reseeded, False
 
 
 def assert_same_as_add_at(codes, k, seed):
-    assign, centroids, n_iter, history, saw_empty = kmeans_add_at(codes, k, derive_rng(seed))
+    """Assert kmeans equals the reference; return the reference's re-seeding
+    iterations and its iteration count."""
+    assign, centroids, n_iter, history, reseeded, converged = kmeans_add_at(
+        codes, k, derive_rng(seed))
     result = kmeans(codes, k, derive_rng(seed))
     assert np.array_equal(result.assignments, assign)
     assert np.array_equal(result.centroids, centroids)
     assert result.n_iter == n_iter
     assert result.inertia == history[-1]
-    return saw_empty
+    assert result.converged == converged
+    return reseeded, n_iter
 
 
 def identity_net(d):
@@ -117,7 +122,7 @@ class TestKmeans:
         # kmeans reproduces that loop (assert_same_as_add_at), so its final
         # inertia ends a history that never increases
         codes = rng.standard_normal((200, 5))
-        _, _, n_iter, hist, _ = kmeans_add_at(codes, 7, derive_rng(5))
+        _, _, n_iter, hist, _, _ = kmeans_add_at(codes, 7, derive_rng(5))
         assert n_iter > 2
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
         assert_same_as_add_at(codes, 7, seed=5)
@@ -154,7 +159,50 @@ class TestKmeans:
         # mass, duplicates a centroid and leaves a cluster empty
         base = derive_rng(15).random((3, 200))
         codes = base[np.arange(60) % 3]
-        assert assert_same_as_add_at(codes, 5, seed=16)
+        reseeded, _ = assert_same_as_add_at(codes, 5, seed=16)
+        assert reseeded
+
+    def test_matches_add_at_reference_with_a_later_reseed(self):
+        # three blobs in the plane, one of them tight, and nine clusters:
+        # seeding puts two centroids in the tight blob, and after the first
+        # Lloyd iteration one of them loses every member and is re-seeded
+        centers = np.array([[1.0, 4.0], [-10.0, -9.5], [-4.4, -4.0]])
+        scales = np.array([1.4, 2.1, 0.07])
+        label = np.repeat(np.arange(3), [30, 22, 39])
+        noise = derive_rng(2001, "blobs").standard_normal((91, 2))
+        codes = centers[label] + scales[label, None] * noise
+        reseeded, n_iter = assert_same_as_add_at(codes, 9, seed=2001)
+        assert reseeded and reseeded[0] > 1
+        assert n_iter < evaluation.KMEANS_MAX_ITERS
+
+    def test_matches_add_at_reference_on_saturated_codes(self):
+        # sigmoid codes at the eval shape with most entries near 0 or 1, as
+        # the preset shallow200 AE gives: clusters keep changing members for
+        # many iterations
+        rng = derive_rng(17)
+        z = 10 * rng.standard_normal((10, 200))[rng.integers(10, size=1000)]
+        codes = sigmoid(z + 80 * rng.standard_normal((1000, 200)))
+        assert ((codes < 0.01) | (codes > 0.99)).mean() > 0.9
+        _, n_iter = assert_same_as_add_at(codes, 10, seed=18)
+        assert n_iter > 10
+
+    def test_recomputes_only_stale_distance_rows(self, rng, monkeypatch):
+        # seeding and the first iteration measure every centroid; later
+        # iterations only those of clusters whose members changed
+        import scipy.spatial.distance
+
+        rows = []
+
+        def counted(a, b, metric):
+            rows.append(len(a))
+            return cdist(a, b, metric)
+
+        codes = rng.standard_normal((600, 8))
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", counted)
+        result = kmeans(codes, 10, derive_rng(19))
+        assert len(rows) == result.n_iter + 1 > 2
+        assert rows[0] == 10
+        assert sum(rows[1:]) < 10 * (len(rows) - 1)
 
     def test_bad_k(self, rng):
         codes = rng.standard_normal((5, 2))
@@ -347,6 +395,23 @@ class TestClusterEval:
         assert report.rand_clean == np.mean(clean)
         assert report.rand_noisy == np.mean(noisy)
         assert report.sigma_prime == sigma_prime(net, digits_test.images)
+
+    def test_counts_kmeans_runs_stopped_by_the_cap(self, digits_test, monkeypatch):
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(5))
+        kwargs = dict(iterations=2, n=200, k=10, noise=NoiseSpec("gaussian", 0.2), seed=3)
+        report = cluster_eval(net, digits_test, **kwargs)
+        assert report.kmeans_capped == 0
+        # the first clean subset's codes need more than one Lloyd iteration
+        rng = derive_rng(3, "cluster-eval", 0)
+        rows = rng.choice(len(digits_test), size=200, replace=False)
+        assert kmeans(encode_rows(net, digits_test.images[rows]), 10, rng).n_iter > 1
+
+        monkeypatch.setattr(evaluation, "KMEANS_MAX_ITERS", 1)
+        capped = cluster_eval(net, digits_test, **kwargs)
+        assert capped.kmeans_capped == 4  # a clean and a noisy fit per iteration
+        # the count stays out of report.json and the CSVs
+        assert capped.to_dict().keys() == report.to_dict().keys()
+        assert "kmeans_capped" not in capped.to_dict()
 
     def test_vae_report_has_no_sigma_prime(self, digits_test):
         net = nn.init_params(nn.shallow_arch(8, digits_test.images.shape[1]),
