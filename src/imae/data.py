@@ -209,16 +209,44 @@ def synthetic_splits(n_train, n_test, seed=7, side=16) -> tuple:
                  for rows in (slice(None, n_train), slice(n_train, None)))
 
 
+def draw_noise(specs, shape, rng) -> tuple:
+    """(u, z): the draws that every corruption spec in ``specs`` reads on a
+    block of ``shape``, each None when no spec reads it. u, uniform in [0,1)
+    (``bernoulli_mask`` without a keep probability), is drawn first, when a
+    spec masks; then z, standard normal (``gaussian``), when a spec adds
+    Gaussian noise."""
+    kinds = {spec.kind for spec in specs}
+    u = bernoulli_mask(rng, *shape) if "mask" in kinds else None
+    z = gaussian(rng, *shape) if "gaussian" in kinds else None
+    return u, z
+
+
+def apply_noise(x, spec: NoiseSpec, draws, out) -> np.ndarray:
+    """Rows ``x`` corrupted at the level of ``spec`` from ``draw_noise``'s
+    draws (u, z), written into ``out``, which may be the draw itself. Mask p
+    is ``x * (u < 1 - p)``, so on one u a higher p zeroes a superset of the
+    pixels of a lower one; Gaussian s is ``z * s + x``. ``none`` and mask 0
+    change no pixel, and return ``x`` itself."""
+    u, z = draws
+    if spec.kind == "none" or spec.kind == "mask" and spec.level == 0.0:
+        return x
+    if spec.kind == "mask":
+        return np.multiply(x, np.less(u, 1.0 - spec.level, out=out), out=out)
+    return np.add(x, np.multiply(z, spec.level, out=out), out=out)
+
+
 def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:
-    """Apply a corruption model; always returns a new array, never clips."""
+    """Apply a corruption model; always returns a new array, never clips.
+
+    The one-level case of the robustness sweep's shared draws: ``draw_noise``
+    for this one spec, then ``apply_noise`` written over its own draw. So mask
+    p is ``batch * (rng.random(shape) < 1 - p)`` and Gaussian s is
+    ``rng.standard_normal(shape) * s + batch``; mask 0 still draws its u."""
     batch = as_matrix(batch)
-    if noise is None or noise.kind == "none":
-        return batch.copy()
-    if noise.kind == "mask":
-        out = bernoulli_mask(rng, batch.shape[0], batch.shape[1], 1.0 - noise.level)
-        return np.multiply(batch, out, out=out)
-    out = gaussian(rng, batch.shape[0], batch.shape[1], 0.0, noise.level)
-    return np.add(batch, out, out=out)
+    noise = noise or NoiseSpec("none")
+    u, z = draws = draw_noise([noise], batch.shape, rng)
+    out = apply_noise(batch, noise, draws, u if z is None else z)
+    return batch.copy() if out is batch else out
 
 
 def check_batch_size(batch_size, n):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn, objectives
-from .data import Dataset, NoiseSpec, corrupt, pixel_rows, sample_subset
+from .data import (Dataset, NoiseSpec, apply_noise, corrupt, draw_noise, pixel_rows,
+                   sample_subset)
 from .errors import ConfigurationError, check_range
 from .ndcore import as_matrix, derive_rng, row_blocks
 
@@ -173,24 +174,34 @@ class EvalReport:
 
 def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     """Mean per-image reconstruction L2 against clean originals, one row per
-    corruption spec (inputs corrupted once per spec from ``rng``).
+    corruption spec, in the order of ``specs``.
 
-    Each row block of the test set is read, corrupted and run forward on its
-    own, and only its per-image distances are kept, so memory holds one
-    block's working set plus one distance per image. The corruption draws of
-    the blocks, in row order, are those of one full-size draw. Gaussian-latent
-    networks draw their latent samples from the same ``rng``, after each
-    block's corruption.
+    The test set is read one row block at a time, in row order. Before any
+    spec runs on a block, the block draws from ``rng`` one uniform block if a
+    spec masks, then one standard-normal block if a spec adds Gaussian noise
+    (``data.draw_noise``). Every level of a kind reads its kind's one draw
+    (common random numbers): masks nest from level to level, and the
+    differences between rows carry less Monte-Carlo noise than independent
+    draws would give. ``none`` and mask 0 run on the clean block itself.
+    The specs then run in order, each corrupting into one input buffer that
+    the sweep owns, and only per-image distances are kept, so memory holds
+    one block's rows, its two draws, the buffer and one forward pass, plus
+    one distance per image and spec. Gaussian-latent networks draw their
+    latent samples from the same ``rng``, per spec, after the block's shared
+    draws.
     """
-    dist = np.empty(len(test))
-    rows = []
-    for spec in specs:
-        for block in row_blocks(len(test)):
-            x = pixel_rows(test.images, block)
-            xhat = nn.forward(net, corrupt(x, spec, rng), rng=rng).xhat
-            dist[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
-        rows.append(RobustnessRow(spec, float(dist.mean())))
-    return rows
+    specs = list(specs)
+    dist = np.empty((len(specs), len(test)))
+    blocks = row_blocks(len(test))
+    buf = np.empty((max(b.stop - b.start for b in blocks), test.images.shape[1]))
+    for block in blocks:
+        x = pixel_rows(test.images, block)
+        draws = draw_noise(specs, x.shape, rng)
+        for spec, row in zip(specs, dist):
+            xin = apply_noise(x, spec, draws, buf[:len(x)])
+            xhat = nn.forward(net, xin, rng=rng).xhat
+            row[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
+    return [RobustnessRow(spec, float(row.mean())) for spec, row in zip(specs, dist)]
 
 
 def check_cluster_settings(iterations, n, k, n_test) -> None:

@@ -57,14 +57,19 @@ def gaussian(rng, rows, cols, mean=0.0, std=1.0) -> np.ndarray:
     shifted in place, byte for byte what ``rng.normal`` draws."""
     check_range("std", std, 0, rule="gaussian: std must be >= 0")
     out = rng.standard_normal((int(rows), int(cols)))
-    out *= std
+    if std != 1.0:  # a product with 1.0 changes no bit
+        out *= std
     out += mean
     return out
 
 
-def bernoulli_mask(rng, rows, cols, keep_prob) -> np.ndarray:
-    """0/1 matrix where each entry is 1 with probability keep_prob."""
-    check_range("keep_prob", keep_prob, 0.0, 1.0,
-                rule="bernoulli_mask: keep_prob must be in [0,1]")
+def bernoulli_mask(rng, rows, cols, keep_prob=None) -> np.ndarray:
+    """0/1 matrix where each entry is 1 with probability keep_prob: the
+    uniform draws u in [0,1) of ``rng.random`` thresholded as u < keep_prob.
+    Without keep_prob, u itself, so that one draw gives the mask of any keep
+    probability q as u < q, and those masks nest."""
+    if keep_prob is not None:
+        check_range("keep_prob", keep_prob, 0.0, 1.0,
+                    rule="bernoulli_mask: keep_prob must be in [0,1]")
     u = rng.random(size=(int(rows), int(cols)))
-    return np.less(u, keep_prob, out=u)
+    return u if keep_prob is None else np.less(u, keep_prob, out=u)

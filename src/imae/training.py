@@ -251,7 +251,7 @@ def save_checkpoint(net: nn.Network, cfg: TrainConfig, path) -> None:
                 f.write(name_bytes)
                 f.write(struct.pack("<I", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                f.write(np.ascontiguousarray(arr, dtype="<f8"))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

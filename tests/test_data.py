@@ -9,6 +9,7 @@ from imae.data import (Dataset, NoiseSpec, batch_indices, batches, check_batch_s
                        write_idx_labels)
 from imae.errors import ConfigurationError, IdxFormatError
 from imae.ndcore import derive_rng
+from imae.reference import GAUSSIAN_GRID, MASK_GRID
 
 
 def minimal_idx_reader(images_path, labels_path):
@@ -184,6 +185,23 @@ class TestCorrupt:
         out = corrupt(x, NoiseSpec("gaussian", 0.2), derive_rng(6))
         assert np.array_equal(out, x + derive_rng(6).normal(loc=0.0, scale=0.2, size=x.shape))
         assert np.array_equal(x, snapshot)
+
+    @pytest.mark.parametrize("spec", [NoiseSpec("mask", p) for p in MASK_GRID]
+                             + [NoiseSpec("gaussian", s) for s in GAUSSIAN_GRID],
+                             ids=NoiseSpec.describe)
+    def test_bytes_equal_the_level_formula(self, spec):
+        # training corruption: a change here moves every denoising checkpoint
+        raw = derive_rng(8).integers(0, 256, size=(500, 784)).astype(np.uint8)
+        raw[raw < 96] = 0
+        x = pixel_rows(raw)
+        rng, expected_rng = derive_rng(9), derive_rng(9)
+        out = corrupt(x, spec, rng)
+        if spec.kind == "mask":
+            expected = x * (expected_rng.random(x.shape) < 1.0 - spec.level)
+        else:
+            expected = expected_rng.standard_normal(x.shape) * spec.level + x
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_gaussian_leaves_unit_interval(self, digits_test):
         out = corrupt(digits_test.images, NoiseSpec("gaussian", 0.3), derive_rng(4))

@@ -1,3 +1,4 @@
+import collections
 import csv
 import itertools
 
@@ -6,13 +7,14 @@ import pytest
 
 from scipy.spatial.distance import cdist
 
-from imae import evaluation, nn
+from imae import data, evaluation, nn
 from imae.data import Dataset, NoiseSpec, corrupt, pixel_rows
 from imae.errors import ConfigurationError
 from imae.evaluation import (check_cluster_settings, cluster_eval, encode_rows, export_codes,
                              kmeans, rand_index, robustness_sweep, sigma_prime)
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
 from imae.objectives import reconstruction_l2, sigmoid
+from imae.reference import GAUSSIAN_GRID, MASK_GRID
 
 
 def brute_force_rand(assignments, labels, k):
@@ -306,28 +308,57 @@ class TestRobustnessSweep:
 
 
 def one_shot_sweep(net, test, specs, rng):
-    """The sweep with the plain formula, as one full-batch pass per spec.
+    """The sweep with the plain formulas: one uniform draw u shared by every
+    mask level and one standard-normal draw z shared by every Gaussian level;
+    mask p is x * (u < 1 - p) and Gaussian s is z * s + x.
 
-    Gaussian-latent networks draw their latent samples from the corruption
-    generator, so the sweep's order of draws shows: each row block's
-    corruption, then that block's latent samples. For them the reference
-    keeps that order, with one pass per block.
+    The draws follow the sweep's rule, row block by row block: the block's u
+    if a spec masks, then its z if a spec adds Gaussian noise. For a
+    deterministic network they are joined into whole-set draws and each spec
+    runs as one full-batch pass. Gaussian-latent networks draw their latent
+    samples from the same generator, per spec, after the block's draws, so
+    for them the reference keeps that order, one block at a time.
     """
     vae = net.vae_heads is not None
+    kinds = {spec.kind for spec in specs}
+    x = pixel_rows(test.images)
+
+    def draw(part):
+        shape = x[part].shape
+        return (rng.random(shape) if "mask" in kinds else None,
+                rng.standard_normal(shape) if "gaussian" in kinds else None)
+
+    def corrupted(xs, spec, u, z):
+        if spec.kind == "mask":
+            return xs * (u < 1.0 - spec.level)
+        return z * spec.level + xs if spec.kind == "gaussian" else xs
+
+    diffs = [[] for _ in specs]
+    if vae:
+        for part in row_blocks(len(test)):
+            u, z = draw(part)
+            for spec, d in zip(specs, diffs):
+                xhat = nn.forward(net, corrupted(x[part], spec, u, z), rng=rng).xhat
+                d.append(x[part] - xhat)
+    else:
+        drawn = [draw(part) for part in row_blocks(len(test))]
+        u, z = (None if col[0] is None else np.concatenate(col) for col in zip(*drawn))
+        for spec, d in zip(specs, diffs):
+            d.append(x - nn.forward(net, corrupted(x, spec, u, z)).xhat)
     values = []
-    for spec in specs:
-        diffs = []
-        for part in row_blocks(len(test)) if vae else [slice(None)]:
-            corrupted = corrupt(test.images[part], spec, rng)
-            xhat = nn.forward(net, corrupted, rng=rng if vae else None).xhat
-            diffs.append(test.images[part] - xhat)
-        diff = np.concatenate(diffs)
+    for d in diffs:
+        diff = np.concatenate(d)
         values.append(float(np.einsum("ij,ij->i", diff, diff).mean()))
     return values
 
 
+TABLE1_GRID = ([NoiseSpec("none")] + [NoiseSpec("mask", p) for p in MASK_GRID]
+               + [NoiseSpec("gaussian", s) for s in GAUSSIAN_GRID])
+
+
 class TestChunkedSweep:
-    SPECS = [NoiseSpec("none"), NoiseSpec("mask", 0.3), NoiseSpec("gaussian", 0.2)]
+    SPECS = [NoiseSpec("none"), NoiseSpec("mask", 0.0), NoiseSpec("mask", 0.3),
+             NoiseSpec("gaussian", 0.2), NoiseSpec("mask", 0.75), NoiseSpec("gaussian", 0.45)]
 
     @pytest.fixture(scope="class")
     def odd_test_set(self):
@@ -344,6 +375,76 @@ class TestChunkedSweep:
         expected = one_shot_sweep(net, odd_test_set, self.SPECS, rng_one_shot)
         assert [r.mean_l2 for r in rows] == expected
         assert rng_chunked.bit_generator.state == rng_one_shot.bit_generator.state
+
+
+class TestSharedDraws:
+    @staticmethod
+    def forward_inputs(monkeypatch):
+        """Copies of every input the sweep runs forward (its buffer is reused)."""
+        seen, real = [], nn.forward
+
+        def recording(net, batch, rng=None, eps=None):
+            seen.append(np.array(batch))
+            return real(net, batch, rng=rng, eps=eps)
+
+        monkeypatch.setattr(nn, "forward", recording)
+        return seen
+
+    def test_masks_nest_across_levels(self, monkeypatch):
+        x = derive_rng(30).random((600, 784)) + 0.01  # one block, no zero pixel
+        test = Dataset(x / x.max(), np.zeros(600, dtype=int))
+        net = nn.init_params(nn.shallow_arch(12, 784), derive_rng(31))
+        specs = [NoiseSpec("mask", p) for p in MASK_GRID]
+        seen = self.forward_inputs(monkeypatch)
+        robustness_sweep(net, test, specs, derive_rng(32))
+        u = derive_rng(32).random(x.shape)
+        zeroed = [inputs == 0.0 for inputs in seen]
+        for spec, inputs in zip(specs, seen):
+            assert np.array_equal(inputs, test.images * (u < 1.0 - spec.level))
+        assert not zeroed[0].any()
+        for lower, higher in zip(zeroed, zeroed[1:]):
+            assert not (lower & ~higher).any() and higher.sum() > lower.sum()
+
+    def test_clean_rows_equal_clean_error(self, digits_test):
+        # perfbench's check_robustness compares the mask-0 row with the clean error
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
+        rows = robustness_sweep(net, digits_test, TABLE1_GRID, derive_rng(4))
+        trace = nn.forward(net, digits_test.images)
+        clean = reconstruction_l2(trace.xhat - digits_test.images).mean()
+        assert (rows[0].noise.kind, rows[1].noise.level) == ("none", 0.0)
+        assert rows[0].mean_l2 == rows[1].mean_l2 == clean
+
+    @pytest.mark.parametrize("kind, levels, draw", [
+        ("mask", MASK_GRID, lambda rng, shape: rng.random(shape)),
+        ("gaussian", GAUSSIAN_GRID, lambda rng, shape: rng.standard_normal(shape)),
+    ], ids=["mask", "gaussian"])
+    def test_one_kind_draws_only_its_own_block(self, digits_test, kind, levels, draw):
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
+        rng, expected = derive_rng(5), derive_rng(5)
+        robustness_sweep(net, digits_test, [NoiseSpec(kind, v) for v in levels], rng)
+        for block in row_blocks(len(digits_test)):
+            draw(expected, (block.stop - block.start, digits_test.images.shape[1]))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_draws_and_corrupt_go_through_the_traced_names(self, digits_test, monkeypatch):
+        # perfbench's tracer wraps these module attributes; a draw made under
+        # another name would leave its span unfired
+        calls = collections.Counter()
+        for module, name in ((data, "gaussian"), (data, "bernoulli_mask"),
+                             (evaluation, "corrupt")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
+        robustness_sweep(net, digits_test, TABLE1_GRID, derive_rng(4))
+        n_blocks = len(row_blocks(len(digits_test)))
+        assert n_blocks > 1
+        assert calls == {"gaussian": n_blocks, "bernoulli_mask": n_blocks}
+        calls.clear()
+        cluster_eval(net, digits_test, iterations=2, n=200, k=10,
+                     noise=NoiseSpec("gaussian", 0.2), seed=3)
+        assert calls == {"corrupt": 2, "gaussian": 2}
 
 
 class TestClusterEval:

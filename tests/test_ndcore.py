@@ -58,6 +58,12 @@ class TestBernoulliMask:
         with pytest.raises(ValueError):
             bernoulli_mask(derive_rng(1), 2, 2, 1.5)
 
+    def test_without_keep_prob_is_the_uniform_draw(self):
+        rng, expected_rng = derive_rng(7), derive_rng(7)
+        u = bernoulli_mask(rng, 300, 784)
+        assert u.tobytes() == expected_rng.random(size=(300, 784)).tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
 
 class TestRowBlocks:
     @pytest.mark.parametrize("n", [0, 1, 7, ROW_BLOCK, ROW_BLOCK + 1, 2345, 10 * ROW_BLOCK])
@@ -74,12 +80,13 @@ class TestRowBlocks:
 
 
 class TestBlockwiseDraws:
-    # the streamed robustness sweep and cluster protocol corrupt one row block
-    # at a time; their draws must be those of one full-size draw
+    # the cluster protocol corrupts one row block at a time; its draws must be
+    # those of one full-size draw
     @pytest.mark.parametrize("draw", [
         lambda rng, rows: gaussian(rng, rows, 784, 0.0, 0.3),
         lambda rng, rows: bernoulli_mask(rng, rows, 784, 0.7),
-    ], ids=["gaussian", "bernoulli_mask"])
+        lambda rng, rows: bernoulli_mask(rng, rows, 784),
+    ], ids=["gaussian", "bernoulli_mask", "uniform"])
     def test_blocks_equal_one_full_draw(self, draw):
         n = 2 * ROW_BLOCK + 345
         blocked_rng, full_rng = derive_rng(31), derive_rng(31)
