@@ -7,7 +7,7 @@ clusterization of the hidden codes.
 """
 
 # cli is left to be imported on use, so `python -m imae.cli` runs it once
-from . import (data, evaluation, gradcheck, ndcore, nn, objectives, reference,
+from . import (config, data, evaluation, gradcheck, ndcore, nn, objectives, reference,
                training)
 from .data import Dataset, NoiseSpec
 from .nn import Arch, Network, deep_arch, shallow_arch
@@ -18,6 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arch", "Dataset", "LossSpec", "Network", "NoiseSpec", "TrainConfig",
-    "cli", "data", "deep_arch", "evaluation", "gradcheck", "ndcore", "nn",
+    "cli", "config", "data", "deep_arch", "evaluation", "gradcheck", "ndcore", "nn",
     "objectives", "reference", "shallow_arch", "train", "training",
 ]

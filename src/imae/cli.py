@@ -16,146 +16,22 @@ import csv
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import make_dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import evaluation, gradcheck, nn, objectives, reference, training
-from .data import CANONICAL_FILES, NOISE_KINDS, Dataset, NoiseSpec, check_batch_size, load_idx
-from .errors import ConfigurationError, TrainingDiverged, check_range
+from . import evaluation, gradcheck, objectives, reference, training
+from .config import (CONFIG_KEYS, KEYS, PRESETS, ExperimentConfig, read_config_file,
+                     resolve_config, snapshot_text)
+from .data import CANONICAL_FILES, Dataset, NoiseSpec, check_batch_size, load_idx
+from .errors import ConfigurationError, TrainingDiverged, UsageError, check_range
 from .ndcore import derive_rng, derive_seed
-from .training import BOOL, FLOAT, INT, TEXT
 
 ENV_DATA_DIR = "IMAE_DATA_DIR"
-PRESETS = ("shallow200", "shallow1000", "deep")
-SCALES = ("desk", "paper")
-PROTOCOLS = ("robustness", "cluster", "codes")
-DATASETS = ("mnist", "fashion")
-
-
-class UsageError(Exception):
-    pass
 
 
 # --- experiment config -------------------------------------------------
-
-def choice(allowed, parse=str):
-    """The (parse, format) codec of a key whose value is one of ``allowed``."""
-    def parse_choice(text):
-        if (value := parse(text)) not in allowed:
-            raise ValueError(f"must be one of {allowed}, got {value!r}")
-        return value
-    return parse_choice, str
-
-
-GRID = (lambda text: tuple(FLOAT[0](v) for v in text.split(",") if v.strip() != ""),
-        lambda grid: ",".join(f"{v:g}" for v in grid))
-VARIANT = choice(tuple(objectives.VARIANTS), str.upper)
-
-# section -> key -> (ExperimentConfig field, (parse, format), default). Every
-# config text is parsed, and its choices checked, by this one table: INI files,
-# --set, the flags (each an alias of one key) and the resolved snapshot. None
-# defaults depend on other keys and are filled by _derived_defaults.
-_SCHEMA = {
-    "experiment": {
-        "seed": ("seed", INT, 12345),
-        "out": ("out", TEXT, "runs/experiment"),
-        "scale": ("scale", choice(SCALES), "desk"),
-    },
-    "data": {
-        "dir": ("data_dir", TEXT, "./data"),
-        "dataset": ("dataset", choice(DATASETS), "mnist"),
-        **{key: (key, TEXT, name) for key, name in CANONICAL_FILES.items()},
-    },
-    "model": {
-        "variant": ("variant", VARIANT, "IMAE"),
-        "preset": ("preset", choice(PRESETS), "shallow200"),
-        "nh": ("nh", INT, 10),
-        "lambda": ("lam", FLOAT, None),
-        "noise_kind": ("noise_kind", choice(NOISE_KINDS), "mask"),
-        "noise_level": ("noise_level", FLOAT, 0.3),
-        "tied": ("tied", BOOL, None),
-        "biases": ("biases", BOOL, True),
-    },
-    "train": {
-        "learning_rate": ("learning_rate", FLOAT, None),
-        "epochs": ("epochs", INT, None),
-        "batch_size": ("batch_size", INT, 500),
-        "shuffle": ("shuffle", BOOL, False),
-        "train_limit": ("train_limit", INT, None),
-    },
-    "eval": {
-        "protocol": ("eval_protocol", choice(PROTOCOLS), "robustness"),
-        "iterations": ("eval_iterations", INT, 50),
-        "n": ("eval_n", INT, 1000),
-        "k": ("eval_k", INT, 10),
-        "noise_kind": ("eval_noise_kind", choice(NOISE_KINDS), "gaussian"),
-        "noise_level": ("eval_noise_level", FLOAT, None),
-        "mask_grid": ("mask_grid", GRID, reference.MASK_GRID),
-        "gaussian_grid": ("gaussian_grid", GRID, reference.GAUSSIAN_GRID),
-    },
-}
-_KEYS = {f"{section}.{key}": entry
-         for section, keys in _SCHEMA.items() for key, entry in keys.items()}
-
-ExperimentConfig = make_dataclass(
-    "ExperimentConfig", [field for field, _, _ in _KEYS.values()],
-    namespace={"__module__": __name__,
-               "__doc__": "A fully resolved configuration: one field per _SCHEMA key."})
-
-
-def _derived_defaults(values) -> dict:
-    """Defaults that depend on the preset, scale, variant or dataset."""
-    shallow = values["model.preset"].startswith("shallow")
-    paper = values["experiment.scale"] == "paper"
-    return {
-        "model.lambda": objectives.VARIANTS[values["model.variant"]].lam,
-        "model.tied": shallow,
-        "train.learning_rate": 0.05 if shallow else 0.005,
-        "train.epochs": 2000 if paper else (300 if shallow else 150),
-        "train.train_limit": 0 if paper else 10000,
-        "eval.noise_level": 0.2 if shallow else reference.TABLE3_NOISE_STD[values["data.dataset"]],
-    }
-
-
-def read_config_file(path) -> dict:
-    """Raw "section.key" texts of an INI file; a section or key not in the schema is an error."""
-    if path is None:
-        return {}
-    try:
-        return training.ini_values(Path(path).read_text(), _KEYS, os.fspath(path))
-    except OSError:
-        raise UsageError(f"config file not found: {path}") from None
-    except ValueError as e:
-        raise UsageError(f"config file {path}: {e}") from None
-
-
-def resolve_config(raw: dict) -> ExperimentConfig:
-    """Materialize every default into a complete configuration.
-
-    ``raw`` maps "section.key" to text. Each value is parsed by its schema
-    codec; keys it lacks take the schema default, or the derived default
-    for the preset, scale, variant and dataset. Explicit settings always win.
-    """
-    values = {}
-    for key, (_, (parse, _), default) in _KEYS.items():
-        try:
-            values[key] = parse(raw[key]) if key in raw else default
-        except ValueError as e:
-            raise UsageError(f"{key}: {e}") from None
-    for key, value in _derived_defaults(values).items():
-        if values[key] is None:
-            values[key] = value
-    return ExperimentConfig(**{_KEYS[key][0]: value for key, value in values.items()})
-
-
-def snapshot_text(cfg: ExperimentConfig) -> str:
-    """The fully resolved configuration, every default materialized; it reads
-    back through read_config_file and resolve_config to the same config."""
-    return training.ini_text({key: fmt(getattr(cfg, field))
-                              for key, (field, (_, fmt), _) in _KEYS.items()})
-
 
 def start_run(cfg: ExperimentConfig):
     """Create the output directory and write the resolved snapshot to its
@@ -165,14 +41,6 @@ def start_run(cfg: ExperimentConfig):
     text = snapshot_text(cfg)
     (out / "config.resolved.ini").write_text(text)
     return out, text
-
-
-def preset_arch(preset, nh) -> nn.Arch:
-    if preset == "shallow200":
-        return nn.shallow_arch(200)
-    if preset == "shallow1000":
-        return nn.shallow_arch(1000)
-    return nn.deep_arch(nh)
 
 
 @contextmanager
@@ -187,7 +55,7 @@ def keys_of(fields: dict):
         raise ConfigurationError(f"{fields[e.field]}: {e}", e.field) from None
 
 
-@keys_of({**training.CONFIG_KEYS, "layers": "model.nh"})
+@keys_of({**CONFIG_KEYS, "layers": "model.nh"})
 def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig:
     """One model's training settings, checked as they are built. The loss
     defaults to ``[model]``'s; ``model.lambda`` weights the variant it names,
@@ -198,7 +66,7 @@ def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig
     if loss.variant == cfg.variant:
         loss = replace(loss, lam=cfg.lam)
     return training.TrainConfig(
-        arch=preset_arch(cfg.preset, cfg.nh), loss=loss,
+        arch=PRESETS[cfg.preset].arch(cfg.nh), loss=loss,
         learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
         tied=cfg.tied and not loss.record.heads, seed=seed, biases=cfg.biases,
         shuffle=cfg.shuffle)
@@ -220,22 +88,21 @@ def eval_noise(cfg: ExperimentConfig):
 def checkpoint_settings(tcfg: training.TrainConfig) -> dict:
     """The settings a checkpoint was trained with, as raw config values: each
     block key that is a config key, and the preset whose architecture equals
-    the checkpoint's, the deep preset's code size read from the latent width."""
+    the checkpoint's, with model.nh read from the latent width if it sets the code."""
     arch = tcfg.arch
     nh = arch.layers[arch.latent_index][0]
-    preset = next((p for p in PRESETS if preset_arch(p, nh) == arch), None)
-    if preset is None:
+    name = next((name for name, p in PRESETS.items() if p.arch(nh) == arch), None)
+    if name is None:
         raise UsageError(f"checkpoint architecture {arch.widths()} (latent index "
-                         f"{arch.latent_index}) matches no preset of {PRESETS}")
-    trained = {k: v for k, v in training.config_values(tcfg).items() if k in _KEYS}
-    trained["model.preset"] = preset
-    if preset == "deep":
+                         f"{arch.latent_index}) matches no preset of {tuple(PRESETS)}")
+    trained = {k: v for k, v in training.config_values(tcfg).items() if k in KEYS}
+    trained["model.preset"] = name
+    if PRESETS[name].nh_sets_code:
         trained["model.nh"] = str(nh)
     return trained
 
 
-@keys_of({"train_limit": "train.train_limit", "batch_size": "train.batch_size",
-          "iterations": "eval.iterations", "n": "eval.n", "k": "eval.k"})
+@keys_of(CONFIG_KEYS)
 def load_split(cfg: ExperimentConfig, split) -> Dataset:
     """Load the train or test IDX pair and check the settings that read its size."""
     limit = cfg.train_limit if split == "train" else 0
@@ -272,13 +139,13 @@ def _apply_overrides(raw, args):
     """Layer the command line over a config file's raw values. Flags (each an
     alias of one key) apply first and --set last, so --set wins. A dataset
     directory from either beats IMAE_DATA_DIR, which beats the config file."""
-    given = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
+    given = {k: v for k, v in vars(args).items() if k in KEYS and v is not None}
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--set expects section.key=value, got {item!r}")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in KEYS:
             raise UsageError(f"unknown config key {key!r}")
         given[key] = value.strip()
     if "data.dir" not in given and os.environ.get(ENV_DATA_DIR):
@@ -376,7 +243,7 @@ def cmd_gradcheck(args) -> int:
 
 def _first_width(cfg):
     """Width of the first hidden layer, the key of tables 1 and 2."""
-    return preset_arch(cfg.preset, cfg.nh).layers[0][0]
+    return PRESETS[cfg.preset].arch(cfg.nh).layers[0][0]
 
 
 def _fmt(value):

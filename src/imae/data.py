@@ -212,9 +212,8 @@ def synthetic_splits(n_train, n_test, seed=7, side=16) -> tuple:
 def draw_noise(specs, shape, rng) -> tuple:
     """(u, z): the draws that every corruption spec in ``specs`` reads on a
     block of ``shape``, each None when no spec reads it. u, uniform in [0,1)
-    (``bernoulli_mask`` without a keep probability), is drawn first, when a
-    spec masks; then z, standard normal (``gaussian``), when a spec adds
-    Gaussian noise."""
+    (``bernoulli_mask``), is drawn first, when a spec masks; then z, standard
+    normal (``gaussian``), when a spec adds Gaussian noise."""
     kinds = {spec.kind for spec in specs}
     u = bernoulli_mask(rng, *shape) if "mask" in kinds else None
     z = gaussian(rng, *shape) if "gaussian" in kinds else None

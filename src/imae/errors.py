@@ -42,3 +42,7 @@ class TrainingDiverged(RuntimeError):
         self.terms = dict(terms)
         msg = ", ".join(f"{k}={v!r}" for k, v in self.terms.items())
         super().__init__(f"non-finite loss at epoch {epoch}: {msg}")
+
+
+class UsageError(Exception):
+    """A command line or config file the commands cannot run (exit 1)."""

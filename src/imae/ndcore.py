@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ShapeError, check_range
+from .errors import ShapeError
 
 # Most rows one forward-only chunk (or one row-wise reduction block) holds.
 ROW_BLOCK = 1000
@@ -52,24 +52,11 @@ def row_blocks(n):
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def gaussian(rng, rows, cols, mean=0.0, std=1.0) -> np.ndarray:
-    """rows x cols matrix of i.i.d. normal draws: standard ones scaled and
-    shifted in place, byte for byte what ``rng.normal`` draws."""
-    check_range("std", std, 0, rule="gaussian: std must be >= 0")
-    out = rng.standard_normal((int(rows), int(cols)))
-    if std != 1.0:  # a product with 1.0 changes no bit
-        out *= std
-    out += mean
-    return out
+def gaussian(rng, rows, cols) -> np.ndarray:
+    """rows x cols matrix of standard normal draws: ``rng.standard_normal``'s bytes."""
+    return rng.standard_normal((int(rows), int(cols)))
 
 
-def bernoulli_mask(rng, rows, cols, keep_prob=None) -> np.ndarray:
-    """0/1 matrix where each entry is 1 with probability keep_prob: the
-    uniform draws u in [0,1) of ``rng.random`` thresholded as u < keep_prob.
-    Without keep_prob, u itself, so that one draw gives the mask of any keep
-    probability q as u < q, and those masks nest."""
-    if keep_prob is not None:
-        check_range("keep_prob", keep_prob, 0.0, 1.0,
-                    rule="bernoulli_mask: keep_prob must be in [0,1]")
-    u = rng.random(size=(int(rows), int(cols)))
-    return u if keep_prob is None else np.less(u, keep_prob, out=u)
+def bernoulli_mask(rng, rows, cols) -> np.ndarray:
+    """rows x cols uniform draws u in [0,1) of ``rng.random``; u < q keeps with probability q."""
+    return rng.random(size=(int(rows), int(cols)))

@@ -7,8 +7,6 @@ Checkpoint layout (all integers little-endian u32 unless noted):
   weights and untrained biases never hit the file; they are rebuilt on load.
 """
 
-import configparser
-import math
 import os
 import struct
 import time
@@ -17,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn, objectives
+from .config import BLOCK_CODECS, CONFIG_KEYS, ini_text, ini_values
 from .data import Dataset, NoiseSpec, batches, corrupt, read_exact, read_u32
 from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged, check_range
 from .ndcore import derive_rng
@@ -114,72 +113,7 @@ def train(cfg: TrainConfig, ds: Dataset):
     return net, history
 
 
-# --- config text: INI files, resolved snapshots and checkpoint blocks ---
-
-def _parse_bool(text):
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_float(text):
-    if not math.isfinite(value := float(text)):
-        raise ValueError(f"must be finite, got {value}")
-    return value
-
-
-# (parse, format) pairs shared by every config text: checkpoint blocks here,
-# INI files and resolved snapshots in ``cli``. Parsers raise ValueError.
-INT = (int, str)
-FLOAT = (_parse_float, repr)
-BOOL = (_parse_bool, lambda value: str(value).lower())
-TEXT = (str, str)
-LAYERS = (lambda text: tuple((int(w), a) for w, _, a in
-                             (part.partition(":") for part in text.split(","))),
-          lambda layers: ",".join(f"{w}:{a}" for w, a in layers))
-
-# the checkpoint config block: every key a config file also holds has its name
-_BLOCK_CODECS = {
-    "model.variant": TEXT, "model.lambda": FLOAT, "model.noise_kind": TEXT,
-    "model.noise_level": FLOAT, "model.tied": BOOL, "model.biases": BOOL,
-    "model.input_dim": INT, "model.layers": LAYERS, "model.latent_index": INT,
-    "train.learning_rate": FLOAT, "train.epochs": INT, "train.batch_size": INT,
-    "train.shuffle": BOOL, "train.seed": INT,
-}
-
-# field a domain rule names -> config key feeding it
-CONFIG_KEYS = {"lam": "model.lambda", "kind": "model.noise_kind", "noise": "model.noise_kind",
-               "level": "model.noise_level", "learning_rate": "train.learning_rate",
-               "epochs": "train.epochs", "batch_size": "train.batch_size"}
-
-
-def ini_text(values: dict) -> str:
-    """INI text of ordered "section.key" -> text, a blank line between sections."""
-    sections = {}
-    for name, text in values.items():
-        section, _, key = name.partition(".")
-        sections.setdefault(section, []).append(f"{key} = {text}\n")
-    return "\n".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
-
-
-def ini_values(text: str, keys, source) -> dict:
-    """Raw "section.key" -> text from INI ``text``; its errors name ``source``.
-    A malformed text, or a section ([DEFAULT] too) or key not in ``keys``, is a ValueError."""
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        parser.read_string(text, source)
-    except configparser.Error as e:
-        raise ValueError(e) from None
-    if unknown := set(parser.sections()) - {name.partition(".")[0] for name in keys}:
-        raise ValueError(f"unknown config sections {sorted(unknown)}")
-    raw = {f"{section}.{key}": value
-           for section in parser.sections() for key, value in parser[section].items()}
-    if unknown := [name for name in raw if name not in keys]:
-        raise ValueError(f"unknown config keys {unknown}")
-    return raw
-
+# --- the checkpoint config block ---
 
 def config_values(cfg: TrainConfig) -> dict:
     """The checkpoint config block as ordered "section.key" -> text."""
@@ -193,7 +127,7 @@ def config_values(cfg: TrainConfig) -> dict:
         "train.epochs": cfg.epochs, "train.batch_size": cfg.batch_size,
         "train.shuffle": cfg.shuffle, "train.seed": cfg.seed,
     }
-    return {key: fmt(values[key]) for key, (_, fmt) in _BLOCK_CODECS.items()}
+    return {key: fmt(values[key]) for key, (_, fmt) in BLOCK_CODECS.items()}
 
 
 def config_to_text(cfg: TrainConfig) -> str:
@@ -202,11 +136,11 @@ def config_to_text(cfg: TrainConfig) -> str:
 
 def config_from_text(text: str) -> TrainConfig:
     try:
-        raw = ini_values(text, _BLOCK_CODECS, "config block")
+        raw = ini_values(text, BLOCK_CODECS, "config block")
     except ValueError as e:
         raise CheckpointFormatError(f"config block: {e}") from None
     v = {}
-    for key, (parse, _) in _BLOCK_CODECS.items():
+    for key, (parse, _) in BLOCK_CODECS.items():
         try:
             v[key] = parse(raw[key])
         except KeyError:

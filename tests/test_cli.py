@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from imae import cli, evaluation, nn, objectives, reference, training
+from imae import cli, config, evaluation, nn, objectives, reference, training
 from imae.cli import UsageError, read_config_file, resolve_config
 from imae.data import CANONICAL_FILES, NoiseSpec
 from imae.ndcore import derive_rng
@@ -80,11 +80,39 @@ class TestConfigResolution:
             read_config_file(path)
 
     def test_preset_architectures(self):
-        assert cli.preset_arch("shallow200", 10).widths() == (784, 200, 784)
-        assert cli.preset_arch("shallow1000", 10).widths() == (784, 1000, 784)
-        deep = cli.preset_arch("deep", 10)
+        assert config.PRESETS["shallow200"].arch(10).widths() == (784, 200, 784)
+        assert config.PRESETS["shallow1000"].arch(10).widths() == (784, 1000, 784)
+        deep = config.PRESETS["deep"].arch(10)
         assert deep.widths() == (784, 1100, 700, 10, 700, 1100, 784)
         assert deep.latent_index == 2
+
+    @pytest.mark.parametrize(
+        "preset, dataset, scale, learning_rate, epochs, train_limit, tied, noise, widths", [
+            ("shallow200", "mnist", "desk", 0.05, 300, 10000, True, 0.2, (784, 200, 784)),
+            ("shallow200", "mnist", "paper", 0.05, 2000, 0, True, 0.2, (784, 200, 784)),
+            ("shallow200", "fashion", "desk", 0.05, 300, 10000, True, 0.2, (784, 200, 784)),
+            ("shallow200", "fashion", "paper", 0.05, 2000, 0, True, 0.2, (784, 200, 784)),
+            ("shallow1000", "mnist", "desk", 0.05, 300, 10000, True, 0.2, (784, 1000, 784)),
+            ("shallow1000", "mnist", "paper", 0.05, 2000, 0, True, 0.2, (784, 1000, 784)),
+            ("shallow1000", "fashion", "desk", 0.05, 300, 10000, True, 0.2, (784, 1000, 784)),
+            ("shallow1000", "fashion", "paper", 0.05, 2000, 0, True, 0.2, (784, 1000, 784)),
+            ("deep", "mnist", "desk", 0.005, 150, 10000, False, 0.01,
+             (784, 1100, 700, 10, 700, 1100, 784)),
+            ("deep", "mnist", "paper", 0.005, 2000, 0, False, 0.01,
+             (784, 1100, 700, 10, 700, 1100, 784)),
+            ("deep", "fashion", "desk", 0.005, 150, 10000, False, 0.1,
+             (784, 1100, 700, 10, 700, 1100, 784)),
+            ("deep", "fashion", "paper", 0.005, 2000, 0, False, 0.1,
+             (784, 1100, 700, 10, 700, 1100, 784)),
+        ])
+    def test_preset_defaults(self, preset, dataset, scale, learning_rate, epochs, train_limit,
+                             tied, noise, widths):
+        # every default a preset sets, pinned as literals for each dataset and scale
+        cfg = resolve_config({"model.preset": preset, "data.dataset": dataset,
+                              "experiment.scale": scale})
+        assert (cfg.learning_rate, cfg.epochs, cfg.train_limit, cfg.tied, cfg.eval_noise_level) \
+            == (learning_rate, epochs, train_limit, tied, noise)
+        assert cli.train_config(cfg, 0).arch.widths() == widths
 
 
 GOLDEN_DEFAULT_SNAPSHOT = """\
@@ -147,10 +175,10 @@ class TestConfigSchema:
     ])
     def test_snapshot_reads_back_to_itself(self, tmp_path, extra):
         path = tmp_path / "config.resolved.ini"
-        for preset in cli.PRESETS:
-            for scale in cli.SCALES:
+        for preset in config.PRESETS:
+            for scale in config.SCALES:
                 for variant in objectives.VARIANTS:
-                    for dataset in cli.DATASETS:
+                    for dataset in config.DATASETS:
                         raw = {"model.preset": preset, "experiment.scale": scale,
                                "model.variant": variant, "data.dataset": dataset, **extra}
                         text = cli.snapshot_text(resolve_config(raw))
@@ -567,8 +595,8 @@ class TestEvalCommand:
             "train.learning_rate": tcfg.learning_rate, "train.epochs": tcfg.epochs,
             "train.batch_size": tcfg.batch_size, "train.shuffle": tcfg.shuffle,
         }
-        shared = {key: cli._KEYS[key][1][0](text)
-                  for key, text in training.config_values(tcfg).items() if key in cli._KEYS}
+        shared = {key: config.KEYS[key][1][0](text)
+                  for key, text in training.config_values(tcfg).items() if key in config.KEYS}
         assert shared == trained
 
     def test_checkpoint_matching_no_preset_exits_one(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Which scipy modules each command loads.
+"""Which scipy modules each command loads, and which imae modules each
+imae module imports.
 
 The package itself loads no scipy module: its sigmoid is numpy's. Only the
 cluster protocol loads scipy, on its first K-means call: scipy.spatial (with
@@ -10,6 +11,7 @@ call costs about 0.5 s and 41 MB of resident memory, while
 imported scipy already (tests/test_evaluation.py imports cdist).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -82,3 +84,29 @@ def test_cluster_eval_loads_the_cluster_stacks(trained, idx_dir):
                      "--protocol", "cluster", "--iterations", "1", "--n", "100"], out)
     assert {"scipy.linalg", "scipy.optimize", "scipy.spatial.distance",
             "scipy.special"} <= set(modules)
+
+
+def sibling_imports(module):
+    """imae module -> the names ``module`` imports from it (empty for ``from . import``)."""
+    tree = ast.parse((Path(imae.__file__).parent / f"{module}.py").read_text())
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                for alias in node.names:
+                    found.setdefault(alias.name, set())
+            else:
+                found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_config_sits_below_cli_and_training():
+    # so training and cli can both read the one schema
+    assert set(sibling_imports("config")) <= {"nn", "objectives", "reference", "data", "errors"}
+    assert "cli" not in sibling_imports("training")
+
+
+def test_no_module_imports_a_codec_from_training():
+    codecs = {"INT", "FLOAT", "BOOL", "TEXT", "LAYERS", "GRID", "choice"}
+    modules = [p.stem for p in Path(imae.__file__).parent.glob("*.py")]
+    assert [m for m in modules if codecs & sibling_imports(m).get("training", set())] == []

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imae import nn, objectives
+from imae import config, nn, objectives
 from imae.data import Dataset, NoiseSpec, batches, corrupt, make_synthetic_digits
 from imae.errors import CheckpointFormatError, ConfigurationError, TrainingDiverged
 from imae.ndcore import derive_rng
@@ -279,12 +279,28 @@ class TestConfigText:
         ("shuffle = false", "shuffle = maybe"),
         ("layers = 6:sigmoid,16:identity", "layers = six:sigmoid,16:identity"),
         ("noise_level = 0.0", "noise_level = nan"),
+        ("variant = AE", "variant = XYZ"),
+        ("noise_kind = none", "noise_kind = salt"),
     ])
     def test_malformed_value_names_its_key(self, line, bad):
         text = config_to_text(tiny_config())
+        assert line in text
         key = block_key(line.partition(" =")[0])
-        with pytest.raises(CheckpointFormatError, match=f"^config block key {key}: "):
+        # a key with a fixed list of values names the list, as in a config file
+        rule = {"variant = XYZ": "must be one of ('AE', 'CAE', 'DAE', 'IMAE', 'VAE'), got 'XYZ'",
+                "noise_kind = salt": "must be one of ('none', 'mask', 'gaussian'), got 'salt'",
+                }.get(bad, "")
+        with pytest.raises(CheckpointFormatError,
+                           match=f"^config block key {key}: {re.escape(rule)}"):
             config_from_text(text.replace(line, bad))
+
+    def test_shared_keys_parse_like_a_config_file(self):
+        # the ten keys a config file also holds take its schema codec objects
+        shared = [key for key in config.BLOCK_CODECS if key in config.KEYS]
+        assert len(shared) == 10
+        assert all(config.BLOCK_CODECS[key] is config.KEYS[key][1] for key in shared)
+        text = config_to_text(tiny_config(loss=LossSpec("DAE", noise=NoiseSpec("mask", 0.3))))
+        assert config_from_text(text.replace("variant = DAE", "variant = dae")).loss.variant == "DAE"
 
     def test_missing_key_named(self):
         text = config_to_text(tiny_config()).replace("seed = 5\n", "")
