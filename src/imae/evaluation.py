@@ -176,30 +176,37 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     """Mean per-image reconstruction L2 against clean originals, one row per
     corruption spec, in the order of ``specs``.
 
-    The test set is read one row block at a time, in row order. Before any
-    spec runs on a block, the block draws from ``rng`` one uniform block if a
-    spec masks, then one standard-normal block if a spec adds Gaussian noise
-    (``data.draw_noise``). Every level of a kind reads its kind's one draw
-    (common random numbers): masks nest from level to level, and the
-    differences between rows carry less Monte-Carlo noise than independent
-    draws would give. ``none`` and mask 0 run on the clean block itself.
-    The specs then run in order, each corrupting into one input buffer that
-    the sweep owns, and only per-image distances are kept, so memory holds
-    one block's rows, its two draws, the buffer and one forward pass, plus
-    one distance per image and spec. Gaussian-latent networks draw their
-    latent samples from the same ``rng``, per spec, after the block's shared
-    draws.
-    """
+    The test set is read one row block x at a time, in row order. The block
+    first draws from ``rng`` one uniform block u if a spec masks, then one
+    standard-normal block z if a spec adds Gaussian noise (``data.draw_noise``);
+    every level of a kind reads its kind's one draw (common random numbers:
+    masks nest, and differences between rows carry less Monte-Carlo noise).
+    Mask levels above 0 run from one input buffer the sweep owns. The maps
+    that read the input are linear, so the rest start from the block's
+    ``nn.input_products`` P of x and bias-free Q of z: ``none`` and mask 0
+    enter as P, the clean pass to the bit, Gaussian s as P + s * Q, the
+    product of ``z * s + x`` up to rounding. So the Table-1 grid forms 5 such
+    products per block, not 8, but one Gaussian level with no clean level
+    forms one more. Memory holds x, u, z, the buffer, P, Q, one forward pass
+    and a distance per image and spec. Gaussian-latent networks draw their
+    latent samples from ``rng``, per spec, after the block's draws."""
     specs = list(specs)
     dist = np.empty((len(specs), len(test)))
     blocks = row_blocks(len(test))
     buf = np.empty((max(b.stop - b.start for b in blocks), test.images.shape[1]))
     for block in blocks:
+        clean = noise = pre = None  # P and Q, formed when first read; the last block's go
         x = pixel_rows(test.images, block)
         draws = draw_noise(specs, x.shape, rng)
         for spec, row in zip(specs, dist):
-            xin = apply_noise(x, spec, draws, buf[:len(x)])
-            xhat = nn.forward(net, xin, rng=rng).xhat
+            xin = x if spec.kind == "gaussian" else apply_noise(x, spec, draws, buf[:len(x)])
+            pre = None
+            if xin is x:  # clean or Gaussian: from the block's products
+                pre = clean = clean or nn.input_products(net, x)
+            if spec.kind == "gaussian":
+                noise = noise or nn.input_products(net, draws[1], bias=False)
+                pre = [q * spec.level + p for p, q in zip(clean, noise)]
+            xhat = nn.forward(net, xin, rng=rng, pre=pre).xhat
             row[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
     return [RobustnessRow(spec, float(row.mean())) for spec, row in zip(specs, dist)]
 

@@ -307,10 +307,18 @@ class TestRobustnessSweep:
         assert rows[0].mean_l2 == reconstruction_l2(trace.xhat - digits_test.images).mean()
 
 
+def input_maps(net):
+    """The linear maps that read a network's input: layer 0, or the two
+    Gaussian heads of a network whose code is layer 0."""
+    return net.vae_heads if net.vae_heads and net.latent_index == 0 else net.layers[:1]
+
+
 def one_shot_sweep(net, test, specs, rng):
     """The sweep with the plain formulas: one uniform draw u shared by every
     mask level and one standard-normal draw z shared by every Gaussian level;
-    mask p is x * (u < 1 - p) and Gaussian s is z * s + x.
+    mask p feeds x * (u < 1 - p) forward, and Gaussian s enters as the
+    pre-activation P + s * Q of the maps that read the input, with
+    P = x W^T + b and Q = z W^T.
 
     The draws follow the sweep's rule, row block by row block: the block's u
     if a spec masks, then its z if a spec adds Gaussian noise. For a
@@ -328,23 +336,25 @@ def one_shot_sweep(net, test, specs, rng):
         return (rng.random(shape) if "mask" in kinds else None,
                 rng.standard_normal(shape) if "gaussian" in kinds else None)
 
-    def corrupted(xs, spec, u, z):
+    def run(xs, spec, u, z):
         if spec.kind == "mask":
-            return xs * (u < 1.0 - spec.level)
-        return z * spec.level + xs if spec.kind == "gaussian" else xs
+            return nn.forward(net, xs * (u < 1.0 - spec.level), rng=rng).xhat
+        pre = [xs @ m.weights.T + m.bias for m in input_maps(net)]
+        if spec.kind == "gaussian":
+            pre = [p + spec.level * (z @ m.weights.T) for p, m in zip(pre, input_maps(net))]
+        return nn.forward(net, xs, rng=rng, pre=pre).xhat
 
     diffs = [[] for _ in specs]
     if vae:
         for part in row_blocks(len(test)):
             u, z = draw(part)
             for spec, d in zip(specs, diffs):
-                xhat = nn.forward(net, corrupted(x[part], spec, u, z), rng=rng).xhat
-                d.append(x[part] - xhat)
+                d.append(x[part] - run(x[part], spec, u, z))
     else:
         drawn = [draw(part) for part in row_blocks(len(test))]
         u, z = (None if col[0] is None else np.concatenate(col) for col in zip(*drawn))
         for spec, d in zip(specs, diffs):
-            d.append(x - nn.forward(net, corrupted(x, spec, u, z)).xhat)
+            d.append(x - run(x, spec, u, z))
     values = []
     for d in diffs:
         diff = np.concatenate(d)
@@ -356,16 +366,17 @@ TABLE1_GRID = ([NoiseSpec("none")] + [NoiseSpec("mask", p) for p in MASK_GRID]
                + [NoiseSpec("gaussian", s) for s in GAUSSIAN_GRID])
 
 
+@pytest.fixture(scope="module")
+def odd_test_set():
+    # 784 pixels as in the presets; 2345 rows is not a multiple of the block
+    rng = derive_rng(21)
+    n = 2 * ROW_BLOCK + 345
+    return Dataset(rng.random((n, 784)), rng.integers(10, size=n))
+
+
 class TestChunkedSweep:
     SPECS = [NoiseSpec("none"), NoiseSpec("mask", 0.0), NoiseSpec("mask", 0.3),
              NoiseSpec("gaussian", 0.2), NoiseSpec("mask", 0.75), NoiseSpec("gaussian", 0.45)]
-
-    @pytest.fixture(scope="class")
-    def odd_test_set(self):
-        # 784 pixels as in the presets; 2345 rows is not a multiple of the block
-        rng = derive_rng(21)
-        n = 2 * ROW_BLOCK + 345
-        return Dataset(rng.random((n, 784)), rng.integers(10, size=n))
 
     @pytest.mark.parametrize("vae,tied", [(False, True), (True, False)])
     def test_equals_one_shot_sweep(self, odd_test_set, vae, tied):
@@ -377,15 +388,74 @@ class TestChunkedSweep:
         assert rng_chunked.bit_generator.state == rng_one_shot.bit_generator.state
 
 
+def input_space_sweep(net, test, specs, rng):
+    """Each level's mean L2 with every corrupted input formed in pixel space
+    (``apply_noise``) and run forward from the pixels, on the sweep's draws."""
+    dist = [[] for _ in specs]
+    for block in row_blocks(len(test)):
+        x = pixel_rows(test.images, block)
+        draws = data.draw_noise(specs, x.shape, rng)
+        for spec, d in zip(specs, dist):
+            xin = data.apply_noise(x, spec, draws, np.empty_like(x))
+            d.append(reconstruction_l2(nn.forward(net, xin, rng=rng).xhat - x))
+    return [float(np.concatenate(d).mean()) for d in dist]
+
+
+# the networks whose first linear maps the sweep reads, at the preset shapes
+PRESET_NETS = {
+    "shallow200-AE-tied": lambda rng: nn.init_params(nn.shallow_arch(200), rng, tied=True),
+    "deep10-IMAE-untied": lambda rng: nn.init_params(nn.deep_arch(10), rng),
+    "deep10-VAE": lambda rng: nn.init_params(nn.deep_arch(10), rng, vae=True),
+    "shallow200-VAE-heads-read-input": lambda rng: nn.init_params(nn.shallow_arch(200), rng,
+                                                                  vae=True),
+}
+
+
+class TestSweepFromInputProducts:
+    """The sweep forms each level's first pre-activations from the block's
+    products P = x W^T + b and Q = z W^T instead of from corrupted pixels."""
+
+    @pytest.fixture(scope="class", params=list(PRESET_NETS))
+    def net(self, request):
+        net = PRESET_NETS[request.param](derive_rng(24))
+        rng = derive_rng(27)
+        for layer in net.layers + list(net.vae_heads or ()):  # so a dropped bias shows
+            layer.bias[:] = rng.normal(0.0, 0.1, layer.bias.shape)
+        return net
+
+    def test_agrees_with_the_input_space_sweep(self, net, odd_test_set):
+        rng, rng_input_space = derive_rng(25), derive_rng(25)
+        specs = TestChunkedSweep.SPECS  # two levels of each kind, and both clean ones
+        rows = robustness_sweep(net, odd_test_set, specs, rng)
+        expected = input_space_sweep(net, odd_test_set, specs, rng_input_space)
+        assert rng.bit_generator.state == rng_input_space.bit_generator.state
+        for row, value in zip(rows, expected):
+            if row.noise.kind == "gaussian":
+                assert row.mean_l2 == pytest.approx(value, rel=1e-12, abs=0)
+            else:
+                assert row.mean_l2 == value, row.noise.describe()
+
+    def test_forward_from_the_batch_products_is_forward(self, net, odd_test_set):
+        x = pixel_rows(odd_test_set.images, slice(0, ROW_BLOCK))
+        products = nn.input_products(net, x)
+        assert len(products) == len(input_maps(net))
+        given = nn.forward(net, x, rng=derive_rng(26), pre=products)
+        plain = nn.forward(net, x, rng=derive_rng(26))
+        for name in ("x", "latent_pre", "mu", "logvar", "eps", "std", "z"):
+            a, b = getattr(given, name), getattr(plain, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert [a.tobytes() for a in given.act] == [a.tobytes() for a in plain.act]
+
+
 class TestSharedDraws:
     @staticmethod
     def forward_inputs(monkeypatch):
         """Copies of every input the sweep runs forward (its buffer is reused)."""
         seen, real = [], nn.forward
 
-        def recording(net, batch, rng=None, eps=None):
+        def recording(net, batch, rng=None, eps=None, pre=None):
             seen.append(np.array(batch))
-            return real(net, batch, rng=rng, eps=eps)
+            return real(net, batch, rng=rng, eps=eps, pre=pre)
 
         monkeypatch.setattr(nn, "forward", recording)
         return seen
