@@ -116,10 +116,10 @@ def load_split(cfg: ExperimentConfig, split) -> Dataset:
             f"dataset files not found: {missing}\n"
             f"expected IDX files under {cfg.data_dir} "
             f"(canonical names: {expected}); set {ENV_DATA_DIR} or data.dir")
-    ds = load_idx(images, labels, name=cfg.dataset)
+    ds = load_idx(images, labels)
     if 0 < limit < len(ds):
         # copies, so the rows past the limit are freed when loading returns
-        ds = Dataset(ds.images[:limit].copy(), ds.labels[:limit].copy(), ds.name)
+        ds = Dataset(ds.images[:limit].copy(), ds.labels[:limit].copy())
     if split == "train":
         check_batch_size(cfg.batch_size, len(ds))
     elif cfg.eval_protocol == "cluster":

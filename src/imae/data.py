@@ -1,11 +1,13 @@
 """IDX dataset ingestion, batching, and the two corruption operators.
 
-IDX containers, bit-exact:
-  images: u32 big-endian magic 0x00000803, u32 count, u32 rows, u32 cols,
-          then count*rows*cols unsigned bytes (row-major pixels)
-  labels: u32 big-endian magic 0x00000801, u32 count, then count bytes
+IDX containers, bit-exact: a u32 big-endian magic 0x0800 | ndim (two zero
+bytes, the element type 0x08 for unsigned byte, then the number of
+dimensions), ndim u32 big-endian dimension sizes, then their product of
+unsigned bytes in row-major order. An MNIST image file is 3-D (count, rows,
+cols), magic 0x00000803; a label file is 1-D (count), magic 0x00000801.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -15,8 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, IdxFormatError, check_range
 from .ndcore import as_matrix, bernoulli_mask, derive_rng, gaussian
 
-IMAGES_MAGIC = 0x00000803
-LABELS_MAGIC = 0x00000801
+IDX_UBYTE = 0x0800  # an unsigned-byte IDX magic, less its dimension count
 
 # canonical filenames of the MNIST / Fashion-MNIST distributions
 CANONICAL_FILES = {
@@ -49,7 +50,6 @@ class Dataset:
     """
     images: np.ndarray
     labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         pixels = np.asarray(self.images)
@@ -112,72 +112,54 @@ def _read_payload(f, n, what):
     return payload
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Raw (count, rows, cols) uint8 pixel array from an IDX image file."""
+def read_idx(path) -> np.ndarray:
+    """The uint8 array of an unsigned-byte IDX file, shaped as its header says."""
     with open(path, "rb") as f:
         magic = read_u32(f, "magic")
-        if magic != IMAGES_MAGIC:
-            raise IdxFormatError(
-                f"bad image magic in {path}: got 0x{magic:08x}, want 0x{IMAGES_MAGIC:08x}")
-        count = read_u32(f, "count")
-        rows = read_u32(f, "rows")
-        cols = read_u32(f, "cols")
-        payload = _read_payload(f, count * rows * cols, "pixels")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+        if (magic & ~0xFF) != IDX_UBYTE:
+            raise IdxFormatError(f"bad IDX magic in {path}: got 0x{magic:08x}, "
+                                 f"want 0x0000080N for an N-D unsigned-byte array")
+        shape = tuple(read_u32(f, f"dimension {i}") for i in range(magic & 0xFF))
+        payload = _read_payload(f, math.prod(shape), "data")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
-def read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = read_u32(f, "magic")
-        if magic != LABELS_MAGIC:
-            raise IdxFormatError(
-                f"bad label magic in {path}: got 0x{magic:08x}, want 0x{LABELS_MAGIC:08x}")
-        count = read_u32(f, "count")
-        payload = _read_payload(f, count, "labels")
-    return np.frombuffer(payload, dtype=np.uint8)
-
-
-def _idx_payload(path, values, what) -> np.ndarray:
-    """``values`` as a C-contiguous uint8 array; IdxFormatError naming ``path``
-    unless they are integers in 0..255, which a uint8 cast keeps unchanged."""
+def write_idx(path, values) -> None:
+    """Inverse of ``read_idx``: ``values``, integers in 0..255 of any shape,
+    under the magic 0x0800 | ndim. Anything a uint8 cast would change is an
+    IdxFormatError naming ``path``, raised before the file is opened."""
     values = np.asarray(values)
     if values.dtype != np.uint8:
         if values.dtype.kind not in "iu":
-            raise IdxFormatError(f"{path}: {what} must be integers in 0..255, got {values.dtype}")
+            raise IdxFormatError(f"{path}: values must be integers in 0..255, got {values.dtype}")
         if values.size and (values.min() < 0 or values.max() > 255):
-            raise IdxFormatError(f"{path}: {what} outside 0..255: "
+            raise IdxFormatError(f"{path}: values outside 0..255: "
                                  f"min={values.min()}, max={values.max()}")
-    return np.ascontiguousarray(values, dtype=np.uint8)
-
-
-def write_idx_images(path, images_u8) -> None:
-    """Inverse of read_idx_images; images_u8 is (count, rows, cols) of
-    integers in 0..255."""
-    images_u8 = _idx_payload(path, images_u8, "pixels")
-    count, rows, cols = images_u8.shape
+    values = np.ascontiguousarray(values, dtype=np.uint8)
     with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGES_MAGIC, count, rows, cols))
-        f.write(images_u8)
+        f.write(struct.pack(f">{1 + values.ndim}I", IDX_UBYTE | values.ndim, *values.shape))
+        f.write(values)
 
 
-def write_idx_labels(path, labels) -> None:
-    labels = _idx_payload(path, labels, "labels")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABELS_MAGIC, len(labels)))
-        f.write(labels)
+# kept because perfbench's set-up writes its IDX files through these names
+write_idx_images = write_idx_labels = write_idx
 
 
-def load_idx(images_path, labels_path, name="") -> Dataset:
-    """Load an IDX image/label pair; the pixels stay uint8 (see ``pixel_rows``)."""
-    raw = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
+def load_idx(images_path, labels_path) -> Dataset:
+    """Load an IDX image/label pair: images 3-D (count, rows, cols), labels
+    1-D, equal counts, at least one image. The pixels stay uint8 (see
+    ``pixel_rows``)."""
+    raw, labels = read_idx(images_path), read_idx(labels_path)
+    for path, array, ndim in ((images_path, raw, 3), (labels_path, labels, 1)):
+        if array.ndim != ndim:
+            raise IdxFormatError(f"{path} holds a {array.ndim}-D array, want {ndim}-D")
     if len(raw) != len(labels):
         raise IdxFormatError(
             f"count mismatch: {len(raw)} images in {images_path} "
             f"but {len(labels)} labels in {labels_path}")
     if len(raw) == 0:
         raise IdxFormatError(f"no images in {images_path}")
-    return Dataset(raw.reshape(len(raw), -1), labels, name=name or str(images_path))
+    return Dataset(raw.reshape(len(raw), -1), labels)
 
 
 def make_synthetic_digits(n, seed=7, side=16) -> Dataset:
@@ -197,7 +179,7 @@ def make_synthetic_digits(n, seed=7, side=16) -> Dataset:
     brightness = rng.uniform(0.75, 1.0, size=n)[:, None, None]
     images = protos[labels] * brightness + 0.08 * rng.standard_normal((n, side, side))
     images = np.clip(images, 0.0, 1.0).reshape(n, side * side)
-    return Dataset(images, labels, name="synthetic")
+    return Dataset(images, labels)
 
 
 def synthetic_splits(n_train, n_test, seed=7, side=16) -> tuple:
@@ -205,7 +187,7 @@ def synthetic_splits(n_train, n_test, seed=7, side=16) -> tuple:
     of one ``make_synthetic_digits`` draw, so both splits share its ten class
     prototypes (each seed draws its own)."""
     ds = make_synthetic_digits(n_train + n_test, seed, side)
-    return tuple(Dataset(ds.images[rows], ds.labels[rows], name=ds.name)
+    return tuple(Dataset(ds.images[rows], ds.labels[rows])
                  for rows in (slice(None, n_train), slice(n_train, None)))
 
 
@@ -242,7 +224,6 @@ def corrupt(batch, noise: NoiseSpec, rng) -> np.ndarray:
     p is ``batch * (rng.random(shape) < 1 - p)`` and Gaussian s is
     ``rng.standard_normal(shape) * s + batch``; mask 0 still draws its u."""
     batch = as_matrix(batch)
-    noise = noise or NoiseSpec("none")
     u, z = draws = draw_noise([noise], batch.shape, rng)
     out = apply_noise(batch, noise, draws, u if z is None else z)
     return batch.copy() if out is batch else out

@@ -33,7 +33,9 @@ class ClusterResult:
 def kmeans(codes, k, rng) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding until the assignment stops
     changing (or KMEANS_MAX_ITERS). Empty clusters are re-seeded to the point
-    currently farthest from its centroid.
+    currently farthest from its centroid. When a cluster is empty and every
+    point already sits on its centroid, the codes have fewer distinct points
+    than k, no re-seed can lower the inertia, and the fit stops converged.
 
     Each iteration recomputes only the stale clusters, those whose member set
     changed since their centroid was set (at first, all of them): an unchanged
@@ -66,18 +68,21 @@ def kmeans(codes, k, rng) -> ClusterResult:
     stale = np.ones(k, dtype=bool)
     for n_iter in range(1, KMEANS_MAX_ITERS + 1):
         counts = np.bincount(assign, minlength=k)
-        members, ends = np.argsort(assign, kind="stable"), np.cumsum(counts)
-        for c in np.flatnonzero(stale & (counts > 0)):
-            block = codes[members[ends[c] - counts[c]:ends[c]]]
-            total = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block)[-1]
-            centroids[c] = total / counts[c]
         if not counts.all():
             point_cost = d2[assign, np.arange(n)]
+            if not point_cost.any():  # fewer distinct points than k: no re-seed lowers the inertia
+                moved = np.zeros(n, dtype=bool)
+                break
             for c in np.flatnonzero(counts == 0):
                 far = int(point_cost.argmax())
                 centroids[c] = codes[far]
                 point_cost[far] = -1.0
             stale |= counts == 0
+        members, ends = np.argsort(assign, kind="stable"), np.cumsum(counts)
+        for c in np.flatnonzero(stale & (counts > 0)):
+            block = codes[members[ends[c] - counts[c]:ends[c]]]
+            total = block.sum(axis=0) if block.shape[1] > 1 else np.add.accumulate(block)[-1]
+            centroids[c] = total / counts[c]
         d2[stale] = cdist(centroids[stale], codes, "sqeuclidean")
         new_assign = d2.argmin(axis=0)
         moved = new_assign != assign

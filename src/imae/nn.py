@@ -288,20 +288,21 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None,
     ``grads`` as soon as it is final, and after the gradient passed below
     has been formed with the old weights, so a training loop can step that
     block right there. ``out``, keyed like ``grads``, holds the arrays the
-    gradients are formed in. A first call fills it, and for an untied
-    network it makes every layer weight's array a view of one buffer sized
-    for the largest, so such a gradient is spent once consumed.
+    gradients are formed in. A first call fills it. Only with ``consume``,
+    which spends each gradient before the next is formed, does it make every
+    layer weight's array of an untied network a view of one buffer sized for
+    the largest; without one, every gradient it returns has its own array.
     """
     total, terms, loss = objectives.total_loss(spec, trace, batch_clean)
     grads = {}
     if not np.isfinite(total):
         return total, terms, grads  # a diverged step moves no block
-    consume = consume or grads.__setitem__
     n_layers = len(net.layers)
-    if out == {} and not net.tied:  # a first call; layer weights take turns in one buffer
+    if out == {} and consume and not net.tied:  # layer weights take turns in one buffer
         shared = np.empty(max(layer.weights.size for layer in net.layers))
         out.update({f"layers.{k}.W": shared[:layer.weights.size].reshape(layer.weights.shape)
                     for k, layer in enumerate(net.layers)})
+    consume = consume or grads.__setitem__
     partial = {}  # each gradient from its first contribution until consumed
 
     def add(key, form, *args, **kwargs):

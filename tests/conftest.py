@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from imae import gradcheck
-from imae.data import CANONICAL_FILES, synthetic_splits, write_idx_images, write_idx_labels
+from imae.data import CANONICAL_FILES, synthetic_splits, write_idx
 from imae.ndcore import derive_rng
 from imae.objectives import VARIANTS, LossSpec
 
@@ -44,8 +44,8 @@ def write_idx_dir():
     def write(root, n_train, n_test, seed):
         for split, ds in zip(("train", "test"), synthetic_splits(n_train, n_test, seed, side=28)):
             images = (ds.images * 255.0).round().astype(np.uint8).reshape(len(ds), 28, 28)
-            write_idx_images(root / CANONICAL_FILES[f"{split}_images"], images)
-            write_idx_labels(root / CANONICAL_FILES[f"{split}_labels"], ds.labels)
+            write_idx(root / CANONICAL_FILES[f"{split}_images"], images)
+            write_idx(root / CANONICAL_FILES[f"{split}_labels"], ds.labels)
         return root
     return write
 

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from imae import gradcheck, nn, objectives
-from imae.data import (CANONICAL_FILES, Dataset, NoiseSpec, load_idx,
-                       read_idx_images, write_idx_images)
+from imae.data import CANONICAL_FILES, Dataset, NoiseSpec, load_idx, read_idx, write_idx
 from imae.errors import IdxFormatError
 from imae.evaluation import cluster_eval, rand_index, robustness_sweep, sigma_prime
 from imae.ndcore import derive_rng, derive_seed
@@ -108,12 +107,12 @@ def test_criterion_4_closed_form_spot_values():
 def test_criterion_9b_corrupted_magic_rejected(tmp_path):
     images = np.zeros((3, 4, 4), dtype=np.uint8)
     path = tmp_path / "img.idx"
-    write_idx_images(path, images)
+    write_idx(path, images)
     payload = bytearray(path.read_bytes())
     payload[:4] = struct.pack(">I", 0x12345678)
     path.write_bytes(bytes(payload))
     try:
-        read_idx_images(path)
+        read_idx(path)
         ok = False
     except IdxFormatError:
         ok = True
@@ -134,15 +133,15 @@ SHALLOW_LOSSES = {
 
 def load_mnist():
     train_ds = load_idx(DATA_DIR / CANONICAL_FILES["train_images"],
-                        DATA_DIR / CANONICAL_FILES["train_labels"], name="mnist")
+                        DATA_DIR / CANONICAL_FILES["train_labels"])
     test_ds = load_idx(DATA_DIR / CANONICAL_FILES["test_images"],
-                       DATA_DIR / CANONICAL_FILES["test_labels"], name="mnist")
+                       DATA_DIR / CANONICAL_FILES["test_labels"])
     return train_ds, test_ds
 
 
 def train_desk_suite(train_ds, master_seed):
     """Criterion 5 protocol: shallow-200, 10k images, 300 epochs, lr 0.05."""
-    subset = Dataset(train_ds.images[:10000], train_ds.labels[:10000], train_ds.name)
+    subset = Dataset(train_ds.images[:10000], train_ds.labels[:10000])
     nets = {}
     for tag, loss in SHALLOW_LOSSES.items():
         cfg = TrainConfig(arch=nn.shallow_arch(200), loss=loss, learning_rate=0.05,
@@ -216,7 +215,7 @@ def test_criterion_6_robustness_orderings(desk_nets, mnist):
 @requires_mnist
 def test_criterion_7_deep_clusterization(mnist):
     train_ds, test_ds = mnist
-    subset = Dataset(train_ds.images[:10000], train_ds.labels[:10000], train_ds.name)
+    subset = Dataset(train_ds.images[:10000], train_ds.labels[:10000])
     reports = {}
     for tag, loss in (("VAE", LossSpec("VAE")), ("IMAE", LossSpec("IMAE"))):
         cfg = TrainConfig(arch=nn.deep_arch(10), loss=loss, learning_rate=0.005,

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from imae.data import (Dataset, NoiseSpec, batch_indices, batches, check_batch_size, corrupt,
-                       load_idx, make_synthetic_digits, pixel_rows, read_idx_images,
-                       read_idx_labels, sample_subset, synthetic_splits, write_idx_images,
-                       write_idx_labels)
+                       load_idx, make_synthetic_digits, pixel_rows, read_idx, sample_subset,
+                       synthetic_splits, write_idx)
 from imae.errors import ConfigurationError, IdxFormatError
 from imae.ndcore import derive_rng
 from imae.reference import GAUSSIAN_GRID, MASK_GRID
@@ -31,8 +30,8 @@ def idx_pair(tmp_path):
     images = rng.integers(0, 256, size=(32, 5, 5)).astype(np.uint8)
     labels = rng.integers(0, 10, size=32).astype(np.uint8)
     ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-    write_idx_images(ip, images)
-    write_idx_labels(lp, labels)
+    write_idx(ip, images)
+    write_idx(lp, labels)
     return ip, lp, images, labels
 
 
@@ -58,27 +57,27 @@ class TestIdxIo:
         ds = load_idx(ip, lp)
         back = (pixel_rows(ds.images) * 255.0).round().astype(np.uint8).reshape(32, 5, 5)
         out = tmp_path / "roundtrip.idx"
-        write_idx_images(out, back)
+        write_idx(out, back)
         assert out.read_bytes() == ip.read_bytes()
 
     def test_integer_input_writes_the_uint8_bytes(self, idx_pair, tmp_path):
         ip, lp, images, labels = idx_pair
         wide_ip, wide_lp = tmp_path / "wide-images.idx", tmp_path / "wide-labels.idx"
-        write_idx_images(wide_ip, images.astype(np.int64))
-        write_idx_labels(wide_lp, labels.astype(np.int64))
+        write_idx(wide_ip, images.astype(np.int64))
+        write_idx(wide_lp, labels.astype(np.int64))
         assert wide_ip.read_bytes() == ip.read_bytes()
         assert wide_lp.read_bytes() == lp.read_bytes()
 
     @pytest.mark.parametrize("values, message", [
-        (np.full((2, 3, 3), 0.5), "pixels must be integers in 0..255, got float64"),
-        (np.full((2, 3, 3), 256), "pixels outside 0..255: min=256, max=256"),
-        (np.full((2, 3, 3), -1), "pixels outside 0..255: min=-1, max=-1"),
+        (np.full((2, 3, 3), 0.5), "values must be integers in 0..255, got float64"),
+        (np.full((2, 3, 3), 256), "values outside 0..255: min=256, max=256"),
+        (np.full((2, 3, 3), -1), "values outside 0..255: min=-1, max=-1"),
     ])
     def test_images_a_uint8_cast_would_change_are_rejected(self, tmp_path, values, message):
         # float pixels in [0,1] would become zeros and ones, and 256 would wrap to 0
         path = tmp_path / "images.idx"
         with pytest.raises(IdxFormatError) as info:
-            write_idx_images(path, values)
+            write_idx(path, values)
         assert str(info.value) == f"{path}: {message}"
         assert isinstance(info.value, ValueError)
         assert not path.exists()
@@ -86,8 +85,8 @@ class TestIdxIo:
     @pytest.mark.parametrize("labels", [np.array([1.0, 2.0]), np.array([3, 256])])
     def test_labels_a_uint8_cast_would_change_are_rejected(self, tmp_path, labels):
         path = tmp_path / "labels.idx"
-        with pytest.raises(IdxFormatError, match=f"^{path}: labels "):
-            write_idx_labels(path, labels)
+        with pytest.raises(IdxFormatError, match=f"^{path}: values "):
+            write_idx(path, labels)
         assert not path.exists()
 
     def test_bad_magic_rejected_naming_value(self, idx_pair, tmp_path):
@@ -97,19 +96,60 @@ class TestIdxIo:
         payload[:4] = struct.pack(">I", 0xDEADBEEF)
         bad.write_bytes(bytes(payload))
         with pytest.raises(IdxFormatError, match="0xdeadbeef"):
-            read_idx_images(bad)
+            read_idx(bad)
+
+    def test_magic_of_another_element_type_rejected_naming_file(self, idx_pair, tmp_path):
+        # 0x0D is IDX's 32-bit float type: a well-formed IDX magic, but not unsigned bytes
+        ip, _, _, _ = idx_pair
+        floats = tmp_path / "floats.idx"
+        floats.write_bytes(struct.pack(">I", 0x00000D03) + ip.read_bytes()[4:])
+        with pytest.raises(IdxFormatError,
+                           match=r"^bad IDX magic in .*floats\.idx: got 0x00000d03, "):
+            read_idx(floats)
+
+    @pytest.mark.parametrize("shape, header", [
+        ((10000, 28, 28), (0x00000803, 10000, 28, 28)),
+        ((10000,), (0x00000801, 10000)),
+    ], ids=["images", "labels"])
+    def test_round_trip_at_mnist_test_shape(self, tmp_path, shape, header):
+        # the 10 000-image MNIST test split: t10k-images-idx3-ubyte and its labels
+        values = derive_rng(12).integers(0, 256 if len(shape) > 1 else 10, size=shape,
+                                         dtype=np.uint8)
+        path = tmp_path / "split.idx"
+        write_idx(path, values)
+        raw = path.read_bytes()
+        assert struct.unpack(f">{len(header)}I", raw[:4 * len(header)]) == header
+        assert len(raw) == 4 * len(header) + values.size
+        back = read_idx(path)
+        assert back.dtype == np.uint8 and np.array_equal(back, values)
+
+    def test_two_dimensional_labels_are_a_valid_file_but_no_label_file(self, idx_pair, tmp_path):
+        ip, _, _, _ = idx_pair
+        lp = tmp_path / "labels-2d.idx"
+        labels = np.arange(32, dtype=np.uint8).reshape(16, 2) % 10
+        write_idx(lp, labels)
+        assert struct.unpack(">III", lp.read_bytes()[:12]) == (0x00000802, 16, 2)
+        assert np.array_equal(read_idx(lp), labels)
+        with pytest.raises(IdxFormatError, match=r"labels-2d\.idx holds a 2-D array, want 1-D$"):
+            load_idx(ip, lp)
+
+    def test_swapped_pair_rejected_naming_the_images_slot(self, idx_pair):
+        ip, lp, _, _ = idx_pair
+        with pytest.raises(IdxFormatError) as info:
+            load_idx(lp, ip)
+        assert str(info.value) == f"{lp} holds a 1-D array, want 3-D"
 
     def test_count_mismatch_rejected(self, idx_pair, tmp_path):
         ip, _, _, _ = idx_pair
         lp2 = tmp_path / "short.idx"
-        write_idx_labels(lp2, np.zeros(10, dtype=np.uint8))
+        write_idx(lp2, np.zeros(10, dtype=np.uint8))
         with pytest.raises(IdxFormatError, match="mismatch"):
             load_idx(ip, lp2)
 
     def test_empty_pair_rejected_naming_file(self, tmp_path):
         ip, lp = tmp_path / "empty-images.idx", tmp_path / "empty-labels.idx"
-        write_idx_images(ip, np.zeros((0, 28, 28), dtype=np.uint8))
-        write_idx_labels(lp, np.zeros(0, dtype=np.uint8))
+        write_idx(ip, np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx(lp, np.zeros(0, dtype=np.uint8))
         with pytest.raises(IdxFormatError, match=r"no images in .*empty-images\.idx"):
             load_idx(ip, lp)
 
@@ -117,8 +157,8 @@ class TestIdxIo:
         ip, _, _, _ = idx_pair
         cut = tmp_path / "cut.idx"
         cut.write_bytes(ip.read_bytes()[:40])
-        with pytest.raises(IOError, match=r"truncated file .*cut\.idx.*pixels"):
-            read_idx_images(cut)
+        with pytest.raises(IOError, match=r"truncated file .*cut\.idx.*data"):
+            read_idx(cut)
 
     def test_oversized_header_is_io_error(self, idx_pair, tmp_path):
         # count, rows and cols of 0xFFFFFFFF: refused before any read of that size
@@ -126,21 +166,20 @@ class TestIdxIo:
         huge = tmp_path / "huge.idx"
         huge.write_bytes(ip.read_bytes()[:4] + b"\xff" * 12 + ip.read_bytes()[16:])
         with pytest.raises(IOError, match=r"truncated file .*huge\.idx: expected \d+ bytes "
-                                          r"for pixels, got 800$"):
-            read_idx_images(huge)
+                                          r"for data, got 800$"):
+            read_idx(huge)
 
-    @pytest.mark.parametrize("reader,which,header", [
-        (read_idx_images, 0, 16), (read_idx_labels, 1, 8)], ids=["images", "labels"])
-    def test_bytes_past_payload_rejected(self, idx_pair, tmp_path, reader, which, header):
+    @pytest.mark.parametrize("which,header", [(0, 16), (1, 8)], ids=["images", "labels"])
+    def test_bytes_past_payload_rejected(self, idx_pair, tmp_path, which, header):
         # a header that declares fewer items than the file holds
         path = idx_pair[which]
         long = tmp_path / "long.idx"
         long.write_bytes(path.read_bytes() + b"\x00\x07")
-        declared = header + (32 * 25 if reader is read_idx_images else 32)
+        declared = header + (32 * 25 if which == 0 else 32)
         with pytest.raises(IdxFormatError,
                            match=rf"long\.idx: header declares {declared} bytes, "
                                  rf"file has {declared + 2}"):
-            reader(long)
+            read_idx(long)
 
     def test_labels_out_of_range_rejected(self):
         with pytest.raises(IdxFormatError):

@@ -45,7 +45,8 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
     """The Lloyd loop with scatter-add centroid sums (np.add.at) and every
     centroid and distance recomputed on each iteration, kept as the reference
     that kmeans must reproduce bit for bit. Also reports the iterations that
-    re-seeded an empty cluster, and whether the loop converged."""
+    re-seeded an empty cluster, and whether the loop converged. It stops,
+    converged, when a cluster is empty and every point sits on its centroid."""
     n = len(codes)
     centroids = np.empty((k, codes.shape[1]))
     centroids[0] = codes[int(rng.integers(n))]
@@ -61,6 +62,9 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
     for _ in range(max_iters):
         n_iter += 1
         counts = np.bincount(assign, minlength=k)
+        if not counts.all() and not d2[np.arange(n), assign].any():
+            history.append(0.0)
+            return assign, centroids, n_iter, history, reseeded, True
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, codes)
         nonempty = counts > 0
@@ -158,11 +162,14 @@ class TestKmeans:
 
     def test_matches_add_at_reference_with_empty_cluster(self):
         # three distinct points, five clusters: seeding runs out of distance
-        # mass, duplicates a centroid and leaves a cluster empty
+        # mass, duplicates a centroid and leaves a cluster empty. Every point
+        # then sits on a centroid, so no re-seed can lower the inertia and
+        # the first iteration stops, converged
         base = derive_rng(15).random((3, 200))
         codes = base[np.arange(60) % 3]
-        reseeded, _ = assert_same_as_add_at(codes, 5, seed=16)
-        assert reseeded
+        reseeded, n_iter = assert_same_as_add_at(codes, 5, seed=16)
+        result = kmeans(codes, 5, derive_rng(16))
+        assert (reseeded, n_iter, result.converged, result.inertia) == ([], 1, True, 0.0)
 
     def test_matches_add_at_reference_with_a_later_reseed(self):
         # three blobs in the plane, one of them tight, and nine clusters:

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from imae import nn
-from imae.data import (Dataset, NoiseSpec, batches, load_idx, make_synthetic_digits,
-                       write_idx_images, write_idx_labels)
+from imae.data import Dataset, NoiseSpec, batches, load_idx, make_synthetic_digits, write_idx
 from imae.evaluation import cluster_eval, robustness_sweep
 from imae.ndcore import derive_rng
 from imae.objectives import LossSpec
@@ -27,8 +26,8 @@ def split(tmp_path_factory):
     raw = np.round(ds.images * 255.0).astype(np.uint8)
     root = tmp_path_factory.mktemp("idx")
     ip, lp = root / "images.idx", root / "labels.idx"
-    write_idx_images(ip, raw.reshape(N, 28, 28))
-    write_idx_labels(lp, ds.labels)
+    write_idx(ip, raw.reshape(N, 28, 28))
+    write_idx(lp, ds.labels)
     return ip, lp, raw
 
 

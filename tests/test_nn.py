@@ -340,6 +340,28 @@ class TestBackward:
         weights = [filled[f"layers.{k}.W"] for k in range(len(net.layers)) if not tied]
         assert all(np.shares_memory(w, weights[0]) for w in weights)
 
+    @pytest.mark.parametrize("variant, arch, tied", [
+        ("AE", nn.shallow_arch(6, 12), True),
+        ("AE", nn.deep_arch(3, 12, trunk=(10, 6)), False),
+        ("VAE", nn.deep_arch(3, 12, trunk=(10, 6)), False),
+    ], ids=["tied-shallow", "untied-deep", "deep-vae"])
+    @pytest.mark.parametrize("lend", [False, True], ids=["no-out", "empty-out"])
+    @pytest.mark.parametrize("with_consumer", [False, True], ids=["returned", "consumed"])
+    def test_no_gradient_is_aliased(self, rng, spec_for, variant, arch, tied, lend,
+                                    with_consumer):
+        # lent buffers are shared only when a consumer spends each gradient
+        # before the next is formed; gradients handed back keep their own arrays
+        spec = spec_for(variant)
+        net = nn.init_params(arch, derive_rng(3), vae=spec.record.heads, tied=tied)
+        x = rng.random((5, 12))
+        trace = nn.forward(net, x, eps=rng.standard_normal((5, 3)))
+        _, _, fresh = nn.backward(net, trace, spec, x)
+        consumed = {}
+        consume = (lambda key, g: consumed.__setitem__(key, g.tobytes())) if with_consumer else None
+        _, _, grads = nn.backward(net, trace, spec, x, consume, {} if lend else None)
+        got = consumed if with_consumer else {key: g.tobytes() for key, g in grads.items()}
+        assert got == {key: g.tobytes() for key, g in fresh.items()}
+
     def test_variant_net_mismatch_rejected(self):
         plain = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1))
         gauss = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1), vae=True)
