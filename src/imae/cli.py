@@ -88,7 +88,7 @@ def eval_noise(cfg: ExperimentConfig):
 def checkpoint_settings(tcfg: training.TrainConfig) -> dict:
     """The settings a checkpoint was trained with, as raw config values: each
     block key that is a config key, and the preset whose architecture equals
-    the checkpoint's, with model.nh read from the latent width if it sets the code."""
+    the checkpoint's, with model.nh read from the latent width for the deep one."""
     arch = tcfg.arch
     nh = arch.layers[arch.latent_index][0]
     name = next((name for name, p in PRESETS.items() if p.arch(nh) == arch), None)
@@ -97,7 +97,7 @@ def checkpoint_settings(tcfg: training.TrainConfig) -> dict:
                          f"{arch.latent_index}) matches no preset of {tuple(PRESETS)}")
     trained = {k: v for k, v in training.config_values(tcfg).items() if k in KEYS}
     trained["model.preset"] = name
-    if PRESETS[name].nh_sets_code:
+    if PRESETS[name].width is None:
         trained["model.nh"] = str(nh)
     return trained
 
@@ -123,14 +123,16 @@ def load_split(cfg: ExperimentConfig, split) -> Dataset:
     if split == "train":
         check_batch_size(cfg.batch_size, len(ds))
     elif cfg.eval_protocol == "cluster":
-        evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k, len(ds))
+        evaluation.check_cluster_settings(cfg.eval_iterations, cfg.eval_n, cfg.eval_k,
+                                          ds.labels)
     return ds
 
 
 def _warn_paper_scale(cfg):
     if cfg.scale == "paper":
-        print("warning: paper scale trains on the full set for 2000 epochs; "
-              "expect hours of CPU time", file=sys.stderr)
+        rows = f"at most {cfg.train_limit}" if cfg.train_limit else "all the"
+        print(f"warning: paper scale trains {cfg.epochs} epochs on {rows} training images",
+              file=sys.stderr)
 
 
 # --- commands -----------------------------------------------------------
@@ -224,6 +226,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:  # no net checked is no pass
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     variants = list(objectives.VARIANTS) if args.variant == "all" else [args.variant]
     failed = False
     for variant in variants:
@@ -239,11 +243,6 @@ def cmd_gradcheck(args) -> int:
         detail = "  ".join(f"{name}:{err:.2e}" for name, err in sorted(worst.items()))
         print(f"{variant:5s} {status}  max rel err per block: {detail}")
     return 2 if failed else 0
-
-
-def _first_width(cfg):
-    """Width of the first hidden layer, the key of tables 1 and 2."""
-    return PRESETS[cfg.preset].arch(cfg.nh).layers[0][0]
 
 
 def _fmt(value):
@@ -297,12 +296,12 @@ TABLES = {
     "table1": Table(
         settings=lambda cfg: {"eval.protocol": "robustness"},
         losses=_SHALLOW,
-        published=lambda cfg: reference.TABLE1.get(_first_width(cfg), {}),
+        published=lambda cfg: reference.TABLE1.get(PRESETS[cfg.preset].width, {}),
         rows=_robustness_rows),
     "table2": Table(
         settings=lambda cfg: _CLUSTER,
         losses=_SHALLOW,
-        published=lambda cfg: reference.TABLE2.get(_first_width(cfg), {}),
+        published=lambda cfg: reference.TABLE2.get(PRESETS[cfg.preset].width, {}),
         rows=partial(_metric_rows, (_R, ("R_nu", lambda r: _pct(r.rand_noisy)),
                                     ("sigma_prime", lambda r: _fmt(r.sigma_prime))))),
     "table3": Table(

@@ -12,7 +12,6 @@ import math
 import os
 from dataclasses import dataclass, make_dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import nn, objectives, reference
 from .data import CANONICAL_FILES, NOISE_KINDS
@@ -91,20 +90,21 @@ def ini_values(text: str, keys, source) -> dict:
 @dataclass(frozen=True)
 class Preset:
     """One model size of the paper and the defaults it pulls."""
-    arch: Callable         # model.nh -> the network's nn.Arch
-    nh_sets_code: bool     # whether model.nh is the code width (else arch ignores it)
+    width: int             # the shallow hidden width; None for deep, whose code is model.nh wide
     learning_rate: float
-    desk_epochs: int       # train.epochs at desk scale; paper scale trains 2000
+    desk_epochs: int       # train.epochs at desk scale
     tied: bool
     eval_noise: dict       # data.dataset -> eval.noise_level
+
+    def arch(self, nh) -> nn.Arch:
+        return nn.deep_arch(nh) if self.width is None else nn.shallow_arch(self.width)
 
 
 _SHALLOW_NOISE = dict.fromkeys(DATASETS, 0.2)
 PRESETS = {
-    "shallow200": Preset(lambda nh: nn.shallow_arch(200), False, 0.05, 300, True, _SHALLOW_NOISE),
-    "shallow1000": Preset(lambda nh: nn.shallow_arch(1000), False, 0.05, 300, True,
-                          _SHALLOW_NOISE),
-    "deep": Preset(nn.deep_arch, True, 0.005, 150, False, reference.TABLE3_NOISE_STD),
+    "shallow200": Preset(200, 0.05, 300, True, _SHALLOW_NOISE),
+    "shallow1000": Preset(1000, 0.05, 300, True, _SHALLOW_NOISE),
+    "deep": Preset(None, 0.005, 150, False, reference.TABLE3_NOISE_STD),
 }
 
 

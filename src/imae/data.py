@@ -159,7 +159,10 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"but {len(labels)} labels in {labels_path}")
     if len(raw) == 0:
         raise IdxFormatError(f"no images in {images_path}")
-    return Dataset(raw.reshape(len(raw), -1), labels)
+    try:
+        return Dataset(raw.reshape(len(raw), -1), labels)
+    except IdxFormatError as e:  # the one rule left to Dataset: the label range
+        raise IdxFormatError(f"{labels_path}: {e}") from None
 
 
 def make_synthetic_digits(n, seed=7, side=16) -> Dataset:

@@ -216,13 +216,16 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     return [RobustnessRow(spec, float(row.mean())) for spec, row in zip(specs, dist)]
 
 
-def check_cluster_settings(iterations, n, k, n_test) -> None:
+def check_cluster_settings(iterations, n, k, labels) -> None:
     """Raise ConfigurationError, its field the setting at fault, unless the
-    cluster protocol can run ``iterations`` times on ``n`` of ``n_test`` test
-    images with ``k`` clusters."""
+    cluster protocol can run ``iterations`` times on ``n`` of the test images
+    labelled ``labels`` with ``k`` clusters, more than the largest label (the
+    Rand index matches each cluster to a label)."""
     for setting, value, low in (("iterations", iterations, 1), ("k", k, 1), ("n", n, k)):
         check_range(setting, value, low)
-    check_range("n", n, k, n_test, rule=f"n must be <= the {n_test} test images")
+    top = int(np.max(labels, initial=0))
+    check_range("k", k, top + 1, rule=f"k must exceed the largest test label, {top}")
+    check_range("n", n, k, len(labels), rule=f"n must be <= the {len(labels)} test images")
 
 
 def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
@@ -237,7 +240,7 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
     set is encoded once: each iteration's clean codes, and sigma-prime, read
     those rows.
     """
-    check_cluster_settings(iterations, n, k, len(test))
+    check_cluster_settings(iterations, n, k, test.labels)
     codes = encode_rows(net, test.images)
     clean_scores, noisy_scores, capped = [], [], 0
     for it in range(iterations):

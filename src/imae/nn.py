@@ -212,9 +212,7 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Netwo
     return Network(layers, arch.latent_index, tied, heads, biases)
 
 
-def _linear(layer, a, given=None):
-    if given:  # a product formed by the caller (``forward``'s ``pre``)
-        return given.pop(0)
+def _linear(layer, a):
     if a.shape[1] != layer.weights.shape[1]:
         raise ShapeError(f"layer expects {layer.weights.shape[1]} inputs, batch has {a.shape}")
     z = a @ layer.weights.T
@@ -222,12 +220,17 @@ def _linear(layer, a, given=None):
     return z
 
 
+def _input_maps(net: Network):
+    """The linear maps that read the input: layer 0, or both Gaussian heads
+    (mean first) when they do."""
+    return net.vae_heads if net.vae_heads and net.latent_index == 0 else net.layers[:1]
+
+
 def input_products(net: Network, batch, bias=True) -> list:
-    """``batch`` times each linear map that reads the input, plus its bias if
-    ``bias``: layer 0, or both Gaussian heads (mean first) when they do."""
+    """``batch`` times each linear map that reads the input (``_input_maps``),
+    plus its bias if ``bias``."""
     a = as_matrix(batch)
-    maps = net.vae_heads if net.vae_heads and net.latent_index == 0 else net.layers[:1]
-    return [_linear(m, a) if bias else a @ m.weights.T for m in maps]
+    return [_linear(m, a) if bias else a @ m.weights.T for m in _input_maps(net)]
 
 
 def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
@@ -236,15 +239,21 @@ def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
 
     Gaussian-latent networks need ``rng`` to sample the code (or ``eps`` to
     replay a fixed standard-normal draw, e.g. for finite differences).
-    ``pre``, if given, stands in for ``input_products(net, batch)``, whose
-    maps then form nothing; given those very products, the trace is the same.
+    The pass starts from ``input_products(net, batch)``: ``pre``, if given,
+    stands in for them, one product per map that reads the input, and any
+    other count is a ShapeError. Given those very products, the trace is the
+    same.
     """
     a = as_matrix(batch)
     trace = ForwardTrace(net, a, [])
-    given = None if pre is None else list(pre)
+    maps = _input_maps(net)
+    pre = input_products(net, a) if pre is None else list(pre)
+    if len(pre) != len(maps):
+        raise ShapeError(f"pre must hold one product per map that reads the input "
+                         f"({len(maps)}), got {len(pre)}")
     for k, layer in enumerate(net.layers):
         if net.vae_heads is not None and k == net.latent_index:
-            trace.mu, trace.logvar = (_linear(head, a, given) for head in net.vae_heads)
+            trace.mu, trace.logvar = pre if k == 0 else (_linear(h, a) for h in net.vae_heads)
             if eps is None:
                 if rng is None:
                     raise ConfigurationError("Gaussian-latent forward pass needs rng or eps")
@@ -252,7 +261,7 @@ def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
             trace.eps = np.asarray(eps, dtype=np.float64)
             trace.std = np.exp(0.5 * trace.logvar)
             a = trace.z = trace.mu + trace.std * trace.eps
-        z = _linear(layer, a, given)
+        z = pre[0] if k == 0 and a is trace.x else _linear(layer, a)  # unless heads read x
         a = _activate(layer.activation, z)
         if k == net.latent_index:
             trace.latent_pre = z

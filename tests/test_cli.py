@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from imae import cli, config, evaluation, nn, objectives, reference, training
+from imae import cli, config, evaluation, gradcheck, nn, objectives, reference, training
 from imae.cli import UsageError, read_config_file, resolve_config
 from imae.data import CANONICAL_FILES, NoiseSpec
 from imae.ndcore import derive_rng
@@ -378,6 +378,11 @@ CONFIG_ERRORS = [
      "eval.k", "k must be >= 1, got 0", True),
     (["eval", "--protocol", "cluster", "--set", "eval.iterations=0"],
      "eval.iterations", "iterations must be >= 1, got 0", True),
+    # the Rand index matches every test label to a cluster
+    (["eval", "--protocol", "cluster", "--iterations", "1", "--n", "100", "--k", "5"],
+     "eval.k", "k must exceed the largest test label, 9, got 5", True),
+    (["reproduce", "--table", "table2", "--set", "train.batch_size=100", "--set", "eval.k=5"],
+     "eval.k", "k must exceed the largest test label, 9, got 5", True),
     (["train", "--set", "train.batch_size=500"],
      "train.batch_size", "batch_size must be between 1 and the dataset's 400 rows, got 500", True),
     # a NaN or an infinity is a malformed number: its key's codec rejects it,
@@ -647,6 +652,18 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--variant", "AE", "--seeds", "1"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seed_is_no_pass(self, monkeypatch, capsys, seeds):
+        # checking no network passes nothing: refused before any check runs
+        def no_check(*args):
+            raise AssertionError("a variant was checked")
+
+        monkeypatch.setattr(gradcheck, "check_variant", no_check)
+        assert cli.main(["gradcheck", "--seeds", seeds]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: --seeds must be at least 1, got {seeds}\n"
+
 
 class TestReproduceCommand:
     def test_table2_layout_and_determinism(self, idx_dir, tmp_path):
@@ -805,3 +822,10 @@ class TestReproduceCommand:
         cli.main(["train", "--scale", "paper", "--data-dir", str(tmp_path / "x"),
                   "--out", str(tmp_path / "out")])
         assert "paper scale" in capsys.readouterr().err
+        # the warning reads the resolved run, overrides included
+        cli.main(["train", "--scale", "paper", "--set", "train.epochs=1",
+                  "--set", "train.train_limit=500", "--data-dir", str(tmp_path / "x"),
+                  "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "paper scale trains 1 epochs on at most 500 training images" in err
+        assert "2000" not in err

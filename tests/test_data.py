@@ -181,6 +181,14 @@ class TestIdxIo:
                                  rf"file has {declared + 2}"):
             read_idx(long)
 
+    def test_label_out_of_range_names_its_file(self, idx_pair, tmp_path):
+        ip, _, _, _ = idx_pair
+        lp = tmp_path / "labels-10.idx"
+        write_idx(lp, np.array([3, 10] * 16, dtype=np.uint8))
+        with pytest.raises(IdxFormatError) as info:
+            load_idx(ip, lp)
+        assert str(info.value) == f"{lp}: labels outside [0,9]: min=3, max=10"
+
     def test_labels_out_of_range_rejected(self):
         with pytest.raises(IdxFormatError):
             Dataset(np.zeros((2, 4)), [0, 11])

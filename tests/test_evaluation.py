@@ -524,10 +524,14 @@ class TestSharedDraws:
         assert calls == {"corrupt": 2, "gaussian": 2}
 
 
+LABELS_100 = np.arange(100) % 10  # the labels of 100 test images, every class
+
+
 class TestClusterEval:
     @pytest.mark.parametrize("settings, field", [
-        ((0, 10, 10, 100), "iterations"), ((1, 10, 0, 100), "k"),
-        ((1, 5, 10, 100), "n"), ((1, 101, 10, 100), "n"),
+        ((0, 10, 10, LABELS_100), "iterations"), ((1, 10, 0, LABELS_100), "k"),
+        ((1, 5, 10, LABELS_100), "n"), ((1, 101, 10, LABELS_100), "n"),
+        ((1, 10, 5, LABELS_100), "k"),
     ])
     def test_setting_error_names_its_field(self, settings, field):
         with pytest.raises(ConfigurationError) as info:

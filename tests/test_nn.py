@@ -256,6 +256,20 @@ class TestForward:
         with pytest.raises(ShapeError):
             nn.forward(net, np.zeros((2, 7)))
 
+    def test_pre_extra_product_is_no_later_layer_product(self):
+        # a product past the input map's is refused, not taken for the decoder's
+        net = nn.init_params(nn.shallow_arch(5, 8), derive_rng(1), tied=True)
+        x = derive_rng(2).random((4, 8))
+        with pytest.raises(ShapeError, match=r"\(1\), got 2$"):
+            nn.forward(net, x, pre=nn.input_products(net, x) + [np.zeros((4, 8))])
+
+    def test_pre_short_of_the_heads_is_refused(self):
+        # heads that read the input take two products; one is not taken for mu
+        net = nn.init_params(nn.shallow_arch(5, 8), derive_rng(1), vae=True)
+        x = derive_rng(2).random((4, 8))
+        with pytest.raises(ShapeError, match=r"\(2\), got 1$"):
+            nn.forward(net, x, rng=derive_rng(3), pre=nn.input_products(net, x)[:1])
+
     def test_vae_forward_needs_rng_or_eps(self):
         net = nn.init_params(nn.shallow_arch(4, 6), derive_rng(1), vae=True)
         with pytest.raises(ConfigurationError):
