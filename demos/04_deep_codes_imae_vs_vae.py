@@ -32,7 +32,7 @@ for tag, loss in (("VAE", LossSpec("VAE")), ("IMAE", LossSpec("IMAE"))):
     path = f"codes_{tag.lower()}.csv"
     export_codes(net, test_ds, path)
     sp = "-" if report.sigma_prime is None else f"{report.sigma_prime:.3f}"
-    print(f"{tag:5s} final loss {history.records[-1].total:8.3f}  "
+    print(f"{tag:5s} final loss {history[-1].total:8.3f}  "
           f"R {100 * report.rand_clean:5.1f}  R_noisy {100 * report.rand_noisy:5.1f}  "
           f"sigma' {sp}  -> {path}")
 

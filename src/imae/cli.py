@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
 
 import argparse
-import csv
 import os
 import sys
 from contextlib import contextmanager
@@ -24,7 +23,7 @@ from typing import Callable, NamedTuple
 from . import evaluation, gradcheck, objectives, reference, training
 from .config import (CONFIG_KEYS, KEYS, PRESETS, ExperimentConfig, read_config_file,
                      resolve_config, snapshot_text)
-from .data import CANONICAL_FILES, Dataset, NoiseSpec, check_batch_size, load_idx
+from .data import CANONICAL_FILES, Dataset, NoiseSpec, check_batch_size, load_idx, write_csv
 from .errors import ConfigurationError, TrainingDiverged, UsageError, check_range
 from .ndcore import derive_rng, derive_seed
 
@@ -161,10 +160,10 @@ def train_and_save(cfg, tcfg, train_ds, checkpoint, history_csv):
     ``tcfg``, then write its checkpoint and loss history."""
     print(f"training {tcfg.loss.tag} ({cfg.preset}, {cfg.epochs} epochs, "
           f"lr {cfg.learning_rate:g}, batch {cfg.batch_size}) ...", flush=True)
-    net, history = training.train(tcfg, train_ds)
+    net, records = training.train(tcfg, train_ds)
     training.save_checkpoint(net, tcfg, checkpoint)
-    history.to_csv(history_csv)
-    print(f"final loss {history.records[-1].total:.6g}; wrote {checkpoint}, {history_csv}")
+    training.write_history(records, history_csv)
+    print(f"final loss {records[-1].total:.6g}; wrote {checkpoint}, {history_csv}")
     return net
 
 
@@ -282,7 +281,7 @@ class Table(NamedTuple):
     settings: Callable   # config -> raw {key: text}; beats every other source
     losses: tuple        # the LossSpec of each model, in column order
     published: Callable  # config -> reference values, by model tag
-    rows: Callable       # (reports by tag, published) -> the CSV rows
+    rows: Callable       # (reports by tag, published) -> the CSV rows, header first
 
 
 _SHALLOW = (objectives.LossSpec("AE"), objectives.LossSpec("CAE"),
@@ -341,8 +340,8 @@ def cmd_reproduce(args) -> int:
         if cfg.eval_protocol == "cluster":
             evaluation.report_to_json(reports[tag], out / f"{tag}.cluster.json", resolved)
     path = out / f"{args.table}.csv"
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerows(table.rows(reports, table.published(cfg)))
+    rows = table.rows(reports, table.published(cfg))
+    write_csv(path, next(rows), rows)  # the first row is the header
     print(f"wrote {path}")
     return 0
 

@@ -1,4 +1,5 @@
-"""IDX dataset ingestion, batching, and the two corruption operators.
+"""IDX dataset ingestion, batching, the two corruption operators and the
+one CSV writer.
 
 IDX containers, bit-exact: a u32 big-endian magic 0x0800 | ndim (two zero
 bytes, the element type 0x08 for unsigned byte, then the number of
@@ -7,6 +8,7 @@ unsigned bytes in row-major order. An MNIST image file is 3-D (count, rows,
 cols), magic 0x00000803; a label file is 1-D (count), magic 0x00000801.
 """
 
+import csv
 import math
 import os
 import struct
@@ -55,7 +57,12 @@ class Dataset:
         pixels = np.asarray(self.images)
         is_u8 = pixels.dtype == np.uint8 and pixels.ndim == 2
         self.images = pixels if is_u8 else as_matrix(pixels)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f":  # an int64 cast would truncate these silently
+            bad = labels[~(np.isfinite(labels) & (np.floor(labels) == labels))]
+            if len(bad):
+                raise IdxFormatError(f"labels must be whole numbers, got {bad[0]}")
+        self.labels = np.asarray(labels, dtype=np.int64)
         if self.labels.ndim != 1 or len(self.labels) != len(self.images):
             raise IdxFormatError(
                 f"{len(self.images)} images vs {self.labels.shape} labels")
@@ -63,8 +70,8 @@ class Dataset:
             raise IdxFormatError(
                 f"labels outside [0,{N_CLASSES - 1}]: "
                 f"min={self.labels.min()}, max={self.labels.max()}")
-        if not is_u8 and len(self.images) and (
-                self.images.min() < 0.0 or self.images.max() > 1.0):
+        if not is_u8 and len(self.images) and not (  # so a NaN fails too
+                self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise IdxFormatError("pixels outside [0,1]")
 
     def __len__(self):
@@ -163,6 +170,15 @@ def load_idx(images_path, labels_path) -> Dataset:
         return Dataset(raw.reshape(len(raw), -1), labels)
     except IdxFormatError as e:  # the one rule left to Dataset: the label range
         raise IdxFormatError(f"{labels_path}: {e}") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: the ``header`` row, then each row of ``rows`` as the
+    iterable yields it (so a generator streams), with LF line ends."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def make_synthetic_digits(n, seed=7, side=16) -> Dataset:

@@ -6,7 +6,6 @@ agreeing points over all one-to-one cluster-to-label maps (solved exactly as
 a linear assignment on the contingency table).
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import nn, objectives
 from .data import (Dataset, NoiseSpec, apply_noise, corrupt, draw_noise, pixel_rows,
-                   sample_subset)
+                   sample_subset, write_csv)
 from .errors import ConfigurationError, check_range
 from .ndcore import as_matrix, derive_rng, row_blocks
 
@@ -267,13 +266,10 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
 
 def export_codes(net: nn.Network, ds: Dataset, path) -> None:
     """CSV of one row per sample: label then the hidden coordinates, written
-    with 12 significant digits."""
+    with 12 significant digits, each row formed as it is written."""
     codes = encode_rows(net, ds.images)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label"] + [f"z{i}" for i in range(codes.shape[1])])
-        for label, row in zip(ds.labels, codes):
-            writer.writerow([int(label)] + [f"{v:.12g}" for v in row])
+    write_csv(path, ["label"] + [f"z{i}" for i in range(codes.shape[1])],
+              ([int(label)] + [f"{v:.12g}" for v in row] for label, row in zip(ds.labels, codes)))
 
 
 def report_to_json(report: EvalReport, path, resolved_config=None) -> None:
@@ -287,22 +283,13 @@ def report_to_json(report: EvalReport, path, resolved_config=None) -> None:
 
 
 def robustness_to_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["model", "noise_kind", "level", "mean_l2"])
-        for row in report.robustness:
-            writer.writerow([report.model, row.noise.kind,
-                             f"{row.noise.level:g}", f"{row.mean_l2:.12g}"])
+    write_csv(path, ["model", "noise_kind", "level", "mean_l2"],
+              ([report.model, row.noise.kind, f"{row.noise.level:g}", f"{row.mean_l2:.12g}"]
+               for row in report.robustness))
 
 
 def cluster_to_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["model", "rand_clean", "rand_noisy", "sigma_prime", "iterations"])
-        writer.writerow([
-            report.model,
-            "" if report.rand_clean is None else f"{report.rand_clean:.12g}",
-            "" if report.rand_noisy is None else f"{report.rand_noisy:.12g}",
-            "" if report.sigma_prime is None else f"{report.sigma_prime:.12g}",
-            report.iterations,
-        ])
+    scores = (report.rand_clean, report.rand_noisy, report.sigma_prime)
+    write_csv(path, ["model", "rand_clean", "rand_noisy", "sigma_prime", "iterations"],
+              [[report.model, *("" if v is None else f"{v:.12g}" for v in scores),
+                report.iterations]])

@@ -157,7 +157,7 @@ class ForwardTrace:
     net: Network
     x: np.ndarray          # batch actually fed to the first layer
     act: list              # per-layer activations
-    latent_pre: np.ndarray = None  # pre-activation of layer latent_index
+    latent_pre: np.ndarray = None  # pre-activation of a code that is a layer's output
     mu: np.ndarray = None  # the rest: Gaussian-latent networks only
     logvar: np.ndarray = None
     eps: np.ndarray = None
@@ -170,7 +170,8 @@ class ForwardTrace:
 
     @property
     def latent_act(self):
-        return self.act[self.net.latent_index]
+        """The code: the latent layer's output, or the sample z."""
+        return self.act[self.net.latent_index] if self.z is None else self.z
 
 
 def _glorot(rng, out_dim, in_dim):
@@ -234,8 +235,8 @@ def input_products(net: Network, batch, bias=True) -> list:
 
 
 def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
-    """Run the network on a batch, recording every activation and the latent
-    layer's pre-activation (the only one the loss reads).
+    """Run the network on a batch, recording every activation and, when the
+    code is a layer's output, its pre-activation (the only one the loss reads).
 
     Gaussian-latent networks need ``rng`` to sample the code (or ``eps`` to
     replay a fixed standard-normal draw, e.g. for finite differences).
@@ -251,8 +252,9 @@ def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
     if len(pre) != len(maps):
         raise ShapeError(f"pre must hold one product per map that reads the input "
                          f"({len(maps)}), got {len(pre)}")
+    heads_at = None if net.vae_heads is None else net.latent_index  # the layer after them
     for k, layer in enumerate(net.layers):
-        if net.vae_heads is not None and k == net.latent_index:
+        if k == heads_at:
             trace.mu, trace.logvar = pre if k == 0 else (_linear(h, a) for h in net.vae_heads)
             if eps is None:
                 if rng is None:
@@ -261,9 +263,9 @@ def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
             trace.eps = np.asarray(eps, dtype=np.float64)
             trace.std = np.exp(0.5 * trace.logvar)
             a = trace.z = trace.mu + trace.std * trace.eps
-        z = pre[0] if k == 0 and a is trace.x else _linear(layer, a)  # unless heads read x
+        z = pre[0] if k == 0 and heads_at != 0 else _linear(layer, a)  # unless heads read x
         a = _activate(layer.activation, z)
-        if k == net.latent_index:
+        if k == net.latent_index and heads_at is None:
             trace.latent_pre = z
         trace.act.append(a)
     return trace

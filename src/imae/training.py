@@ -10,13 +10,13 @@ Checkpoint layout (all integers little-endian u32 unless noted):
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import nn, objectives
 from .config import BLOCK_CODECS, CONFIG_KEYS, ini_text, ini_values
-from .data import Dataset, NoiseSpec, batches, corrupt, read_exact, read_u32
+from .data import Dataset, NoiseSpec, batches, corrupt, read_exact, read_u32, write_csv
 from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged, check_range
 from .ndcore import derive_rng
 
@@ -44,6 +44,8 @@ class TrainConfig:
 
 @dataclass
 class EpochRecord:
+    """One epoch of ``train``: each loss column is its mean over the epoch's
+    rows, so a batch weighs its row count; ``seconds``, wall time to the ms."""
     epoch: int
     total: float
     reconstruction: float
@@ -51,16 +53,9 @@ class EpochRecord:
     seconds: float
 
 
-@dataclass
-class TrainHistory:
-    records: list = field(default_factory=list)
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write("epoch,total,reconstruction,latent,seconds\n")
-            for r in self.records:
-                f.write(f"{r.epoch},{r.total!r},{r.reconstruction!r},"
-                        f"{r.latent!r},{r.seconds:.3f}\n")
+def write_history(records, path) -> None:
+    """history.csv: one row per EpochRecord, its fields the columns."""
+    write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, records))
 
 
 def build_network(cfg: TrainConfig, rng) -> nn.Network:
@@ -69,7 +64,8 @@ def build_network(cfg: TrainConfig, rng) -> nn.Network:
 
 
 def train(cfg: TrainConfig, ds: Dataset):
-    """Train a fresh network on ``ds``; returns (network, history).
+    """Train a fresh network on ``ds``; returns (network, records), one
+    EpochRecord per epoch.
 
     Plain SGD, theta <- theta - lr * grad per batch, each block stepped in
     ``nn.backward`` once its gradient is final. Everything random (init, batch
@@ -85,7 +81,7 @@ def train(cfg: TrainConfig, ds: Dataset):
     net = build_network(cfg, init_rng)
     params = net.param_items()
     latent_rng = derive_rng(cfg.seed, "latent-sample")  # drawn from only by Gaussian heads
-    history = TrainHistory()
+    records = []
     buffers = {}  # backward's gradient arrays, made by its first call and reused by each step
 
     def sgd_step(name, grad):
@@ -94,23 +90,21 @@ def train(cfg: TrainConfig, ds: Dataset):
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        tot = rec = lat = 0.0
-        seen = 0
+        sums, seen = {}, 0  # each loss column's sum over rows, by name
         for xb in batches(ds, cfg.batch_size, batch_rng, cfg.shuffle):
             x_in = xb if cfg.loss.noise is None else corrupt(xb, cfg.loss.noise, noise_rng)
             trace = nn.forward(net, x_in, rng=latent_rng)
             total, terms, _ = nn.backward(net, trace, cfg.loss, xb, sgd_step, buffers)
             del trace  # else it lives on through the next step's forward pass
+            losses = {"total": total, **terms}
             if not np.isfinite(total):
-                raise TrainingDiverged(epoch, {"total": total, **terms})
-            b = len(xb)
-            tot += total * b
-            rec += terms["reconstruction"] * b
-            lat += terms["latent"] * b
-            seen += b
-        history.records.append(EpochRecord(
-            epoch, tot / seen, rec / seen, lat / seen, time.perf_counter() - t0))
-    return net, history
+                raise TrainingDiverged(epoch, losses)
+            for name, value in losses.items():
+                sums[name] = sums.get(name, 0.0) + value * len(xb)
+            seen += len(xb)
+        records.append(EpochRecord(epoch, **{name: s / seen for name, s in sums.items()},
+                                   seconds=round(time.perf_counter() - t0, 3)))
+    return net, records
 
 
 # --- the checkpoint config block ---

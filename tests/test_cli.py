@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -317,6 +318,26 @@ def test_every_variant_trains_and_evaluates(idx_dir, tmp_path, variant, noise_ki
     report = json.loads((evaluated / "report.json").read_text())
     assert report["model"] == tag
     assert (report["sigma_prime"] is None) == (variant == "VAE")
+
+
+def test_every_csv_has_lf_line_ends(idx_dir, tmp_path):
+    # train, each eval protocol and a reproduce table all write through data.write_csv
+    trained = tmp_path / "train"
+    assert cli.main(["train", "--data-dir", str(idx_dir), "--out", str(trained),
+                     "--set", "model.variant=AE"] + fast_overrides(["train.epochs=1"])) == 0
+    for protocol in ("robustness", "cluster", "codes"):
+        assert cli.main(["eval", "--checkpoint", str(trained / "model.ckpt"), "--data-dir",
+                         str(idx_dir), "--out", str(tmp_path / protocol), "--protocol", protocol,
+                         "--iterations", "1", "--n", "100"]) == 0
+    assert cli.main(["reproduce", "--table", "table1", "--data-dir", str(idx_dir),
+                     "--out", str(tmp_path / "t1")] + fast_overrides(["train.epochs=1"])) == 0
+    written = {path.relative_to(tmp_path).as_posix(): path.read_bytes()
+               for path in tmp_path.rglob("*.csv")}
+    assert {"train/history.csv", "robustness/robustness.csv", "cluster/cluster.csv",
+            "codes/codes.csv", "t1/table1.csv", "t1/IMAE.history.csv"} <= set(written)
+    assert [name for name, text in written.items() if b"\r" in text] == []
+    header = written["train/history.csv"].decode().split("\n")[0]
+    assert header.split(",") == [f.name for f in dataclasses.fields(training.EpochRecord)]
 
 
 @pytest.fixture(scope="session")

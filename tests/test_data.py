@@ -193,6 +193,20 @@ class TestIdxIo:
         with pytest.raises(IdxFormatError):
             Dataset(np.zeros((2, 4)), [0, 11])
 
+    def test_nan_pixels_rejected(self):
+        # NaN fails every comparison, so a range check must be written to fail on it
+        with pytest.raises(IdxFormatError, match=r"^pixels outside \[0,1\]$"):
+            Dataset(np.full((2, 4), np.nan), [0, 1])
+
+    @pytest.mark.parametrize("labels, shown", [([0.5, 1.7], "0.5"), ([0.0, np.nan], "nan"),
+                                               ([np.inf, 1.0], "inf")])
+    def test_labels_that_are_no_whole_numbers_rejected(self, labels, shown):
+        with pytest.raises(IdxFormatError, match=rf"^labels must be whole numbers, got {shown}$"):
+            Dataset(np.zeros((2, 4)), labels)
+
+    def test_whole_float_labels_kept(self):
+        assert Dataset(np.zeros((2, 4)), [3.0, 9.0]).labels.tolist() == [3, 9]
+
 
 class TestCorrupt:
     def test_none_is_identity_copy(self, rng):

@@ -251,6 +251,20 @@ class TestForward:
         assert np.array_equal(trace.latent_pre, nn._linear(net.layers[k], a_in))
         assert np.array_equal(trace.latent_act, objectives.sigmoid(trace.latent_pre))
 
+    @pytest.mark.parametrize("arch", [nn.deep_arch(10), nn.shallow_arch(200)],
+                             ids=["deep10", "shallow200"])
+    def test_gaussian_latent_code_is_the_sample(self, arch):
+        # the layer at latent_index of a VAE is the decoder's first, not the code
+        x = derive_rng(2).random((5, 784))
+        width = arch.layers[arch.latent_index][0]
+        trace = nn.forward(nn.init_params(arch, derive_rng(1), vae=True), x, rng=derive_rng(3))
+        assert trace.latent_pre is None
+        assert trace.latent_act is trace.z
+        assert trace.z.shape == (5, width)
+        plain = nn.forward(nn.init_params(arch, derive_rng(1)), x)
+        assert plain.latent_pre.shape == plain.latent_act.shape == (5, width)
+        assert plain.latent_act is plain.act[arch.latent_index]
+
     def test_batch_width_mismatch(self):
         net = nn.init_params(nn.shallow_arch(4, 6), derive_rng(1))
         with pytest.raises(ShapeError):

@@ -40,7 +40,7 @@ def shallow_suite(digits_train, digits_test):
                           tied=True, seed=derive_seed(SEED, "train", tag))
         net, history = train(cfg, digits_train)
         nets[tag] = net
-        finals[tag] = history.records[-1].total
+        finals[tag] = history[-1].total
     return nets, finals
 
 
@@ -117,7 +117,7 @@ class TestDeepProtocol:
 
     def test_training_is_stable(self, deep_pair):
         for tag, (_, history, _) in deep_pair.items():
-            totals = [r.total for r in history.records]
+            totals = [r.total for r in history]
             assert all(np.isfinite(t) for t in totals), tag
             assert totals[-1] < totals[0], tag
 
