@@ -233,10 +233,10 @@ def cmd_gradcheck(args) -> int:
         worst = {}
         ok = True
         for s in range(args.seeds):
-            result = gradcheck.check_variant(variant, derive_seed(args.seed, "gradcheck", s))
-            ok = ok and result.passed
-            for block in result.blocks:
-                worst[block.name] = max(worst.get(block.name, 0.0), block.max_rel_err)
+            for result in gradcheck.gate(variant, derive_seed(args.seed, "gradcheck", s)):
+                ok = ok and result.passed
+                for block in result.blocks:
+                    worst[block.name] = max(worst.get(block.name, 0.0), block.max_rel_err)
         status = "PASS" if ok else "FAIL"
         failed = failed or not ok
         detail = "  ".join(f"{name}:{err:.2e}" for name, err in sorted(worst.items()))
@@ -278,7 +278,7 @@ def _metric_rows(metrics, reports, published):
 
 class Table(NamedTuple):
     """One table of the paper, declared as data for ``reproduce``."""
-    settings: Callable   # config -> raw {key: text}; beats every other source
+    settings: dict       # raw {key: text} of what defines the table; beats every other source
     losses: tuple        # the LossSpec of each model, in column order
     published: Callable  # config -> reference values, by model tag
     rows: Callable       # (reports by tag, published) -> the CSV rows, header first
@@ -293,22 +293,18 @@ _CLUSTER = {"eval.protocol": "cluster", "eval.noise_kind": "gaussian"}
 
 TABLES = {
     "table1": Table(
-        settings=lambda cfg: {"eval.protocol": "robustness"},
+        settings={"eval.protocol": "robustness"},
         losses=_SHALLOW,
         published=lambda cfg: reference.TABLE1.get(PRESETS[cfg.preset].width, {}),
         rows=_robustness_rows),
     "table2": Table(
-        settings=lambda cfg: _CLUSTER,
+        settings=_CLUSTER,
         losses=_SHALLOW,
         published=lambda cfg: reference.TABLE2.get(PRESETS[cfg.preset].width, {}),
         rows=partial(_metric_rows, (_R, ("R_nu", lambda r: _pct(r.rand_noisy)),
                                     ("sigma_prime", lambda r: _fmt(r.sigma_prime))))),
     "table3": Table(
-        settings=lambda cfg: {
-            **_CLUSTER, "model.preset": "deep",
-            "eval.noise_level": repr(reference.TABLE3_NOISE_STD[cfg.dataset]),
-            "eval.iterations": str(cfg.eval_iterations if cfg.scale == "paper"
-                                   else min(cfg.eval_iterations, 10))},
+        settings={**_CLUSTER, "model.preset": "deep"},
         losses=(objectives.LossSpec("VAE"), objectives.LossSpec("IMAE")),
         published=lambda cfg: {tag: dict(zip(("R", "R_noisy"), by_nh[cfg.nh]))
                                for tag, by_nh in reference.TABLE3[cfg.dataset].items()
@@ -320,8 +316,7 @@ TABLES = {
 def cmd_reproduce(args) -> int:
     table = TABLES[args.table]
     raw = _apply_overrides(read_config_file(args.config), args)
-    # resolved twice: a table's settings may read the config they override
-    cfg = resolve_config({**raw, **table.settings(resolve_config(raw))})
+    cfg = resolve_config({**raw, **table.settings})
     _warn_paper_scale(cfg)
     tcfgs = [train_config(cfg, derive_seed(cfg.seed, "train", loss.tag), loss)
              for loss in table.losses]

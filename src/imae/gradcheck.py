@@ -14,6 +14,8 @@ from .ndcore import derive_rng
 
 H, RTOL, ATOL = 1e-5, 1e-5, 1e-8  # difference step; pass when |a-f| <= ATOL + RTOL*|f|
 NOISE = NoiseSpec("mask", 0.3)  # the training corruption of the variants that take one
+SHALLOW = nn.shallow_arch(7, input_dim=10)
+DEEP = nn.deep_arch(3, input_dim=12, trunk=(10, 6))  # the deep preset's layout, small
 
 
 def loss_at(net, spec, x_in, x_clean, eps=None) -> float:
@@ -88,12 +90,10 @@ def compare_grads(analytic, numeric) -> list:
     return blocks
 
 
-def check_variant(variant, seed, widths=(10, 7), batch=4, tied=False) -> GradCheckResult:
-    """Check one loss variant on a random small shallow network, of input and
-    latent ``widths``, and batch."""
+def check_variant(variant, seed, arch=SHALLOW, batch=4, tied=False) -> GradCheckResult:
+    """Check one loss variant on a random small network of ``arch`` and batch."""
     rng = derive_rng(seed, "gradcheck", variant)
-    d, l = widths
-    arch = nn.shallow_arch(l, input_dim=d)
+    d, l = arch.input_dim, arch.layers[arch.latent_index][0]
     noise = NOISE if objectives.VARIANTS[variant].noise else None
     spec = objectives.LossSpec(variant, noise=noise)
     net = nn.init_params(arch, rng, vae=spec.record.heads, tied=tied)
@@ -108,3 +108,16 @@ def check_variant(variant, seed, widths=(10, 7), batch=4, tied=False) -> GradChe
     _, _, analytic = nn.backward(net, trace, spec, x_clean)
     numeric = finite_difference_grads(net, spec, x_in, x_clean, eps=eps)
     return GradCheckResult(variant, seed, compare_grads(analytic, numeric))
+
+
+def gate(variant, seed) -> list:
+    """The checks ``imae gradcheck`` runs per seed: on ``SHALLOW``, and on the
+    kinds of net the presets train: its tied twin (a variant without Gaussian
+    heads) and ``DEEP`` (a variant that needs no single-layer encoder)."""
+    record = objectives.VARIANTS[variant]
+    results = [check_variant(variant, seed)]
+    if not record.heads:
+        results.append(check_variant(variant, seed, tied=True))
+    if not record.single_layer_encoder:
+        results.append(check_variant(variant, seed, arch=DEEP))
+    return results

@@ -39,6 +39,14 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("learning_rate", 0), ("epochs", 1), ("batch_size", 1)):
             check_range(name, getattr(self, name), low)
+        widths = self.arch.widths()
+        if widths[-1] != widths[0]:
+            raise ConfigurationError(f"the last layer must reconstruct the {widths[0]} inputs, "
+                                     f"got widths {widths}", field="layers")
+        if self.loss.record.heads and self.arch.latent_index == len(self.arch.layers) - 1:
+            raise ConfigurationError(f"{self.loss.variant}'s Gaussian heads replace the code "
+                                     f"layer, so a decoder layer must follow it; got the code "
+                                     f"as the last layer of {widths}", field="layers")
         objectives.check_code_fits(self.loss, self.arch)
 
 
@@ -188,7 +196,7 @@ def save_checkpoint(net: nn.Network, cfg: TrainConfig, path) -> None:
 
 def load_checkpoint(path):
     """Rebuild (network, config) from a checkpoint, filling each parameter once;
-    exact round trip. A format error names the file."""
+    exact round trip. A format error, a non-finite parameter too, names the file."""
     try:
         with open(path, "rb") as f:
             magic = read_exact(f, 4, "magic")
@@ -217,6 +225,8 @@ def load_checkpoint(path):
                         f"array {name!r} has shape {shape}, network needs {dst.shape}")
                 payload = read_exact(f, 8 * dst.size, f"data of {name}")
                 np.copyto(dst, np.frombuffer(payload, dtype="<f8").reshape(shape))
+                if not np.isfinite(dst).all():
+                    raise CheckpointFormatError(f"array {name!r} holds a non-finite value")
             if f.read(1):
                 raise CheckpointFormatError("bytes past the last array")
     except (CheckpointFormatError, ConfigurationError, UnicodeDecodeError) as e:

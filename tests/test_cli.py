@@ -660,6 +660,25 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         for variant in ("AE", "CAE", "DAE", "IMAE", "VAE"):
             assert f"{variant:5s} PASS" in out
+        # every variant but CAE is checked on a deep net as well
+        lines = {line.split()[0]: line for line in out.splitlines()}
+        assert all("layers.4.W:" in lines[v] for v in ("AE", "DAE", "IMAE", "VAE"))
+        assert "layers.2" not in lines["CAE"]
+
+    @pytest.mark.parametrize("variant, kind", [("AE", "tied"), ("IMAE", "deep"), ("VAE", "deep")])
+    def test_preset_kinds_of_net_checked(self, monkeypatch, capsys, variant, kind):
+        # a gradient wrong only on a tied net, or only on a deep one, fails the gate
+        true_backward = nn.backward
+
+        def broken(net, trace, spec, clean):
+            total, terms, grads = true_backward(net, trace, spec, clean)
+            if net.tied if kind == "tied" else len(net.layers) > 2:
+                grads["layers.0.b"] = grads["layers.0.b"] + 0.01
+            return total, terms, grads
+
+        monkeypatch.setattr(nn, "backward", broken)
+        assert cli.main(["gradcheck", "--variant", variant, "--seeds", "1"]) == 2
+        assert f"{variant:5s} FAIL" in capsys.readouterr().out
 
     def test_broken_gradient_fails(self, monkeypatch, capsys):
         true_backward = nn.backward
@@ -829,9 +848,25 @@ class TestReproduceCommand:
                          "--data-dir", str(idx_dir), "--seed", "13", "--out", str(out)]
                         + fast_overrides(["train.epochs=1", "eval.iterations=12",
                                           "eval.noise_kind=mask", "eval.noise_level=0.3"])) == 0
-        # desk scale caps the iterations at 10 and table3 uses the dataset's sigma
-        self.assert_snapshot_names_what_ran(out, ("VAE", "IMAE"), "cluster", 10,
-                                            NoiseSpec("gaussian", 0.01))
+        # the user's iterations and level win; the table forces its Gaussian kind
+        self.assert_snapshot_names_what_ran(out, ("VAE", "IMAE"), "cluster", 12,
+                                            NoiseSpec("gaussian", 0.3))
+
+    @pytest.mark.parametrize("table", cli.TABLES)
+    def test_config_resolves_once(self, tmp_path, monkeypatch, table):
+        # a table's settings are plain data laid over the user's values, so no
+        # config is resolved to compute them; the run stops at the missing data
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return resolve_config(raw)
+
+        monkeypatch.setattr(cli, "resolve_config", counting)
+        assert cli.main(["reproduce", "--table", table, "--data-dir", str(tmp_path / "none"),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert len(calls) == 1
+        assert calls[0].items() >= cli.TABLES[table].settings.items()
 
     def test_usage_errors(self, tmp_path):
         assert cli.main(["reproduce"]) == 1  # missing --table

@@ -413,32 +413,20 @@ class TestGradientsAgainstFiniteDifferences:
     @pytest.mark.parametrize("variant", objectives.VARIANTS)
     def test_small_random_nets(self, variant):
         for seed in range(3):
-            result = gradcheck.check_variant(variant, seed, widths=(9, 5), batch=6)
+            result = gradcheck.check_variant(variant, seed, arch=nn.shallow_arch(5, 9), batch=6)
             assert result.passed, (variant, seed, result.max_rel_err)
 
     @pytest.mark.parametrize("variant", ["AE", "CAE", "DAE", "IMAE"])
     def test_tied_nets(self, variant):
-        result = gradcheck.check_variant(variant, 11, widths=(8, 6), batch=5, tied=True)
+        result = gradcheck.check_variant(variant, 11, arch=nn.shallow_arch(6, 8), batch=5,
+                                          tied=True)
         assert result.passed, (variant, result.max_rel_err)
 
-    def test_deep_imae_and_vae(self, spec_for):
+    def test_deep_imae_and_vae(self):
         # multi-layer softplus trunks, as used by the deep preset
-        for variant, vae in (("IMAE", False), ("VAE", True), ("AE", False), ("DAE", False)):
-            rng = derive_rng(3, "deep-gradcheck", variant)
-            arch = nn.deep_arch(3, input_dim=12, trunk=(10, 6))
-            net = nn.init_params(arch, rng, vae=vae)
-            for name, arr in net.param_items().items():
-                if name.endswith(".b"):
-                    arr += 0.05 * rng.standard_normal(arr.shape)
-            x = rng.random((4, 12))
-            spec = spec_for(variant)
-            x_in = x if variant != "DAE" else x * (rng.random(x.shape) > 0.3)
-            eps = rng.standard_normal((4, 3)) if vae else None
-            trace = nn.forward(net, x_in, eps=eps)
-            _, _, analytic = nn.backward(net, trace, spec, x)
-            numeric = gradcheck.finite_difference_grads(net, spec, x_in, x, eps=eps)
-            blocks = gradcheck.compare_grads(analytic, numeric)
-            assert all(b.passed for b in blocks), [(b.name, b.max_rel_err) for b in blocks]
+        for variant in ("IMAE", "VAE", "AE", "DAE"):
+            result = gradcheck.check_variant(variant, 3, arch=nn.deep_arch(3, 12, trunk=(10, 6)))
+            assert result.passed, [(b.name, b.max_rel_err) for b in result.blocks]
 
     def test_bias_free_nets(self, spec_for):
         # literal form with untrained biases: no bias entries, grads still match

@@ -39,6 +39,21 @@ class TestTrainConfig:
             TrainConfig(arch=nn.deep_arch(10), loss=LossSpec("CAE"),
                         learning_rate=0.005, epochs=1, batch_size=500)
 
+    @pytest.mark.parametrize("arch, loss, rule", [
+        (nn.Arch(8, ((5, "sigmoid"), (7, "identity")), 0), "AE",
+         "the last layer must reconstruct the 8 inputs, got widths (8, 5, 7)"),
+        (nn.Arch(784, ((10, "identity"),), 0), "VAE", "the last layer must reconstruct"),
+        # the widths fit, but no layer would be left to decode the sample
+        (nn.Arch(784, ((784, "sigmoid"),), 0), "VAE",
+         "VAE's Gaussian heads replace the code layer, so a decoder layer must follow it"),
+        (nn.Arch(12, ((10, "softplus"), (12, "sigmoid")), 1), "VAE",
+         "VAE's Gaussian heads replace the code layer"),
+    ], ids=["output-width", "code-only", "heads-last", "trunk-then-heads-last"])
+    def test_arch_must_reconstruct_its_input(self, arch, loss, rule):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(rule)) as info:
+            tiny_config(arch=arch, loss=LossSpec(loss))
+        assert info.value.field == "layers"
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
@@ -335,6 +350,9 @@ class TestConfigText:
         (LossSpec("IMAE"), "lambda = 1.0", "lambda = -1.0", "lambda"),
         (None, "epochs = 3", "epochs = 0", "epochs"),
         (None, "layers = 6:sigmoid", "layers = 0:sigmoid", "layers"),
+        (None, "16:identity", "15:identity", "layers"),
+        (LossSpec("VAE"), "layers = 6:sigmoid,16:identity\nlatent_index = 0",
+         "layers = 16:sigmoid,16:identity\nlatent_index = 1", "layers"),
     ])
     def test_out_of_domain_value_names_its_key(self, loss, line, bad, key):
         text = config_to_text(tiny_config(loss=loss))
@@ -423,6 +441,19 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes().replace(line, bad))
         with pytest.raises(CheckpointFormatError, match=re.escape(f"{path}: {error}")):
             load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        # such a net would evaluate to NaN distances and Rand indices, not fail
+        cfg = tiny_config(arch=nn.shallow_arch(200))
+        net = build_network(cfg, derive_rng(1))
+        path = tmp_path / "m.ckpt"
+        for name, bad in (("layers.0.W", np.nan), ("layers.1.b", -np.inf)):
+            net.param_items()[name].flat[3] = bad
+            save_checkpoint(net, cfg, path)
+            with pytest.raises(CheckpointFormatError, match="^" + re.escape(
+                    f"{path}: array {name!r} holds a non-finite value") + "$"):
+                load_checkpoint(path)
+            net.param_items()[name].flat[3] = 0.0
 
     @pytest.mark.parametrize("edit, error", [
         # equal shapes, so layers.1.W would keep the skeleton's initial values
