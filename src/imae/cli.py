@@ -67,8 +67,7 @@ def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig
     return training.TrainConfig(
         arch=PRESETS[cfg.preset].arch(cfg.nh), loss=loss,
         learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        tied=cfg.tied and not loss.record.heads, seed=seed, biases=cfg.biases,
-        shuffle=cfg.shuffle)
+        tied=cfg.tied and not loss.record.heads, seed=seed, shuffle=cfg.shuffle)
 
 
 def eval_noise(cfg: ExperimentConfig):
@@ -78,6 +77,8 @@ def eval_noise(cfg: ExperimentConfig):
         with keys_of({"level": "eval.noise_level"}):
             return NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level)
     if cfg.eval_protocol == "robustness":
+        if not cfg.mask_grid and not cfg.gaussian_grid:  # a sweep of no level
+            raise UsageError("eval.mask_grid and eval.gaussian_grid are both empty")
         with keys_of({"level": "eval.mask_grid"}):
             masks = [NoiseSpec("mask", p) for p in cfg.mask_grid]
         with keys_of({"level": "eval.gaussian_grid"}):

@@ -45,7 +45,7 @@ LAYERS = (lambda text: tuple((int(w), a) for w, _, a in
                              (part.partition(":") for part in text.split(","))),
           lambda layers: ",".join(f"{w}:{a}" for w, a in layers))
 GRID = (lambda text: tuple(FLOAT[0](v) for v in text.split(",") if v.strip() != ""),
-        lambda grid: ",".join(f"{v:g}" for v in grid))
+        lambda grid: ",".join(map(FLOAT[1], grid)))
 
 
 def choice(allowed, parse=str):
@@ -133,7 +133,6 @@ _SCHEMA = {
         "noise_kind": ("noise_kind", choice(NOISE_KINDS), "mask"),
         "noise_level": ("noise_level", FLOAT, 0.3),
         "tied": ("tied", BOOL, None),
-        "biases": ("biases", BOOL, True),
     },
     "train": {
         "learning_rate": ("learning_rate", FLOAT, None),
@@ -156,14 +155,13 @@ _SCHEMA = {
 KEYS = {f"{section}.{key}": entry
         for section, keys in _SCHEMA.items() for key, entry in keys.items()}
 
-# The checkpoint config block, in its written order: ten settings a config
+# The checkpoint config block, in its written order: nine settings a config
 # file also holds, under their keys and schema codecs, and the block's own
-# four, the architecture and the derived training seed.
-_BLOCK_OWN = {"model.input_dim": INT, "model.layers": LAYERS, "model.latent_index": INT,
-              "train.seed": INT}
+# three, the architecture and the derived training seed.
+_BLOCK_OWN = {"model.layers": LAYERS, "model.latent_index": INT, "train.seed": INT}
 BLOCK_CODECS = {key: _BLOCK_OWN.get(key) or KEYS[key][1] for key in (
     "model.variant", "model.lambda", "model.noise_kind", "model.noise_level", "model.tied",
-    "model.biases", "model.input_dim", "model.layers", "model.latent_index",
+    "model.layers", "model.latent_index",
     "train.learning_rate", "train.epochs", "train.batch_size", "train.shuffle", "train.seed")}
 
 # field a domain rule names -> config key feeding it. A site adds what it

@@ -35,6 +35,8 @@ def kmeans(codes, k, rng) -> ClusterResult:
     currently farthest from its centroid. When a cluster is empty and every
     point already sits on its centroid, the codes have fewer distinct points
     than k, no re-seed can lower the inertia, and the fit stops converged.
+    A step that moves points but lowers no inertia only trades rounding (on
+    near-duplicate codes), so the fit stops converged at the state before it.
 
     Each iteration recomputes only the stale clusters, those whose member set
     changed since their centroid was set (at first, all of them): an unchanged
@@ -64,11 +66,14 @@ def kmeans(codes, k, rng) -> ClusterResult:
 
     d2 = cdist(centroids, codes, "sqeuclidean")  # one row per centroid
     assign = d2.argmin(axis=0)
+    rows = np.arange(n)
+    inertia = float(d2[assign, rows].sum())
     stale = np.ones(k, dtype=bool)
     for n_iter in range(1, KMEANS_MAX_ITERS + 1):
+        before = assign, centroids.copy(), inertia
         counts = np.bincount(assign, minlength=k)
         if not counts.all():
-            point_cost = d2[assign, np.arange(n)]
+            point_cost = d2[assign, rows]
             if not point_cost.any():  # fewer distinct points than k: no re-seed lowers the inertia
                 moved = np.zeros(n, dtype=bool)
                 break
@@ -85,13 +90,15 @@ def kmeans(codes, k, rng) -> ClusterResult:
         d2[stale] = cdist(centroids[stale], codes, "sqeuclidean")
         new_assign = d2.argmin(axis=0)
         moved = new_assign != assign
+        inertia = float(d2[new_assign, rows].sum())
+        if moved.any() and inertia >= before[2]:  # rounding only: the state before stands
+            return ClusterResult(*before, n_iter)
         stale[:] = False
         stale[assign[moved]] = stale[new_assign[moved]] = True
         assign = new_assign
         if not moved.any():
             break
-    return ClusterResult(assign, centroids, float(d2[assign, np.arange(n)].sum()), n_iter,
-                         converged=not moved.any())
+    return ClusterResult(assign, centroids, inertia, n_iter, converged=not moved.any())
 
 
 def rand_index(assignments, labels, k) -> float:

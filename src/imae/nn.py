@@ -114,7 +114,6 @@ class Network:
     latent_index: int
     tied: bool = False
     vae_heads: tuple = None  # (mean head, log-variance head) or None
-    biases: bool = True
 
     @property
     def sigmoid_code(self):
@@ -133,13 +132,11 @@ class Network:
         for k, layer in enumerate(self.layers):
             if mirror(self.tied, len(self.layers), k) is None:
                 items[f"layers.{k}.W"] = layer.weights
-            if self.biases:
-                items[f"layers.{k}.b"] = layer.bias
+            items[f"layers.{k}.b"] = layer.bias
         if self.vae_heads is not None:
             for tag, head in zip(("mu", "logvar"), self.vae_heads):
                 items[f"heads.{tag}.W"] = head.weights
-                if self.biases:
-                    items[f"heads.{tag}.b"] = head.bias
+                items[f"heads.{tag}.b"] = head.bias
         return items
 
     def clone(self):
@@ -179,7 +176,7 @@ def _glorot(rng, out_dim, in_dim):
     return rng.uniform(-s, s, size=(out_dim, in_dim))
 
 
-def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Network:
+def init_params(arch: Arch, rng, *, vae=False, tied=False) -> Network:
     """Build a network with freshly initialized parameters.
 
     Weights are uniform in +-sqrt(6/(fan_in+fan_out)); biases start at zero.
@@ -210,7 +207,7 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False, biases=True) -> Netwo
         j = mirror(tied, n_layers, k)
         w = _glorot(rng, out_dim, in_dim) if j is None else layers[j].weights.T
         layers.append(DenseLayer(w, np.zeros(out_dim), act))
-    return Network(layers, arch.latent_index, tied, heads, biases)
+    return Network(layers, arch.latent_index, tied, heads)
 
 
 def _linear(layer, a):
@@ -346,10 +343,9 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None,
             add(key, np.matmul, a_prev.T, dz)
         if key == f"layers.{net.latent_index}.W" and "latent_W" in loss:
             partial[key] += loss.pop("latent_W")  # CAE's, added to the first contribution
-        final = [key] if j is None else []  # a tied decoder's waits for its encoder
-        if net.biases:
-            final.append(f"layers.{k}.b")
-            add(final[-1], np.sum, dz, axis=0)
+        bias = f"layers.{k}.b"
+        add(bias, np.sum, dz, axis=0)
+        final = [key, bias] if j is None else [bias]  # a tied decoder's W waits for its encoder
         if k > 0 or heads_here:  # d(loss)/d(input) is never used
             g = dz @ layer.weights
         if heads_here:
@@ -359,9 +355,8 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None,
             dlv = 0.5 * g * trace.eps * trace.std + loss["logvar"]
             add("heads.mu.W", np.matmul, dmu.T, a_in)
             add("heads.logvar.W", np.matmul, dlv.T, a_in)
-            if net.biases:
-                add("heads.mu.b", np.sum, dmu, axis=0)
-                add("heads.logvar.b", np.sum, dlv, axis=0)
+            add("heads.mu.b", np.sum, dmu, axis=0)
+            add("heads.logvar.b", np.sum, dlv, axis=0)
             final += [name for name in partial if name.startswith("heads.")]
             if k > 0:
                 g = dmu @ mu_head.weights + dlv @ lv_head.weights

@@ -1,10 +1,10 @@
 """Mini-batch gradient descent training and checkpoint persistence.
 
 Checkpoint layout (all integers little-endian u32 unless noted):
-  magic "IMAE", version 2, config-text length, config text (utf-8 INI, [model]
+  magic "IMAE", version 3, config-text length, config text (utf-8 INI, [model]
   and [train] under the config keys), array count, then per array: name
   length, name bytes, ndim, dims..., float64 little-endian payload. Tied decoder
-  weights and untrained biases never hit the file; they are rebuilt on load.
+  weights never hit the file; they are rebuilt on load as views of their encoder's.
 """
 
 import os
@@ -21,7 +21,7 @@ from .errors import CheckpointFormatError, ConfigurationError, TrainingDiverged,
 from .ndcore import derive_rng
 
 CHECKPOINT_MAGIC = b"IMAE"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -33,7 +33,6 @@ class TrainConfig:
     batch_size: int
     tied: bool = False
     seed: int = 0
-    biases: bool = True
     shuffle: bool = False
 
     def __post_init__(self):
@@ -67,8 +66,7 @@ def write_history(records, path) -> None:
 
 
 def build_network(cfg: TrainConfig, rng) -> nn.Network:
-    return nn.init_params(cfg.arch, rng, vae=cfg.loss.record.heads, tied=cfg.tied,
-                          biases=cfg.biases)
+    return nn.init_params(cfg.arch, rng, vae=cfg.loss.record.heads, tied=cfg.tied)
 
 
 def train(cfg: TrainConfig, ds: Dataset):
@@ -123,8 +121,7 @@ def config_values(cfg: TrainConfig) -> dict:
     values = {
         "model.variant": cfg.loss.variant, "model.lambda": cfg.loss.lam,
         "model.noise_kind": noise.kind, "model.noise_level": noise.level,
-        "model.tied": cfg.tied, "model.biases": cfg.biases,
-        "model.input_dim": cfg.arch.input_dim, "model.layers": cfg.arch.layers,
+        "model.tied": cfg.tied, "model.layers": cfg.arch.layers,
         "model.latent_index": cfg.arch.latent_index, "train.learning_rate": cfg.learning_rate,
         "train.epochs": cfg.epochs, "train.batch_size": cfg.batch_size,
         "train.shuffle": cfg.shuffle, "train.seed": cfg.seed,
@@ -150,14 +147,14 @@ def config_from_text(text: str) -> TrainConfig:
         except ValueError as e:
             raise CheckpointFormatError(f"config block key {key}: {e}") from None
     try:
-        return TrainConfig(
-            arch=nn.Arch(v["model.input_dim"], v["model.layers"], v["model.latent_index"]),
+        return TrainConfig(  # the input width is the output width; TrainConfig checks it
+            arch=nn.Arch(v["model.layers"][-1][0], v["model.layers"], v["model.latent_index"]),
             loss=objectives.LossSpec(v["model.variant"], lam=v["model.lambda"],
                                      noise=NoiseSpec(v["model.noise_kind"],
                                                      v["model.noise_level"])),
             learning_rate=v["train.learning_rate"], epochs=v["train.epochs"],
             batch_size=v["train.batch_size"], tied=v["model.tied"], seed=v["train.seed"],
-            biases=v["model.biases"], shuffle=v["train.shuffle"])
+            shuffle=v["train.shuffle"])
     except ConfigurationError as e:
         # a value out of its domain; a rule over several values names no key
         key = {**CONFIG_KEYS, "layers": "model.layers"}.get(e.field)

@@ -138,7 +138,6 @@ lambda = 1.0
 noise_kind = mask
 noise_level = 0.3
 tied = true
-biases = true
 
 [train]
 learning_rate = 0.05
@@ -154,7 +153,7 @@ n = 1000
 k = 10
 noise_kind = gaussian
 noise_level = 0.2
-mask_grid = 0,0.3,0.5,0.75
+mask_grid = 0.0,0.3,0.5,0.75
 gaussian_grid = 0.03,0.15,0.35,0.45
 """
 
@@ -172,7 +171,7 @@ class TestConfigSchema:
     @pytest.mark.parametrize("extra", [
         {},
         {"train.learning_rate": "0.30000000000000004", "model.tied": "no",
-         "eval.mask_grid": "0.1", "eval.gaussian_grid": ""},
+         "eval.mask_grid": "0.1,0.1234567", "eval.gaussian_grid": ""},
     ])
     def test_snapshot_reads_back_to_itself(self, tmp_path, extra):
         path = tmp_path / "config.resolved.ini"
@@ -182,9 +181,12 @@ class TestConfigSchema:
                     for dataset in config.DATASETS:
                         raw = {"model.preset": preset, "experiment.scale": scale,
                                "model.variant": variant, "data.dataset": dataset, **extra}
-                        text = cli.snapshot_text(resolve_config(raw))
+                        cfg = resolve_config(raw)
+                        text = cli.snapshot_text(cfg)
                         path.write_text(text)
-                        assert cli.snapshot_text(resolve_config(read_config_file(path))) == text
+                        again = resolve_config(read_config_file(path))
+                        assert again == cfg
+                        assert cli.snapshot_text(again) == text
 
     @pytest.mark.parametrize("argv, key, field, value", [
         (["train", "--seed", "7"], "experiment.seed", "seed", 7),
@@ -370,6 +372,9 @@ CONFIG_ERRORS = [
      "eval.mask_grid", "mask probability must be in [0,1], got 1.5", False),
     (["reproduce", "--table", "table1", "--set", "eval.gaussian_grid=-0.1"],
      "eval.gaussian_grid", "gaussian std must be >= 0, got -0.1", False),
+    # a robustness sweep over no level would write a CSV of no rows
+    (["eval", "--protocol", "robustness", "--set", "eval.mask_grid=",
+      "--set", "eval.gaussian_grid="], None, "eval.mask_grid and eval.gaussian_grid are both empty", False),
     (["reproduce", "--table", "table2", "--set", "eval.noise_level=-1"],
      "eval.noise_level", "gaussian std must be >= 0, got -1.0", False),
     (["eval", "--protocol", "cluster", "--set", "eval.noise_kind=bogus"],
@@ -592,7 +597,7 @@ class TestEvalCommand:
                          "--iterations", "1", "--n", "100"]) == 0
         snapshot = (out / "config.resolved.ini").read_text()
         for line in ("variant = IMAE", "preset = deep", "nh = 5", "lambda = 0.5",
-                     "noise_kind = none", "tied = false", "biases = true"):
+                     "noise_kind = none", "tied = false"):
             assert f"\n{line}\n" in snapshot
         # the training settings too: the run's, not the preset defaults
         def train_lines(text):
@@ -608,7 +613,7 @@ class TestEvalCommand:
                              batch_size=50, tied=True, seed=7, shuffle=True,
                              loss=objectives.LossSpec("DAE", noise=NoiseSpec("gaussian", 0.3))),
         training.TrainConfig(arch=nn.deep_arch(10), loss=objectives.LossSpec("VAE"),
-                             learning_rate=0.005, epochs=2, batch_size=100, biases=False),
+                             learning_rate=0.005, epochs=2, batch_size=100),
     ], ids=["DAE-g", "deep-VAE"])
     def test_checkpoint_block_shares_the_config_keys(self, tcfg):
         # each block setting a config file also holds is written under its key,
@@ -617,7 +622,7 @@ class TestEvalCommand:
         trained = {
             "model.variant": tcfg.loss.variant, "model.lambda": tcfg.loss.lam,
             "model.noise_kind": noise.kind, "model.noise_level": noise.level,
-            "model.tied": tcfg.tied, "model.biases": tcfg.biases,
+            "model.tied": tcfg.tied,
             "train.learning_rate": tcfg.learning_rate, "train.epochs": tcfg.epochs,
             "train.batch_size": tcfg.batch_size, "train.shuffle": tcfg.shuffle,
         }

@@ -46,7 +46,9 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
     centroid and distance recomputed on each iteration, kept as the reference
     that kmeans must reproduce bit for bit. Also reports the iterations that
     re-seeded an empty cluster, and whether the loop converged. It stops,
-    converged, when a cluster is empty and every point sits on its centroid."""
+    converged, when a cluster is empty and every point sits on its centroid,
+    and at the state before a step that moves points without lowering the
+    inertia. The history starts with the seeding's inertia."""
     n = len(codes)
     centroids = np.empty((k, codes.shape[1]))
     centroids[0] = codes[int(rng.integers(n))]
@@ -58,13 +60,14 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
         closest = np.minimum(closest, ((codes - centroids[j]) ** 2).sum(axis=1))
     d2 = cdist(codes, centroids, "sqeuclidean")
     assign = d2.argmin(axis=1)
-    history, n_iter, reseeded = [], 0, []
+    history, n_iter, reseeded = [float(d2[np.arange(n), assign].sum())], 0, []
     for _ in range(max_iters):
         n_iter += 1
         counts = np.bincount(assign, minlength=k)
         if not counts.all() and not d2[np.arange(n), assign].any():
             history.append(0.0)
             return assign, centroids, n_iter, history, reseeded, True
+        before = centroids.copy()
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, codes)
         nonempty = counts > 0
@@ -78,7 +81,10 @@ def kmeans_add_at(codes, k, rng, max_iters=300):
                 point_cost[far] = -1.0
         d2 = cdist(codes, centroids, "sqeuclidean")
         new_assign = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), new_assign].sum()))
+        inertia = float(d2[np.arange(n), new_assign].sum())
+        if not np.array_equal(new_assign, assign) and inertia >= history[-1]:
+            return assign, before, n_iter, history, reseeded, True
+        history.append(inertia)
         if np.array_equal(new_assign, assign):
             return assign, centroids, n_iter, history, reseeded, True
         assign = new_assign
@@ -194,6 +200,20 @@ class TestKmeans:
         assert ((codes < 0.01) | (codes > 0.99)).mean() > 0.9
         _, n_iter = assert_same_as_add_at(codes, 10, seed=18)
         assert n_iter > 10
+
+    def test_near_duplicate_codes_stop_when_a_step_lowers_nothing(self):
+        # a collapsed encoder's codes: 52 distinct rows within about 1e-13 of
+        # one point, nearly all of them on one row. A centroid's rounding is
+        # then as large as the codes' spread, so Lloyd steps move points
+        # without lowering the inertia, and without the stop cycle to the cap
+        rng = derive_rng(20)
+        point = 50 * rng.standard_normal(10)
+        distinct = point + 1e-13 * rng.standard_normal((52, 10))
+        codes = distinct[np.where(rng.random(1000) < 0.95, 0, rng.integers(1, 52, size=1000))]
+        result = kmeans(codes, 10, derive_rng(21))
+        assert result.converged and result.n_iter < 10
+        assert np.bincount(result.assignments).max() > 900
+        assert_same_as_add_at(codes, 10, seed=21)
 
     def test_recomputes_only_stale_distance_rows(self, rng, monkeypatch):
         # seeding and the first iteration measure every centroid; later

@@ -337,15 +337,13 @@ class TestBackward:
         ("IMAE", nn.deep_arch(3, 9, trunk=(8, 5)), True),
         ("VAE", nn.deep_arch(3, 9, trunk=(8, 5)), False),
     ])
-    @pytest.mark.parametrize("biases", [True, False])
-    def test_out_buffers_take_every_gradient(self, rng, spec_for, variant, arch, tied, biases):
+    def test_out_buffers_take_every_gradient(self, rng, spec_for, variant, arch, tied):
         # stale values in the lent arrays must not leak: each is overwritten
         # before anything is added to it. An empty ``out`` is filled by the
         # first call, an untied network's layer weights with views of one
         # buffer, so each such gradient must be final when it is consumed.
         spec = spec_for(variant)
-        net = nn.init_params(arch, derive_rng(2), vae=spec.record.heads, tied=tied,
-                             biases=biases)
+        net = nn.init_params(arch, derive_rng(2), vae=spec.record.heads, tied=tied)
         x = rng.random((5, 9))
         trace = nn.forward(net, x, eps=rng.standard_normal((5, 3)))
         total, terms, fresh = nn.backward(net, trace, spec, x)
@@ -427,21 +425,6 @@ class TestGradientsAgainstFiniteDifferences:
         for variant in ("IMAE", "VAE", "AE", "DAE"):
             result = gradcheck.check_variant(variant, 3, arch=nn.deep_arch(3, 12, trunk=(10, 6)))
             assert result.passed, [(b.name, b.max_rel_err) for b in result.blocks]
-
-    def test_bias_free_nets(self, spec_for):
-        # literal form with untrained biases: no bias entries, grads still match
-        for variant in ("IMAE", "CAE", "VAE"):
-            r = derive_rng(5, "biasfree", variant)
-            net = nn.init_params(nn.shallow_arch(5, 8), r, biases=False,
-                                 vae=(variant == "VAE"))
-            assert not any(k.endswith(".b") for k in net.param_items())
-            x = r.random((4, 8))
-            spec = spec_for(variant)
-            eps = r.standard_normal((4, 5)) if variant == "VAE" else None
-            trace = nn.forward(net, x, eps=eps)
-            _, _, analytic = nn.backward(net, trace, spec, x)
-            numeric = gradcheck.finite_difference_grads(net, spec, x, x, eps=eps)
-            assert all(b.passed for b in gradcheck.compare_grads(analytic, numeric))
 
     @pytest.mark.parametrize("variant,preset,tied", [
         ("AE", "shallow200", True), ("CAE", "shallow200", True),

@@ -112,12 +112,6 @@ class TestTrain:
         train(cfg, ds)
         assert ds.images.tobytes() == before
 
-    def test_bias_free_training_keeps_biases_zero(self):
-        cfg = tiny_config(biases=False, epochs=4)
-        net, _ = train(cfg, tiny_dataset())
-        for layer in net.layers:
-            assert np.array_equal(layer.bias, np.zeros_like(layer.bias))
-
     def test_epoch_visits_every_sample_once(self):
         # with shuffle on, batch indices still partition the dataset
         seen = []
@@ -213,7 +207,6 @@ class TestGradientBuffers:
         (LossSpec("IMAE"), nn.deep_arch(10, trunk=(60, 30)), dict(tied=False)),
         (LossSpec("IMAE"), nn.deep_arch(10, trunk=(60, 30)), dict(tied=True)),
         (LossSpec("VAE"), nn.deep_arch(10, trunk=(60, 30)), dict(learning_rate=0.001)),
-        (LossSpec("IMAE"), nn.shallow_arch(40), dict(tied=True, biases=False)),
         (LossSpec("AE"), nn.shallow_arch(40), dict(tied=True, batch_size=70)),  # 200 = 2*70 + 60
         # the preset shapes at batch 500, two steps each
         (LossSpec("AE"), nn.shallow_arch(200), dict(tied=True, batch_size=500, learning_rate=0.05)),
@@ -222,7 +215,7 @@ class TestGradientBuffers:
         (LossSpec("IMAE"), nn.deep_arch(10), dict(batch_size=500, learning_rate=0.005)),
         (LossSpec("VAE"), nn.deep_arch(10), dict(batch_size=500, learning_rate=0.001)),
     ], ids=["AE-tied", "CAE-tied", "CAE-untied", "DAE-b", "deep-IMAE", "deep-IMAE-tied",
-            "deep-VAE", "no-biases", "short-final-batch", "AE-shallow200", "DAE-g-shallow200",
+            "deep-VAE", "short-final-batch", "AE-shallow200", "DAE-g-shallow200",
             "IMAE-deep10", "VAE-deep10"])
     def test_parameters_equal_fresh_gradient_loop(self, loss, arch, kw):
         cfg = TrainConfig(**{**dict(arch=arch, loss=loss, learning_rate=0.015, epochs=2,
@@ -299,7 +292,7 @@ class TestConfigText:
         cfg = tiny_config(loss=LossSpec("DAE", noise=NoiseSpec("mask", 0.25)), tied=True)
         assert config_to_text(cfg) == (
             "[model]\nvariant = DAE\nlambda = 0.0\nnoise_kind = mask\nnoise_level = 0.25\n"
-            "tied = true\nbiases = true\ninput_dim = 16\nlayers = 6:sigmoid,16:identity\n"
+            "tied = true\nlayers = 6:sigmoid,16:identity\n"
             "latent_index = 0\n\n[train]\nlearning_rate = 0.05\nepochs = 3\nbatch_size = 10\n"
             "shuffle = false\nseed = 5\n")
 
@@ -330,9 +323,9 @@ class TestConfigText:
             config_from_text(text.replace(line, bad))
 
     def test_shared_keys_parse_like_a_config_file(self):
-        # the ten keys a config file also holds take its schema codec objects
+        # the nine keys a config file also holds take its schema codec objects
         shared = [key for key in config.BLOCK_CODECS if key in config.KEYS]
-        assert len(shared) == 10
+        assert len(shared) == 9
         assert all(config.BLOCK_CODECS[key] is config.KEYS[key][1] for key in shared)
         text = config_to_text(tiny_config(loss=LossSpec("DAE", noise=NoiseSpec("mask", 0.3))))
         assert config_from_text(text.replace("variant = DAE", "variant = dae")).loss.variant == "DAE"
@@ -350,7 +343,8 @@ class TestConfigText:
         (LossSpec("IMAE"), "lambda = 1.0", "lambda = -1.0", "lambda"),
         (None, "epochs = 3", "epochs = 0", "epochs"),
         (None, "layers = 6:sigmoid", "layers = 0:sigmoid", "layers"),
-        (None, "16:identity", "15:identity", "layers"),
+        # the output width is also the input width, and is checked as one
+        (None, "16:identity", "0:identity", "layers"),
         (LossSpec("VAE"), "layers = 6:sigmoid,16:identity\nlatent_index = 0",
          "layers = 16:sigmoid,16:identity\nlatent_index = 1", "layers"),
     ])
@@ -406,16 +400,18 @@ class TestCheckpoints:
         assert loaded.layers[1].weights[0, 0] == 123.0
 
     def test_version_1_rejected(self, tmp_path):
-        # version 1 held flat key = value lines under other names; no reader is kept
+        # version 1 held flat key = value lines under other names, version 2
+        # the block's input_dim and biases keys too; no reader is kept for either
         cfg = tiny_config()
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_network(cfg, derive_rng(1)), cfg, path)
         body = path.read_bytes()
-        assert body[4:8] == CHECKPOINT_VERSION.to_bytes(4, "little") == b"\x02\0\0\0"
-        path.write_bytes(body[:4] + b"\x01\0\0\0" + body[8:])
-        with pytest.raises(CheckpointFormatError,
-                           match="^" + re.escape(f"{path}: unsupported checkpoint version 1") + "$"):
-            load_checkpoint(path)
+        assert body[4:8] == CHECKPOINT_VERSION.to_bytes(4, "little") == b"\x03\0\0\0"
+        for version in (1, 2):
+            path.write_bytes(body[:4] + version.to_bytes(4, "little") + body[8:])
+            with pytest.raises(CheckpointFormatError, match="^" + re.escape(
+                    f"{path}: unsupported checkpoint version {version}") + "$"):
+                load_checkpoint(path)
 
     def test_malformed_bool_in_file_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -462,7 +458,11 @@ class TestCheckpoints:
         (lambda body: body + b"\x00\x07", "bytes past the last array"),
         (lambda body: body.replace(b"layers.0.W", b"layers.\xff.W"),
          "'ascii' codec can't decode byte 0xff"),
-    ], ids=["repeated-name", "trailing-bytes", "non-ascii-name"])
+        # the block states the input width once, as the output width, so a
+        # changed one is a valid block whose net the arrays do not fit
+        (lambda body: body.replace(b"8:identity", b"7:identity"),
+         "array 'layers.0.W' has shape (8, 8), network needs (8, 7)"),
+    ], ids=["repeated-name", "trailing-bytes", "non-ascii-name", "output-width"])
     def test_malformed_array_table_names_the_file(self, tmp_path, edit, error):
         cfg = tiny_config(arch=nn.shallow_arch(8, input_dim=8))
         path = tmp_path / "m.ckpt"
