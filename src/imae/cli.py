@@ -24,7 +24,7 @@ from . import evaluation, gradcheck, objectives, reference, training
 from .config import (CONFIG_KEYS, KEYS, PRESETS, ExperimentConfig, read_config_file,
                      resolve_config, snapshot_text)
 from .data import CANONICAL_FILES, Dataset, NoiseSpec, check_batch_size, load_idx, write_csv
-from .errors import ConfigurationError, TrainingDiverged, UsageError, check_range
+from .errors import ConfigurationError, NumericalFailure, UsageError, check_range
 from .ndcore import derive_rng, derive_seed
 
 ENV_DATA_DIR = "IMAE_DATA_DIR"
@@ -168,13 +168,16 @@ def train_and_save(cfg, tcfg, train_ds, checkpoint, history_csv):
     return net
 
 
-def evaluate(cfg, noise, net, test_ds, seed, tag) -> evaluation.EvalReport:
-    """The evaluate step of ``eval`` and ``reproduce``: run the robustness or
-    cluster protocol that ``cfg`` names, with its ``eval_noise``, on one network.
-    Warns on stderr when a K-means run of the cluster protocol hit the cap."""
+def evaluate(cfg, noise, net, test_ds, seed, tag):
+    """The evaluate step of ``eval`` and ``reproduce``: the report of the protocol
+    ``cfg`` names, run with its ``eval_noise`` on one network. A non-finite
+    robustness row fails naming ``tag``; a capped K-means fit warns on stderr."""
     if cfg.eval_protocol == "robustness":
-        rows = evaluation.robustness_sweep(net, test_ds, noise, derive_rng(seed, "robustness"))
-        return evaluation.EvalReport(model=tag, robustness=rows, seeds=[seed])
+        try:
+            rows = evaluation.robustness_sweep(net, test_ds, noise, derive_rng(seed, "robustness"))
+        except NumericalFailure as e:
+            raise NumericalFailure(f"{tag}: {e}") from None
+        return evaluation.RobustnessReport(tag, [seed], rows)
     report = evaluation.cluster_eval(
         net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
         noise=noise, seed=seed, model_tag=tag)
@@ -214,7 +217,8 @@ def cmd_eval(args) -> int:
     if cfg.eval_protocol == "robustness":
         evaluation.robustness_to_csv(report, csv_path)
         for row in report.robustness:
-            print(f"{report.model:8s} {row.noise.describe():14s} mean L2 = {row.mean_l2:.3f}")
+            level = f"{row.kind} {row.level:g}"
+            print(f"{report.model:8s} {level:14s} mean L2 = {row.mean_l2:.3f}")
     else:
         evaluation.cluster_to_csv(report, csv_path)
         sp = "n/a" if report.sigma_prime is None else f"{report.sigma_prime:.4g}"
@@ -259,11 +263,10 @@ def _robustness_rows(reports, published):
     yield ["model", "noise_kind", "level", "mean_l2", "reference"]
     for tag, report in reports.items():
         for row in report.robustness:
-            kind, level = row.noise.kind, row.noise.level
-            grid = reference.MASK_GRID if kind == "mask" else reference.GAUSSIAN_GRID
-            ref = (_fmt(published[tag][kind][grid.index(level)])
-                   if tag in published and level in grid else "")
-            yield [tag, kind, f"{level:g}", f"{row.mean_l2:.6g}", ref]
+            grid = reference.MASK_GRID if row.kind == "mask" else reference.GAUSSIAN_GRID
+            ref = (_fmt(published[tag][row.kind][grid.index(row.level)])
+                   if tag in published and row.level in grid else "")
+            yield [tag, row.kind, f"{row.level:g}", f"{row.mean_l2:.6g}", ref]
 
 
 def _metric_rows(metrics, reports, published):
@@ -333,8 +336,7 @@ def cmd_reproduce(args) -> int:
         tag = tcfg.loss.tag
         net = train_and_save(cfg, tcfg, train_ds, out / f"{tag}.ckpt", out / f"{tag}.history.csv")
         reports[tag] = evaluate(cfg, noise, net, test_ds, derive_seed(cfg.seed, "eval", tag), tag)
-        if cfg.eval_protocol == "cluster":
-            evaluation.report_to_json(reports[tag], out / f"{tag}.cluster.json", resolved)
+        evaluation.report_to_json(reports[tag], out / f"{tag}.{cfg.eval_protocol}.json", resolved)
     path = out / f"{args.table}.csv"
     rows = table.rows(reports, table.published(cfg))
     write_csv(path, next(rows), rows)  # the first row is the header
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:  # ConfigurationError and the format errors too
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except TrainingDiverged as e:
+    except NumericalFailure as e:  # TrainingDiverged too
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
 

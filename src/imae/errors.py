@@ -34,7 +34,11 @@ class CheckpointFormatError(ValueError):
     """A checkpoint file violates the format contract (magic, version)."""
 
 
-class TrainingDiverged(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A computation produced a non-finite value (exit 2)."""
+
+
+class TrainingDiverged(NumericalFailure):
     """Training produced a non-finite loss value."""
 
     def __init__(self, epoch, terms):

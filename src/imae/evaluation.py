@@ -7,14 +7,15 @@ a linear assignment on the contingency table).
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn, objectives
 from .data import (Dataset, NoiseSpec, apply_noise, corrupt, draw_noise, pixel_rows,
                    sample_subset, write_csv)
-from .errors import ConfigurationError, check_range
+from .errors import ConfigurationError, NumericalFailure, check_range
 from .ndcore import as_matrix, derive_rng, row_blocks
 
 KMEANS_MAX_ITERS = 300  # Lloyd iterations before K-means stops unconverged
@@ -155,37 +156,38 @@ def sigma_prime(net: nn.Network, data, codes=None) -> float:
 
 @dataclass
 class RobustnessRow:
-    noise: NoiseSpec
+    """The mean reconstruction L2 at one corruption level, which must be finite."""
+    kind: str
+    level: float
     mean_l2: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.mean_l2):
+            raise NumericalFailure(f"mean L2 at {self.kind} {self.level:g} is {self.mean_l2}")
 
 
 @dataclass
-class EvalReport:
+class RobustnessReport:  # report.json holds a report's fields
     model: str
-    robustness: list = field(default_factory=list)
-    rand_clean: float = None
-    rand_noisy: float = None
-    sigma_prime: float = None
-    iterations: int = 0
-    seeds: list = field(default_factory=list)
-    kmeans_capped: int = 0  # K-means runs stopped unconverged; not in to_dict
+    seeds: list
+    robustness: list  # RobustnessRow per corruption level
 
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "robustness": [{"kind": r.noise.kind, "level": r.noise.level,
-                            "mean_l2": r.mean_l2} for r in self.robustness],
-            "rand_clean": self.rand_clean,
-            "rand_noisy": self.rand_noisy,
-            "sigma_prime": self.sigma_prime,
-            "iterations": self.iterations,
-            "seeds": list(self.seeds),
-        }
+
+@dataclass
+class ClusterReport:
+    model: str
+    seeds: list
+    iterations: int
+    rand_clean: float
+    rand_noisy: float     # None without a noisy pass
+    sigma_prime: float    # None without a sigmoid code
+    kmeans_capped: int    # K-means fits stopped unconverged by KMEANS_MAX_ITERS
 
 
 def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
-    """Mean per-image reconstruction L2 against clean originals, one row per
-    corruption spec, in the order of ``specs``.
+    """Mean per-image reconstruction L2 against clean originals, one
+    RobustnessRow per corruption spec, in the order of ``specs``; a
+    non-finite mean raises NumericalFailure.
 
     The test set is read one row block x at a time, in row order. The block
     first draws from ``rng`` one uniform block u if a spec masks, then one
@@ -219,7 +221,7 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
                 pre = [q * spec.level + p for p, q in zip(clean, noise)]
             xhat = nn.forward(net, xin, rng=rng, pre=pre).xhat
             row[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
-    return [RobustnessRow(spec, float(row.mean())) for spec, row in zip(specs, dist)]
+    return [RobustnessRow(s.kind, s.level, float(d.mean())) for s, d in zip(specs, dist)]
 
 
 def check_cluster_settings(iterations, n, k, labels) -> None:
@@ -235,7 +237,7 @@ def check_cluster_settings(iterations, n, k, labels) -> None:
 
 
 def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
-                 noise: NoiseSpec = None, seed=0, model_tag="") -> EvalReport:
+                 noise: NoiseSpec = None, seed=0, model_tag="") -> ClusterReport:
     """Repeated subset/K-means protocol.
 
     Each iteration resamples ``n`` test points and reseeds K-means; the noisy
@@ -260,15 +262,12 @@ def cluster_eval(net: nn.Network, test: Dataset, iterations=50, n=1000, k=10,
             km = kmeans(encode_rows(net, test.images[rows], noise, rng), k, rng)
             noisy_scores.append(rand_index(km.assignments, labels, k))
             capped += not km.converged
-    return EvalReport(
-        model=model_tag,
+    return ClusterReport(
+        model=model_tag, seeds=[seed], iterations=iterations,
         rand_clean=float(np.mean(clean_scores)),
         rand_noisy=float(np.mean(noisy_scores)) if noisy_scores else None,
         sigma_prime=sigma_prime(net, test.images, codes) if net.sigmoid_code else None,
-        iterations=iterations,
-        seeds=[seed],
-        kmeans_capped=capped,
-    )
+        kmeans_capped=capped)
 
 
 def export_codes(net: nn.Network, ds: Dataset, path) -> None:
@@ -279,23 +278,21 @@ def export_codes(net: nn.Network, ds: Dataset, path) -> None:
               ([int(label)] + [f"{v:.12g}" for v in row] for label, row in zip(ds.labels, codes)))
 
 
-def report_to_json(report: EvalReport, path, resolved_config=None) -> None:
-    """JSON report; pass the resolved config text to embed it for provenance."""
-    payload = report.to_dict()
-    if resolved_config is not None:
-        payload["resolved_config"] = resolved_config
+def report_to_json(report, path, resolved_config) -> None:
+    """JSON of a report's fields and, for provenance, the run's resolved config text."""
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump({**asdict(report), "resolved_config": resolved_config}, f,
+                  indent=2, sort_keys=True)
         f.write("\n")
 
 
-def robustness_to_csv(report: EvalReport, path) -> None:
+def robustness_to_csv(report: RobustnessReport, path) -> None:
     write_csv(path, ["model", "noise_kind", "level", "mean_l2"],
-              ([report.model, row.noise.kind, f"{row.noise.level:g}", f"{row.mean_l2:.12g}"]
+              ([report.model, row.kind, f"{row.level:g}", f"{row.mean_l2:.12g}"]
                for row in report.robustness))
 
 
-def cluster_to_csv(report: EvalReport, path) -> None:
+def cluster_to_csv(report: ClusterReport, path) -> None:
     scores = (report.rand_clean, report.rand_noisy, report.sigma_prime)
     write_csv(path, ["model", "rand_clean", "rand_noisy", "sigma_prime", "iterations"],
               [[report.model, *("" if v is None else f"{v:.12g}" for v in scores),

@@ -59,8 +59,6 @@ class BlockStats:
 
 @dataclass
 class GradCheckResult:
-    variant: str
-    seed: int
     blocks: list
 
     @property
@@ -93,7 +91,7 @@ def compare_grads(analytic, numeric) -> list:
 def check_variant(variant, seed, arch=SHALLOW, batch=4, tied=False) -> GradCheckResult:
     """Check one loss variant on a random small network of ``arch`` and batch."""
     rng = derive_rng(seed, "gradcheck", variant)
-    d, l = arch.input_dim, arch.layers[arch.latent_index][0]
+    d, l = arch.widths()[0], arch.layers[arch.latent_index][0]
     noise = NOISE if objectives.VARIANTS[variant].noise else None
     spec = objectives.LossSpec(variant, noise=noise)
     net = nn.init_params(arch, rng, vae=spec.record.heads, tied=tied)
@@ -107,7 +105,7 @@ def check_variant(variant, seed, arch=SHALLOW, batch=4, tied=False) -> GradCheck
     trace = nn.forward(net, x_in, eps=eps)
     _, _, analytic = nn.backward(net, trace, spec, x_clean)
     numeric = finite_difference_grads(net, spec, x_in, x_clean, eps=eps)
-    return GradCheckResult(variant, seed, compare_grads(analytic, numeric))
+    return GradCheckResult(compare_grads(analytic, numeric))
 
 
 def gate(variant, seed) -> list:

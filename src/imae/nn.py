@@ -64,10 +64,10 @@ class DenseLayer:
 class Arch:
     """Widths and activations of a network, independent of its parameters.
 
-    ``layers`` lists (width, activation) pairs after the input;
-    ``latent_index`` points at the layer producing the hidden code.
+    ``layers`` lists (width, activation) pairs after the input; the last
+    reconstructs the input, so it is as wide. ``latent_index`` points at the
+    layer producing the hidden code.
     """
-    input_dim: int
     layers: tuple
     latent_index: int
 
@@ -80,8 +80,8 @@ class Arch:
         if not 0 <= self.latent_index < len(self.layers):
             raise ConfigurationError(f"latent_index {self.latent_index} out of range")
 
-    def widths(self):
-        return (self.input_dim,) + tuple(w for w, _ in self.layers)
+    def widths(self):  # the input's (the last layer's), then each layer's
+        return tuple(w for w, _ in self.layers[-1:] + self.layers)
 
     @property
     def sigmoid_code(self):
@@ -91,7 +91,7 @@ class Arch:
 
 def shallow_arch(n_hidden, input_dim=784):
     """input -> n_hidden (sigmoid) -> input (linear decoder)."""
-    return Arch(input_dim, ((n_hidden, "sigmoid"), (input_dim, "identity")), 0)
+    return Arch(((n_hidden, "sigmoid"), (input_dim, "identity")), 0)
 
 
 def deep_arch(n_h, input_dim=784, trunk=(1100, 700)):
@@ -99,7 +99,7 @@ def deep_arch(n_h, input_dim=784, trunk=(1100, 700)):
     enc = tuple((w, "softplus") for w in trunk)
     dec = tuple((w, "softplus") for w in reversed(trunk))
     layers = enc + ((n_h, "sigmoid"),) + dec + ((input_dim, "identity"),)
-    return Arch(input_dim, layers, len(trunk))
+    return Arch(layers, len(trunk))
 
 
 def mirror(tied, n_layers, k):

@@ -38,14 +38,10 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("learning_rate", 0), ("epochs", 1), ("batch_size", 1)):
             check_range(name, getattr(self, name), low)
-        widths = self.arch.widths()
-        if widths[-1] != widths[0]:
-            raise ConfigurationError(f"the last layer must reconstruct the {widths[0]} inputs, "
-                                     f"got widths {widths}", field="layers")
         if self.loss.record.heads and self.arch.latent_index == len(self.arch.layers) - 1:
             raise ConfigurationError(f"{self.loss.variant}'s Gaussian heads replace the code "
                                      f"layer, so a decoder layer must follow it; got the code "
-                                     f"as the last layer of {widths}", field="layers")
+                                     f"as the last layer of {self.arch.widths()}", field="layers")
         objectives.check_code_fits(self.loss, self.arch)
 
 
@@ -78,9 +74,9 @@ def train(cfg: TrainConfig, ds: Dataset):
     order, corruption draws, latent samples) derives from cfg.seed, so equal
     configs give bit-identical parameters. A non-finite loss aborts first.
     """
-    if ds.images.shape[1] != cfg.arch.input_dim:
+    if ds.images.shape[1] != cfg.arch.widths()[0]:
         raise ConfigurationError(
-            f"network expects {cfg.arch.input_dim} inputs, dataset has {ds.images.shape[1]}")
+            f"network expects {cfg.arch.widths()[0]} inputs, dataset has {ds.images.shape[1]}")
     init_rng = derive_rng(cfg.seed, "init")
     batch_rng = derive_rng(cfg.seed, "batches")
     noise_rng = derive_rng(cfg.seed, "corruption")
@@ -147,8 +143,8 @@ def config_from_text(text: str) -> TrainConfig:
         except ValueError as e:
             raise CheckpointFormatError(f"config block key {key}: {e}") from None
     try:
-        return TrainConfig(  # the input width is the output width; TrainConfig checks it
-            arch=nn.Arch(v["model.layers"][-1][0], v["model.layers"], v["model.latent_index"]),
+        return TrainConfig(
+            arch=nn.Arch(v["model.layers"], v["model.latent_index"]),
             loss=objectives.LossSpec(v["model.variant"], lam=v["model.lambda"],
                                      noise=NoiseSpec(v["model.noise_kind"],
                                                      v["model.noise_level"])),

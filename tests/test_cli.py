@@ -532,6 +532,37 @@ class TestEvalCommand:
         assert rows[0] == ["model", "rand_clean", "rand_noisy", "sigma_prime", "iterations"]
         assert rows[1][0] == "IMAE"
 
+    @pytest.mark.parametrize("protocol, keys", [
+        ("robustness", {"model", "seeds", "robustness"}),
+        ("cluster", {"model", "seeds", "iterations", "rand_clean", "rand_noisy", "sigma_prime",
+                     "kmeans_capped"}),
+    ])
+    def test_report_json_holds_its_protocol_fields(self, checkpoint, idx_dir, tmp_path,
+                                                    protocol, keys):
+        out = tmp_path / protocol
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--protocol", protocol,
+                         "--data-dir", str(idx_dir), "--out", str(out), "--seed", "3",
+                         "--iterations", "1", "--n", "100"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report.keys() == keys | {"resolved_config"}
+        for row in report.get("robustness", []):
+            assert row.keys() == {"kind", "level", "mean_l2"}
+
+    def test_overflowing_robustness_exits_two_before_any_report(self, checkpoint, idx_dir,
+                                                               tmp_path, capsys):
+        net, tcfg = training.load_checkpoint(checkpoint)
+        net.layers[1].bias[:] = 1e200  # finite, so the checkpoint loads
+        huge = tmp_path / "huge.ckpt"
+        training.save_checkpoint(net, tcfg, huge)
+        out = tmp_path / "rob"
+        # whether numpy warns of the overflow depends on its einsum path
+        with np.errstate(over="ignore"):
+            code = cli.main(["eval", "--checkpoint", str(huge), "--protocol", "robustness",
+                             "--data-dir", str(idx_dir), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: IMAE: mean L2 at mask 0 is inf\n"
+        assert not (out / "robustness.csv").exists() and not (out / "report.json").exists()
+
     @pytest.mark.parametrize("argv, setting", [
         (["--iterations", "0"], "iterations"),
         (["--iterations", "-2"], "iterations"),
@@ -760,10 +791,10 @@ class TestReproduceCommand:
     def test_table1_reference_by_level(self):
         # a level the paper did not run gets no reference, at any grid position
         levels = (0.1, 0.3, 0.0, 0.2, 0.5, 0.75)
-        report = evaluation.EvalReport(model="AE", robustness=[
-            *(evaluation.RobustnessRow(NoiseSpec("mask", p), 1.0) for p in levels),
-            evaluation.RobustnessRow(NoiseSpec("gaussian", 0.15), 2.0)])
-        unpublished = evaluation.EvalReport(model="X", robustness=report.robustness[:2])
+        report = evaluation.RobustnessReport("AE", [0], [
+            *(evaluation.RobustnessRow("mask", p, 1.0) for p in levels),
+            evaluation.RobustnessRow("gaussian", 0.15, 2.0)])
+        unpublished = evaluation.RobustnessReport("X", [0], report.robustness[:2])
         rows = list(cli._robustness_rows({"AE": report, "X": unpublished},
                                          reference.TABLE1[200]))
         assert [r[2:] for r in rows[1:]] == [
@@ -785,7 +816,7 @@ class TestReproduceCommand:
 
         monkeypatch.setattr(cli, "train_and_save", record_loss)
         monkeypatch.setattr(cli, "evaluate", lambda cfg, noise, net, test_ds, seed, tag:
-                            evaluation.EvalReport(model=tag, rand_clean=0.5, rand_noisy=0.5))
+                            evaluation.ClusterReport(tag, [seed], 1, 0.5, 0.5, None, 0))
         assert cli.main(["reproduce", "--table", "table2", "--data-dir", str(idx_dir),
                          "--out", str(tmp_path / "t2"), "--set", f"model.variant={variant}",
                          "--set", f"model.lambda={lam}", "--set", "eval.n=100",
@@ -804,6 +835,25 @@ class TestReproduceCommand:
         assert code == 0
         assert (out / "table1.csv").is_file()
         assert not list(out.glob("*.cluster.json"))
+        assert sorted(p.name for p in out.glob("*.robustness.json")) == [
+            f"{tag}.robustness.json" for tag in ("AE", "CAE", "DAE-b", "DAE-g", "IMAE")]
+
+    def test_table1_overflow_writes_no_table(self, idx_dir, tmp_path, capsys, monkeypatch):
+        train_and_save = cli.train_and_save
+
+        def overflowing(*args):
+            net = train_and_save(*args)
+            net.layers[1].bias[:] = 1e200
+            return net
+
+        monkeypatch.setattr(cli, "train_and_save", overflowing)
+        out = tmp_path / "t1"
+        with np.errstate(over="ignore"):  # as in the eval command's overflow test
+            code = cli.main(["reproduce", "--table", "table1", "--data-dir", str(idx_dir),
+                             "--out", str(out)] + fast_overrides(["train.epochs=1"]))
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: AE: mean L2 at mask 0 is inf\n"
+        assert not (out / "table1.csv").exists()
 
     def test_table3_layout(self, idx_dir, tmp_path, capsys):
         out = tmp_path / "t3"
@@ -836,7 +886,8 @@ class TestReproduceCommand:
             rerun = evaluation.cluster_eval(
                 net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
                 noise=noise, seed=report["seeds"][0], model_tag=tag)
-            assert rerun.to_dict() == {k: v for k, v in report.items() if k != "resolved_config"}
+            assert dataclasses.asdict(rerun) == {k: v for k, v in report.items()
+                                                 if k != "resolved_config"}
 
     def test_table2_snapshot_names_what_ran(self, idx_dir, tmp_path):
         out = tmp_path / "t2"

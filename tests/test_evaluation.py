@@ -1,6 +1,7 @@
 import collections
 import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.spatial.distance import cdist
 
 from imae import data, evaluation, nn
 from imae.data import Dataset, NoiseSpec, corrupt, pixel_rows
-from imae.errors import ConfigurationError
+from imae.errors import ConfigurationError, NumericalFailure
 from imae.evaluation import (check_cluster_settings, cluster_eval, encode_rows, export_codes,
                              kmeans, rand_index, robustness_sweep, sigma_prime)
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
@@ -106,7 +107,7 @@ def assert_same_as_add_at(codes, k, seed):
 
 
 def identity_net(d):
-    net = nn.init_params(nn.Arch(d, ((d, "identity"),), 0), derive_rng(1))
+    net = nn.init_params(nn.Arch(((d, "identity"),), 0), derive_rng(1))
     net.layers[0].weights[:] = np.eye(d)
     net.layers[0].bias[:] = 0.0
     return net
@@ -333,6 +334,17 @@ class TestRobustnessSweep:
         trace = nn.forward(net, digits_test.images)
         assert rows[0].mean_l2 == reconstruction_l2(trace.xhat - digits_test.images).mean()
 
+    def test_non_finite_mean_fails_naming_its_level(self, digits_test):
+        net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
+        net.layers[1].bias[:] = 1e200  # finite, but every squared residual overflows
+        specs = [NoiseSpec("mask", 0.3), NoiseSpec("gaussian", 0.15)]
+        # whether numpy warns of the overflow depends on its einsum path
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as info:
+            robustness_sweep(net, digits_test, specs, derive_rng(4))
+        assert str(info.value) == "mean L2 at mask 0.3 is inf"
+        with pytest.raises(NumericalFailure, match="^mean L2 at gaussian 0.15 is nan$"):
+            evaluation.RobustnessRow("gaussian", 0.15, float("nan"))
+
 
 def input_maps(net):
     """The linear maps that read a network's input: layer 0, or the two
@@ -457,10 +469,10 @@ class TestSweepFromInputProducts:
         expected = input_space_sweep(net, odd_test_set, specs, rng_input_space)
         assert rng.bit_generator.state == rng_input_space.bit_generator.state
         for row, value in zip(rows, expected):
-            if row.noise.kind == "gaussian":
+            if row.kind == "gaussian":
                 assert row.mean_l2 == pytest.approx(value, rel=1e-12, abs=0)
             else:
-                assert row.mean_l2 == value, row.noise.describe()
+                assert row.mean_l2 == value, (row.kind, row.level)
 
     def test_forward_from_the_batch_products_is_forward(self, net, odd_test_set):
         x = pixel_rows(odd_test_set.images, slice(0, ROW_BLOCK))
@@ -508,7 +520,7 @@ class TestSharedDraws:
         rows = robustness_sweep(net, digits_test, TABLE1_GRID, derive_rng(4))
         trace = nn.forward(net, digits_test.images)
         clean = reconstruction_l2(trace.xhat - digits_test.images).mean()
-        assert (rows[0].noise.kind, rows[1].noise.level) == ("none", 0.0)
+        assert (rows[0].kind, rows[1].level) == ("none", 0.0)
         assert rows[0].mean_l2 == rows[1].mean_l2 == clean
 
     @pytest.mark.parametrize("kind, levels, draw", [
@@ -598,7 +610,7 @@ class TestClusterEval:
         assert report.rand_noisy == np.mean(noisy)
         assert report.sigma_prime == sigma_prime(net, digits_test.images)
 
-    def test_counts_kmeans_runs_stopped_by_the_cap(self, digits_test, monkeypatch):
+    def test_counts_kmeans_runs_stopped_by_the_cap(self, digits_test, monkeypatch, tmp_path):
         net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(5))
         kwargs = dict(iterations=2, n=200, k=10, noise=NoiseSpec("gaussian", 0.2), seed=3)
         report = cluster_eval(net, digits_test, **kwargs)
@@ -611,9 +623,11 @@ class TestClusterEval:
         monkeypatch.setattr(evaluation, "KMEANS_MAX_ITERS", 1)
         capped = cluster_eval(net, digits_test, **kwargs)
         assert capped.kmeans_capped == 4  # a clean and a noisy fit per iteration
-        # the count stays out of report.json and the CSVs
-        assert capped.to_dict().keys() == report.to_dict().keys()
-        assert "kmeans_capped" not in capped.to_dict()
+        # the count is in report.json, not in the CSV
+        evaluation.report_to_json(capped, tmp_path / "report.json", "")
+        assert json.loads((tmp_path / "report.json").read_text())["kmeans_capped"] == 4
+        evaluation.cluster_to_csv(capped, tmp_path / "cluster.csv")
+        assert "kmeans_capped" not in (tmp_path / "cluster.csv").read_text()
 
     def test_vae_report_has_no_sigma_prime(self, digits_test):
         net = nn.init_params(nn.shallow_arch(8, digits_test.images.shape[1]),

@@ -101,5 +101,5 @@ def test_eval_protocols_match_float_dataset(split):
             for ds in (idx_ds, twin)]
     assert rows[0] == rows[1]
     reports = [cluster_eval(net, ds, iterations=2, n=1500, noise=NoiseSpec("gaussian", 0.2),
-                            seed=7).to_dict() for ds in (idx_ds, twin)]
+                            seed=7) for ds in (idx_ds, twin)]
     assert reports[0] == reports[1]

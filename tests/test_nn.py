@@ -18,7 +18,7 @@ def zeroed(net):
 
 def unit_sigmoid(x):
     """The sigmoid of each entry of a 1-D array, through a 1-1 sigmoid layer."""
-    net = nn.init_params(nn.Arch(1, ((1, "sigmoid"),), 0), derive_rng(1))
+    net = nn.init_params(nn.Arch(((1, "sigmoid"),), 0), derive_rng(1))
     net.layers[0].weights[:] = 1.0
     return nn.forward(net, np.asarray(x, dtype=np.float64)[:, None]).act[0][:, 0]
 
@@ -155,7 +155,7 @@ class TestInitParams:
 
     def test_empty_arch_rejected(self):
         with pytest.raises(ValueError):
-            nn.init_params(nn.Arch(4, (), 0), derive_rng(1))
+            nn.init_params(nn.Arch((), 0), derive_rng(1))
 
     @pytest.mark.parametrize("layers, latent_index, error", [
         (((0, "sigmoid"), (4, "identity")), 0, ValueError),
@@ -164,10 +164,10 @@ class TestInitParams:
     ])
     def test_arch_checks_itself(self, layers, latent_index, error):
         with pytest.raises(error):
-            nn.Arch(4, layers, latent_index)
+            nn.Arch(layers, latent_index)
 
     def test_tied_requires_palindrome(self):
-        bad = nn.Arch(4, ((3, "sigmoid"), (5, "identity")), 0)
+        bad = nn.Arch(((3, "sigmoid"), (2, "sigmoid"), (4, "sigmoid"), (5, "identity")), 0)
         with pytest.raises(ConfigurationError):
             nn.init_params(bad, derive_rng(1), tied=True)
 
@@ -229,7 +229,7 @@ class TestForward:
         assert np.array_equal(trace.latent_act, np.full((3, 6), 0.5))
 
     def test_identity_net_reconstructs(self, rng):
-        arch = nn.Arch(5, ((5, "identity"),), 0)
+        arch = nn.Arch(((5, "identity"),), 0)
         net = nn.init_params(arch, derive_rng(1))
         net.layers[0].weights[:] = np.eye(5)
         net.layers[0].bias[:] = 0.0
@@ -308,7 +308,7 @@ class TestForward:
 
 class TestBackward:
     def test_zero_learning_signal_for_perfect_reconstruction(self, rng):
-        arch = nn.Arch(5, ((5, "identity"),), 0)
+        arch = nn.Arch(((5, "identity"),), 0)
         net = nn.init_params(arch, derive_rng(1))
         net.layers[0].weights[:] = np.eye(5)
         x = rng.standard_normal((4, 5))

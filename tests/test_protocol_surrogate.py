@@ -62,7 +62,7 @@ def shallow_robustness(shallow_suite, digits_test):
     for tag, net in nets.items():
         rows = robustness_sweep(net, digits_test, specs,
                                 derive_rng(derive_seed(SEED, "rob", tag)))
-        table[tag] = {row.noise.describe(): row.mean_l2 for row in rows}
+        table[tag] = {f"{row.kind} {row.level:g}": row.mean_l2 for row in rows}
     return table
 
 

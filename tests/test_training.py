@@ -40,15 +40,15 @@ class TestTrainConfig:
                         learning_rate=0.005, epochs=1, batch_size=500)
 
     @pytest.mark.parametrize("arch, loss, rule", [
-        (nn.Arch(8, ((5, "sigmoid"), (7, "identity")), 0), "AE",
-         "the last layer must reconstruct the 8 inputs, got widths (8, 5, 7)"),
-        (nn.Arch(784, ((10, "identity"),), 0), "VAE", "the last layer must reconstruct"),
-        # the widths fit, but no layer would be left to decode the sample
-        (nn.Arch(784, ((784, "sigmoid"),), 0), "VAE",
+        # no layer would be left to decode the sample
+        (nn.Arch(((10, "identity"),), 0), "VAE",
+         "VAE's Gaussian heads replace the code layer, so a decoder layer must follow it; "
+         "got the code as the last layer of (10, 10)"),
+        (nn.Arch(((784, "sigmoid"),), 0), "VAE",
          "VAE's Gaussian heads replace the code layer, so a decoder layer must follow it"),
-        (nn.Arch(12, ((10, "softplus"), (12, "sigmoid")), 1), "VAE",
+        (nn.Arch(((10, "softplus"), (12, "sigmoid")), 1), "VAE",
          "VAE's Gaussian heads replace the code layer"),
-    ], ids=["output-width", "code-only", "heads-last", "trunk-then-heads-last"])
+    ], ids=["code-only", "heads-last", "trunk-then-heads-last"])
     def test_arch_must_reconstruct_its_input(self, arch, loss, rule):
         with pytest.raises(ConfigurationError, match="^" + re.escape(rule)) as info:
             tiny_config(arch=arch, loss=LossSpec(loss))
