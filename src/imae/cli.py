@@ -45,7 +45,7 @@ def start_run(cfg: ExperimentConfig):
 @contextmanager
 def keys_of(fields: dict):
     """Raise a ConfigurationError about a field in ``fields`` again, prefixed by the
-    config key that feeds it at this site (a NoiseSpec's level is fed by four keys)."""
+    config key that feeds it at this site (a NoiseSpec's level is fed by two keys)."""
     try:
         yield
     except ConfigurationError as e:
@@ -71,18 +71,14 @@ def train_config(cfg: ExperimentConfig, seed, loss=None) -> training.TrainConfig
 
 
 def eval_noise(cfg: ExperimentConfig):
-    """The eval protocol's corruption, checked as it is built: the robustness
-    grid's NoiseSpecs, the cluster noise, or None for the codes export."""
+    """The eval protocol's corruption: Table 1's eight levels for the robustness
+    sweep, the cluster noise (checked as it is built), or None for the codes export."""
     if cfg.eval_protocol == "cluster":
         with keys_of({"level": "eval.noise_level"}):
             return NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level)
     if cfg.eval_protocol == "robustness":
-        if not cfg.mask_grid and not cfg.gaussian_grid:  # a sweep of no level
-            raise UsageError("eval.mask_grid and eval.gaussian_grid are both empty")
-        with keys_of({"level": "eval.mask_grid"}):
-            masks = [NoiseSpec("mask", p) for p in cfg.mask_grid]
-        with keys_of({"level": "eval.gaussian_grid"}):
-            return masks + [NoiseSpec("gaussian", s) for s in cfg.gaussian_grid]
+        return ([NoiseSpec("mask", p) for p in reference.MASK_GRID]
+                + [NoiseSpec("gaussian", s) for s in reference.GAUSSIAN_GRID])
 
 
 def checkpoint_settings(tcfg: training.TrainConfig) -> dict:
@@ -103,8 +99,9 @@ def checkpoint_settings(tcfg: training.TrainConfig) -> dict:
 
 
 @keys_of(CONFIG_KEYS)
-def load_split(cfg: ExperimentConfig, split) -> Dataset:
-    """Load the train or test IDX pair and check the settings that read its size."""
+def load_split(cfg: ExperimentConfig, split, width) -> Dataset:
+    """Load the train or test IDX pair, refuse images that are not ``width``
+    pixels (the network's input), and check the settings that read its size."""
     limit = cfg.train_limit if split == "train" else 0
     check_range("train_limit", limit, 0, rule="train_limit must be >= 0 (0 is all rows)")
     images = Path(cfg.data_dir) / getattr(cfg, f"{split}_images")
@@ -117,6 +114,9 @@ def load_split(cfg: ExperimentConfig, split) -> Dataset:
             f"expected IDX files under {cfg.data_dir} "
             f"(canonical names: {expected}); set {ENV_DATA_DIR} or data.dir")
     ds = load_idx(images, labels)
+    if ds.images.shape[1] != width:
+        raise ConfigurationError(f"{images}: {ds.images.shape[1]} pixels per image, "
+                                 f"but the network expects {width} inputs")
     if 0 < limit < len(ds):
         # copies, so the rows past the limit are freed when loading returns
         ds = Dataset(ds.images[:limit].copy(), ds.labels[:limit].copy())
@@ -188,13 +188,14 @@ def evaluate(cfg, noise, net, test_ds, seed, tag):
 
 
 # Each command resolves its config, builds the objects that check it, loads
-# the splits (checking the settings that need their sizes), then creates out.
+# the splits (checking their image width and the settings that need their
+# sizes), then creates out.
 
 def cmd_train(args) -> int:
     cfg = resolve_config(_apply_overrides(read_config_file(args.config), args))
     _warn_paper_scale(cfg)
     tcfg = train_config(cfg, derive_seed(cfg.seed, "train"))
-    train_ds = load_split(cfg, "train")
+    train_ds = load_split(cfg, "train", tcfg.arch.widths()[0])
     out, _ = start_run(cfg)
     train_and_save(cfg, tcfg, train_ds, out / "model.ckpt", out / "history.csv")
     return 0
@@ -206,7 +207,7 @@ def cmd_eval(args) -> int:
     raw.update(checkpoint_settings(tcfg))
     cfg = resolve_config(raw)
     noise = eval_noise(cfg)
-    test_ds = load_split(cfg, "test")
+    test_ds = load_split(cfg, "test", tcfg.arch.widths()[0])
     out, resolved = start_run(cfg)
     if cfg.eval_protocol == "codes":
         evaluation.export_codes(net, test_ds, out / "codes.csv")
@@ -258,14 +259,13 @@ def _pct(fraction):
 
 
 def _robustness_rows(reports, published):
-    """Long rows, one per model and corruption level; the reference is the
-    published mean L2 at that level, blank for a level the paper did not run."""
+    """Long rows, one per model and corruption level of Table 1; the reference
+    is the published mean L2 at that level, blank for a model the paper did not run."""
     yield ["model", "noise_kind", "level", "mean_l2", "reference"]
     for tag, report in reports.items():
         for row in report.robustness:
             grid = reference.MASK_GRID if row.kind == "mask" else reference.GAUSSIAN_GRID
-            ref = (_fmt(published[tag][row.kind][grid.index(row.level)])
-                   if tag in published and row.level in grid else "")
+            ref = _fmt(published[tag][row.kind][grid.index(row.level)]) if tag in published else ""
             yield [tag, row.kind, f"{row.level:g}", f"{row.mean_l2:.6g}", ref]
 
 
@@ -328,8 +328,9 @@ def cmd_reproduce(args) -> int:
     print(f"resolved {cfg.scale} defaults: preset={cfg.preset} "
           f"train_limit={cfg.train_limit or 'all'} epochs={cfg.epochs} "
           f"lr={cfg.learning_rate:g} batch={cfg.batch_size} seed={cfg.seed}")
-    train_ds = load_split(cfg, "train")
-    test_ds = load_split(cfg, "test")
+    width = tcfgs[0].arch.widths()[0]  # every model of a table reads one image size
+    train_ds = load_split(cfg, "train", width)
+    test_ds = load_split(cfg, "test", width)
     out, resolved = start_run(cfg)
     reports = {}
     for tcfg in tcfgs:

@@ -44,8 +44,6 @@ TEXT = (str, str)
 LAYERS = (lambda text: tuple((int(w), a) for w, _, a in
                              (part.partition(":") for part in text.split(","))),
           lambda layers: ",".join(f"{w}:{a}" for w, a in layers))
-GRID = (lambda text: tuple(FLOAT[0](v) for v in text.split(",") if v.strip() != ""),
-        lambda grid: ",".join(map(FLOAT[1], grid)))
 
 
 def choice(allowed, parse=str):
@@ -148,8 +146,6 @@ _SCHEMA = {
         "k": ("eval_k", INT, 10),
         "noise_kind": ("eval_noise_kind", choice(NOISE_KINDS), "gaussian"),
         "noise_level": ("eval_noise_level", FLOAT, None),
-        "mask_grid": ("mask_grid", GRID, reference.MASK_GRID),
-        "gaussian_grid": ("gaussian_grid", GRID, reference.GAUSSIAN_GRID),
     },
 }
 KEYS = {f"{section}.{key}": entry
@@ -165,7 +161,7 @@ BLOCK_CODECS = {key: _BLOCK_OWN.get(key) or KEYS[key][1] for key in (
     "train.learning_rate", "train.epochs", "train.batch_size", "train.shuffle", "train.seed")}
 
 # field a domain rule names -> config key feeding it. A site adds what it
-# feeds otherwise: the layers of its Arch, the levels of its eval NoiseSpecs.
+# feeds otherwise: the layers of its Arch, the level of its eval NoiseSpec.
 CONFIG_KEYS = {"lam": "model.lambda", "kind": "model.noise_kind", "noise": "model.noise_kind",
                "level": "model.noise_level", "learning_rate": "train.learning_rate",
                "epochs": "train.epochs", "batch_size": "train.batch_size",

@@ -40,10 +40,11 @@ def spec_for():
 def write_idx_dir():
     """Writes MNIST-shaped synthetic IDX files (28x28, 10 classes) for CLI
     runs: call it with a directory, the train and test image counts and a
-    seed. Both splits come from one draw, so they share its classes."""
-    def write(root, n_train, n_test, seed):
-        for split, ds in zip(("train", "test"), synthetic_splits(n_train, n_test, seed, side=28)):
-            images = (ds.images * 255.0).round().astype(np.uint8).reshape(len(ds), 28, 28)
+    seed, and ``side`` for another image size. Both splits come from one
+    draw, so they share its classes."""
+    def write(root, n_train, n_test, seed, side=28):
+        for split, ds in zip(("train", "test"), synthetic_splits(n_train, n_test, seed, side=side)):
+            images = (ds.images * 255.0).round().astype(np.uint8).reshape(len(ds), side, side)
             write_idx(root / CANONICAL_FILES[f"{split}_images"], images)
             write_idx(root / CANONICAL_FILES[f"{split}_labels"], ds.labels)
         return root

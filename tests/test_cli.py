@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imae import cli, config, evaluation, gradcheck, nn, objectives, reference, training
 from imae.cli import UsageError, read_config_file, resolve_config
@@ -153,8 +155,6 @@ n = 1000
 k = 10
 noise_kind = gaussian
 noise_level = 0.2
-mask_grid = 0.0,0.3,0.5,0.75
-gaussian_grid = 0.03,0.15,0.35,0.45
 """
 
 
@@ -170,8 +170,7 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("extra", [
         {},
-        {"train.learning_rate": "0.30000000000000004", "model.tied": "no",
-         "eval.mask_grid": "0.1,0.1234567", "eval.gaussian_grid": ""},
+        {"train.learning_rate": "0.30000000000000004", "model.tied": "no"},
     ])
     def test_snapshot_reads_back_to_itself(self, tmp_path, extra):
         path = tmp_path / "config.resolved.ini"
@@ -187,6 +186,21 @@ class TestConfigSchema:
                         again = resolve_config(read_config_file(path))
                         assert again == cfg
                         assert cli.snapshot_text(again) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries(dict.fromkeys(
+        ("train.learning_rate", "model.lambda", "model.noise_level", "eval.noise_level"),
+        st.floats(allow_nan=False, allow_infinity=False))))
+    def test_any_finite_float_reads_back(self, tmp_path_factory, floats):
+        # every float key is written at full precision: -0.0, subnormals and
+        # the largest doubles too
+        path = tmp_path_factory.mktemp("snapshot") / "config.resolved.ini"
+        cfg = resolve_config({key: repr(value) for key, value in floats.items()})
+        text = cli.snapshot_text(cfg)
+        path.write_text(text)
+        again = resolve_config(read_config_file(path))
+        assert again == cfg
+        assert cli.snapshot_text(again) == text
 
     @pytest.mark.parametrize("argv, key, field, value", [
         (["train", "--seed", "7"], "experiment.seed", "seed", 7),
@@ -231,7 +245,6 @@ class TestConfigSchema:
         ("train.epochs=abc", "train.epochs"),
         ("model.noise_level=high", "model.noise_level"),
         ("train.shuffle=maybe", "train.shuffle"),
-        ("eval.mask_grid=0.1,x", "eval.mask_grid"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, item, key):
         assert cli.main(["train", "--out", str(tmp_path / "out"), "--set", item]) == 1
@@ -271,7 +284,7 @@ class TestTrainCommand:
             return memoryview(a).nbytes
 
         ds = cli.load_split(resolve_config({"data.dir": str(idx_dir), "train.train_limit": "100",
-                                            "train.batch_size": "100"}), "train")
+                                            "train.batch_size": "100"}), "train", 784)
         assert ds.images.shape == (100, 784)
         assert owned_bytes(ds.images) == 100 * 784
         assert owned_bytes(ds.labels) == ds.labels.nbytes
@@ -368,13 +381,9 @@ CONFIG_ERRORS = [
      "option 'epochs' in section 'train' already exists", False),
     (["train", "--config", "no-equals.ini"], "config file no-equals.ini",
      "Source contains parsing errors", False),
-    (["reproduce", "--table", "table1", "--set", "eval.mask_grid=0,1.5"],
-     "eval.mask_grid", "mask probability must be in [0,1], got 1.5", False),
-    (["reproduce", "--table", "table1", "--set", "eval.gaussian_grid=-0.1"],
-     "eval.gaussian_grid", "gaussian std must be >= 0, got -0.1", False),
-    # a robustness sweep over no level would write a CSV of no rows
-    (["eval", "--protocol", "robustness", "--set", "eval.mask_grid=",
-      "--set", "eval.gaussian_grid="], None, "eval.mask_grid and eval.gaussian_grid are both empty", False),
+    # the robustness protocol runs Table 1's levels: there is no key to set others
+    (["reproduce", "--table", "table1", "--set", "eval.mask_grid=0.3"],
+     None, "unknown config key 'eval.mask_grid'", False),
     (["reproduce", "--table", "table2", "--set", "eval.noise_level=-1"],
      "eval.noise_level", "gaussian std must be >= 0, got -1.0", False),
     (["eval", "--protocol", "cluster", "--set", "eval.noise_kind=bogus"],
@@ -422,13 +431,9 @@ CONFIG_ERRORS = [
       "--set", "model.noise_level=nan"], "model.noise_level", "must be finite, got nan", False),
     (["eval", "--protocol", "cluster", "--noise-level", "nan"],
      "eval.noise_level", "must be finite, got nan", False),
-    (["reproduce", "--table", "table1", "--set", "eval.gaussian_grid=0.1,inf"],
-     "eval.gaussian_grid", "must be finite, got inf", False),
     (["train", "--set", "model.variant=AE", "--set", "model.noise_level=nan"],
      "model.noise_level", "must be finite, got nan", False),
     (["train", "--set", "eval.noise_level=inf"], "eval.noise_level", "must be finite, got inf", False),
-    (["eval", "--protocol", "cluster", "--set", "eval.gaussian_grid=nan"],
-     "eval.gaussian_grid", "must be finite, got nan", False),
     # a flag's text is parsed by its key's codec, so a malformed one names the key
     (["train", "--seed", "abc"], "experiment.seed", "invalid literal for int()", False),
     (["eval", "--protocol", "cluster", "--k", "x"], "eval.k", "invalid literal for int()", False),
@@ -496,6 +501,32 @@ def test_oversized_idx_header_exits_before_any_output(checkpoint, idx_dir, tmp_p
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data),
                      "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: truncated file {images}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, split", [
+    (["train"], "train"),
+    *((["eval", "--protocol", p], "test") for p in ("robustness", "cluster", "codes")),
+    (["reproduce", "--table", "table1"], "train"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_images_of_another_width_exit_before_any_output(checkpoint, write_idx_dir, tmp_path,
+                                                        capsys, monkeypatch, argv, split):
+    # 16x16 images are 256 pixels, and every preset reads 784: the split is
+    # refused as it loads, naming its images file, before out or any model
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained on images of the wrong width")
+
+    monkeypatch.setattr(training, "train", no_training)
+    (tmp_path / "data").mkdir()
+    data = write_idx_dir(tmp_path / "data", 300, 200, seed=5, side=16)
+    if argv[0] == "eval":
+        argv = argv + ["--checkpoint", str(checkpoint)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--data-dir", str(data), "--out", str(out)]
+                    + fast_overrides(["train.epochs=1"])) == 1
+    images = data / CANONICAL_FILES[f"{split}_images"]
+    assert capsys.readouterr().err == (
+        f"error: {images}: 256 pixels per image, but the network expects 784 inputs\n")
     assert not out.exists()
 
 
@@ -789,8 +820,9 @@ class TestReproduceCommand:
         assert ae_mask0[0][4] == "37.4"
 
     def test_table1_reference_by_level(self):
-        # a level the paper did not run gets no reference, at any grid position
-        levels = (0.1, 0.3, 0.0, 0.2, 0.5, 0.75)
+        # the reference is looked up by level, at any row position; a model the
+        # paper did not run gets blank cells
+        levels = (0.3, 0.0, 0.75, 0.5)
         report = evaluation.RobustnessReport("AE", [0], [
             *(evaluation.RobustnessRow("mask", p, 1.0) for p in levels),
             evaluation.RobustnessRow("gaussian", 0.15, 2.0)])
@@ -798,9 +830,8 @@ class TestReproduceCommand:
         rows = list(cli._robustness_rows({"AE": report, "X": unpublished},
                                          reference.TABLE1[200]))
         assert [r[2:] for r in rows[1:]] == [
-            ["0.1", "1", ""], ["0.3", "1", "97.4"], ["0", "1", "37.4"], ["0.2", "1", ""],
-            ["0.5", "1", "133"], ["0.75", "1", "176.3"], ["0.15", "2", "122.2"],
-            ["0.1", "1", ""], ["0.3", "1", ""]]
+            ["0.3", "1", "97.4"], ["0", "1", "37.4"], ["0.75", "1", "176.3"],
+            ["0.5", "1", "133"], ["0.15", "2", "122.2"], ["0.3", "1", ""], ["0", "1", ""]]
 
     @pytest.mark.parametrize("variant, lam, weights", [
         ("IMAE", "0.5", {"AE": 0.0, "CAE": 0.1, "DAE-b": 0.0, "DAE-g": 0.0, "IMAE": 0.5}),
@@ -877,7 +908,7 @@ class TestReproduceCommand:
         cfg = resolve_config(read_config_file(out / "config.resolved.ini"))
         assert (cfg.eval_protocol, cfg.eval_iterations) == (protocol, iterations)
         assert NoiseSpec(cfg.eval_noise_kind, cfg.eval_noise_level) == noise
-        test_ds = cli.load_split(cfg, "test")
+        test_ds = cli.load_split(cfg, "test", 784)
         for tag in tags:
             report = json.loads((out / f"{tag}.cluster.json").read_text())
             assert report["resolved_config"] == snapshot

@@ -107,6 +107,6 @@ def test_config_sits_below_cli_and_training():
 
 
 def test_no_module_imports_a_codec_from_training():
-    codecs = {"INT", "FLOAT", "BOOL", "TEXT", "LAYERS", "GRID", "choice"}
+    codecs = {"INT", "FLOAT", "BOOL", "TEXT", "LAYERS", "choice"}
     modules = [p.stem for p in Path(imae.__file__).parent.glob("*.py")]
     assert [m for m in modules if codecs & sibling_imports(m).get("training", set())] == []

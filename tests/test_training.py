@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imae import config, nn, objectives
 from imae.data import Dataset, NoiseSpec, batches, corrupt, make_synthetic_digits
@@ -164,6 +166,21 @@ class TestTrain:
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
         assert [EpochRecord(**{k: float(v) for k, v in row.items()}) for row in rows] == history
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(EpochRecord, st.integers(min_value=0),
+                              *[st.floats(allow_nan=False, allow_infinity=False)] * 4)))
+    @example([EpochRecord(0, -0.0, 5e-324, 1e308, -1e308)])
+    def test_history_csv_reads_back_any_finite_records(self, tmp_path_factory, records):
+        # repr compares the sign of a zero as well as every bit of the value
+        path = tmp_path_factory.mktemp("history") / "history.csv"
+        write_history(records, path)
+        assert b"\r" not in path.read_bytes()
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        again = [EpochRecord(**{k: (int if k == "epoch" else float)(v) for k, v in row.items()})
+                 for row in rows]
+        assert repr(again) == repr(records)
 
     def test_epoch_row_weights_each_batch_by_its_rows(self):
         # 30 rows in batches of 7 leave a last batch of 2; at rate 0 every batch
