@@ -202,26 +202,29 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     products per block, not 8, but one Gaussian level with no clean level
     forms one more. Memory holds x, u, z, the buffer, P, Q, one forward pass
     and a distance per image and spec. Gaussian-latent networks draw their
-    latent samples from ``rng``, per spec, after the block's draws."""
+    latent samples from ``rng``, per spec, after the block's draws. A
+    diverged network's overflow and NaN raise no numpy warning: the
+    RobustnessRow of its non-finite mean is the one report."""
     specs = list(specs)
     dist = np.empty((len(specs), len(test)))
     blocks = row_blocks(len(test))
     buf = np.empty((max(b.stop - b.start for b in blocks), test.images.shape[1]))
-    for block in blocks:
-        clean = noise = pre = None  # P and Q, formed when first read; the last block's go
-        x = pixel_rows(test.images, block)
-        draws = draw_noise(specs, x.shape, rng)
-        for spec, row in zip(specs, dist):
-            xin = x if spec.kind == "gaussian" else apply_noise(x, spec, draws, buf[:len(x)])
-            pre = None
-            if xin is x:  # clean or Gaussian: from the block's products
-                pre = clean = clean or nn.input_products(net, x)
-            if spec.kind == "gaussian":
-                noise = noise or nn.input_products(net, draws[1], bias=False)
-                pre = [q * spec.level + p for p, q in zip(clean, noise)]
-            xhat = nn.forward(net, xin, rng=rng, pre=pre).xhat
-            row[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
-    return [RobustnessRow(s.kind, s.level, float(d.mean())) for s, d in zip(specs, dist)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is the report
+        for block in blocks:
+            clean = noise = pre = None  # P and Q, formed when first read; the last block's go
+            x = pixel_rows(test.images, block)
+            draws = draw_noise(specs, x.shape, rng)
+            for spec, row in zip(specs, dist):
+                xin = x if spec.kind == "gaussian" else apply_noise(x, spec, draws, buf[:len(x)])
+                pre = None
+                if xin is x:  # clean or Gaussian: from the block's products
+                    pre = clean = clean or nn.input_products(net, x)
+                if spec.kind == "gaussian":
+                    noise = noise or nn.input_products(net, draws[1], bias=False)
+                    pre = [q * spec.level + p for p, q in zip(clean, noise)]
+                xhat = nn.forward(net, xin, rng=rng, pre=pre).xhat
+                row[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
+        return [RobustnessRow(s.kind, s.level, float(d.mean())) for s, d in zip(specs, dist)]
 
 
 def check_cluster_settings(iterations, n, k, labels) -> None:

@@ -280,7 +280,7 @@ def encode(net: Network, batch) -> np.ndarray:
     return _activate(layer.activation, _linear(layer, a))
 
 
-def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None, out=None):
+def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None):
     """The total loss and its gradient w.r.t. every trainable parameter.
 
     ``batch_clean`` is the reconstruction target; for denoising training it
@@ -295,34 +295,23 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None,
     ``consume(name, grad)``, if given, takes each gradient in place of
     ``grads`` as soon as it is final, and after the gradient passed below
     has been formed with the old weights, so a training loop can step that
-    block right there. ``out``, keyed like ``grads``, holds the arrays the
-    gradients are formed in. A first call fills it. Only with ``consume``,
-    which spends each gradient before the next is formed, does it make every
-    layer weight's array of an untied network a view of one buffer sized for
-    the largest; without one, every gradient it returns has its own array.
+    block right there. Every gradient is formed in an array of its own.
     """
     total, terms, loss = objectives.total_loss(spec, trace, batch_clean)
     grads = {}
     if not np.isfinite(total):
         return total, terms, grads  # a diverged step moves no block
     n_layers = len(net.layers)
-    if out == {} and consume and not net.tied:  # layer weights take turns in one buffer
-        shared = np.empty(max(layer.weights.size for layer in net.layers))
-        out.update({f"layers.{k}.W": shared[:layer.weights.size].reshape(layer.weights.shape)
-                    for k, layer in enumerate(net.layers)})
     consume = consume or grads.__setitem__
     partial = {}  # each gradient from its first contribution until consumed
 
     def add(key, form, *args, **kwargs):
         """Add ``form(*args, **kwargs)`` to ``key``'s gradient: a first
-        contribution is formed in (and by a first call, kept as) its array
-        in ``out``, a later one is a temporary added in place."""
+        contribution becomes its array, a later one is added in place."""
         if key in partial:
             partial[key] += form(*args, **kwargs)
-        elif out is None:
-            partial[key] = form(*args, **kwargs)
         else:
-            partial[key] = out.setdefault(key, form(*args, out=out.get(key), **kwargs))
+            partial[key] = form(*args, **kwargs)
 
     g = loss.pop("xhat")  # d(loss)/d(output activations); freed once chained
     for k in range(n_layers - 1, -1, -1):

@@ -70,9 +70,10 @@ def train(cfg: TrainConfig, ds: Dataset):
     EpochRecord per epoch.
 
     Plain SGD, theta <- theta - lr * grad per batch, each block stepped in
-    ``nn.backward`` once its gradient is final. Everything random (init, batch
-    order, corruption draws, latent samples) derives from cfg.seed, so equal
-    configs give bit-identical parameters. A non-finite loss aborts first.
+    ``nn.backward`` once its gradient is final, from a fresh array the step
+    then drops. Everything random (init, batch order, corruption draws,
+    latent samples) derives from cfg.seed, so equal configs give
+    bit-identical parameters. A non-finite loss aborts first.
     """
     if ds.images.shape[1] != cfg.arch.widths()[0]:
         raise ConfigurationError(
@@ -84,7 +85,6 @@ def train(cfg: TrainConfig, ds: Dataset):
     params = net.param_items()
     latent_rng = derive_rng(cfg.seed, "latent-sample")  # drawn from only by Gaussian heads
     records = []
-    buffers = {}  # backward's gradient arrays, made by its first call and reused by each step
 
     def sgd_step(name, grad):
         grad *= cfg.learning_rate  # spent once applied, so scaled in place
@@ -96,7 +96,7 @@ def train(cfg: TrainConfig, ds: Dataset):
         for xb in batches(ds, cfg.batch_size, batch_rng, cfg.shuffle):
             x_in = xb if cfg.loss.noise is None else corrupt(xb, cfg.loss.noise, noise_rng)
             trace = nn.forward(net, x_in, rng=latent_rng)
-            total, terms, _ = nn.backward(net, trace, cfg.loss, xb, sgd_step, buffers)
+            total, terms, _ = nn.backward(net, trace, cfg.loss, xb, sgd_step)
             del trace  # else it lives on through the next step's forward pass
             losses = {"total": total, **terms}
             if not np.isfinite(total):

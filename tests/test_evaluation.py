@@ -338,12 +338,25 @@ class TestRobustnessSweep:
         net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
         net.layers[1].bias[:] = 1e200  # finite, but every squared residual overflows
         specs = [NoiseSpec("mask", 0.3), NoiseSpec("gaussian", 0.15)]
-        # whether numpy warns of the overflow depends on its einsum path
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as info:
+        with pytest.raises(NumericalFailure) as info:
             robustness_sweep(net, digits_test, specs, derive_rng(4))
         assert str(info.value) == "mean L2 at mask 0.3 is inf"
         with pytest.raises(NumericalFailure, match="^mean L2 at gaussian 0.15 is nan$"):
             evaluation.RobustnessRow("gaussian", 0.15, float("nan"))
+
+    def test_diverged_vae_fails_without_a_warning(self):
+        # a deep10 VAE whose log-variance head overflows exp: its sample is
+        # infinite and the next layer's product NaN. Under pytest's
+        # error::RuntimeWarning filter a warning escaping the sweep would
+        # surface in place of the NumericalFailure naming the first level.
+        net = nn.init_params(nn.deep_arch(10), derive_rng(3), vae=True)
+        net.vae_heads[1].bias[:] = 2000.0
+        rng = derive_rng(5)
+        test = Dataset(rng.integers(0, 256, size=(50, 784), dtype=np.uint8),
+                       rng.integers(0, 10, size=50))
+        specs = [NoiseSpec("mask", 0.0), NoiseSpec("gaussian", 0.1)]
+        with pytest.raises(NumericalFailure, match="^mean L2 at mask 0 is nan$"):
+            robustness_sweep(net, test, specs, derive_rng(4))
 
 
 def input_maps(net):

@@ -338,55 +338,43 @@ class TestBackward:
         ("VAE", nn.deep_arch(3, 9, trunk=(8, 5)), False),
     ])
     def test_out_buffers_take_every_gradient(self, rng, spec_for, variant, arch, tied):
-        # stale values in the lent arrays must not leak: each is overwritten
-        # before anything is added to it. An empty ``out`` is filled by the
-        # first call, an untied network's layer weights with views of one
-        # buffer, so each such gradient must be final when it is consumed.
+        # a consumer is handed each gradient once, final, with the bytes of the
+        # one a call without a consumer returns, and is left nothing to return
         spec = spec_for(variant)
         net = nn.init_params(arch, derive_rng(2), vae=spec.record.heads, tied=tied)
         x = rng.random((5, 9))
         trace = nn.forward(net, x, eps=rng.standard_normal((5, 3)))
         total, terms, fresh = nn.backward(net, trace, spec, x)
-        out = {key: np.full_like(p, np.nan) for key, p in net.param_items().items()}
-        total2, terms2, grads = nn.backward(net, trace, spec, x, out=out)
-        assert (total2, terms2) == (total, terms)
-        assert grads.keys() == fresh.keys() == out.keys()
-        for key, g in grads.items():
-            assert g is out[key]
-            assert g.tobytes() == fresh[key].tobytes()
-        filled = {}
-        for _ in range(2):  # the first call fills ``filled``, the second reuses it
-            consumed = {}  # key -> the bytes of each gradient handed over for it
-            total3, terms3, rest = nn.backward(
-                net, trace, spec, x,
-                lambda key, g: consumed.setdefault(key, []).append(g.tobytes()), filled)
-            assert (total3, terms3, rest) == (total, terms, {})
-            assert consumed == {key: [g.tobytes()] for key, g in fresh.items()}
-        assert filled.keys() == fresh.keys()
-        weights = [filled[f"layers.{k}.W"] for k in range(len(net.layers)) if not tied]
-        assert all(np.shares_memory(w, weights[0]) for w in weights)
+        assert fresh.keys() == net.param_items().keys()
+        consumed = {}  # key -> the bytes of each gradient handed over for it
+        total2, terms2, rest = nn.backward(
+            net, trace, spec, x, lambda key, g: consumed.setdefault(key, []).append(g.tobytes()))
+        assert (total2, terms2, rest) == (total, terms, {})
+        assert consumed == {key: [g.tobytes()] for key, g in fresh.items()}
 
     @pytest.mark.parametrize("variant, arch, tied", [
         ("AE", nn.shallow_arch(6, 12), True),
         ("AE", nn.deep_arch(3, 12, trunk=(10, 6)), False),
         ("VAE", nn.deep_arch(3, 12, trunk=(10, 6)), False),
     ], ids=["tied-shallow", "untied-deep", "deep-vae"])
-    @pytest.mark.parametrize("lend", [False, True], ids=["no-out", "empty-out"])
-    @pytest.mark.parametrize("with_consumer", [False, True], ids=["returned", "consumed"])
-    def test_no_gradient_is_aliased(self, rng, spec_for, variant, arch, tied, lend,
-                                    with_consumer):
-        # lent buffers are shared only when a consumer spends each gradient
-        # before the next is formed; gradients handed back keep their own arrays
+    @pytest.mark.parametrize("with_consumer", [False, True],
+                             ids=["returned-no-out", "consumed-no-out"])
+    def test_no_gradient_is_aliased(self, rng, spec_for, variant, arch, tied, with_consumer):
+        # every gradient, returned or consumed, has an array of its own: one a
+        # consumer keeps still holds its bytes once the whole pass is done
         spec = spec_for(variant)
         net = nn.init_params(arch, derive_rng(3), vae=spec.record.heads, tied=tied)
         x = rng.random((5, 12))
         trace = nn.forward(net, x, eps=rng.standard_normal((5, 3)))
         _, _, fresh = nn.backward(net, trace, spec, x)
         consumed = {}
-        consume = (lambda key, g: consumed.__setitem__(key, g.tobytes())) if with_consumer else None
-        _, _, grads = nn.backward(net, trace, spec, x, consume, {} if lend else None)
-        got = consumed if with_consumer else {key: g.tobytes() for key, g in grads.items()}
-        assert got == {key: g.tobytes() for key, g in fresh.items()}
+        _, _, grads = nn.backward(net, trace, spec, x,
+                                  consumed.__setitem__ if with_consumer else None)
+        got = consumed if with_consumer else grads
+        assert {key: g.tobytes() for key, g in got.items()} == {
+            key: g.tobytes() for key, g in fresh.items()}
+        arrays = list(got.values())
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
     def test_variant_net_mismatch_rejected(self):
         plain = nn.init_params(nn.shallow_arch(3, 4), derive_rng(1))

@@ -195,8 +195,9 @@ class TestTrain:
 
 
 def fresh_gradients_train(cfg, ds):
-    """``train``'s SGD loop with a new gradient set each step: ``nn.backward``
-    without ``out``, the reference the reused buffers must match bit for bit."""
+    """``train``'s SGD loop stepping a whole gradient set after each backward
+    pass, the reference that stepping each block as soon as ``nn.backward``
+    hands it over must match bit for bit."""
     net = build_network(cfg, derive_rng(cfg.seed, "init"))
     batch_rng = derive_rng(cfg.seed, "batches")
     noise_rng = derive_rng(cfg.seed, "corruption")
@@ -212,8 +213,8 @@ def fresh_gradients_train(cfg, ds):
 
 
 class TestGradientBuffers:
-    """``train`` steps each block as soon as ``nn.backward`` has formed its
-    gradient, in arrays the first step makes and every later step reuses."""
+    """``train`` steps each block as soon as ``nn.backward`` hands over its
+    final gradient, a fresh array the step spends and drops."""
 
     @pytest.mark.parametrize("loss, arch, kw", [
         (LossSpec("AE"), nn.shallow_arch(40), dict(tied=True)),
@@ -246,8 +247,7 @@ class TestGradientBuffers:
 
     def test_divergence_raised_before_the_update(self, monkeypatch):
         # the third step's loss is NaN: no block may step on it, neither a
-        # tied net's nor an untied deep net's, whose layer weights' gradients
-        # take turns in one buffer
+        # tied net's nor an untied deep net's
         true_total_loss = objectives.total_loss
         deep = tiny_config(arch=nn.deep_arch(3, 16, trunk=(12, 8)), loss=LossSpec("IMAE"))
         for cfg in (tiny_config(tied=True), deep):
@@ -270,12 +270,13 @@ class TestGradientBuffers:
     def test_deep10_step_peak_holds_one_gradient_block(self):
         # 3 SGD steps of the deep preset at its batch size. The traced numpy
         # peak is bounded by the parameters, one gradient block (the largest
-        # layer weight's, in the buffer every layer weight shares), one
-        # forward trace (the input batch and every activation) and the
-        # backward pass's largest temporaries: three batch x widest-layer
-        # arrays (the chained gradient, the activation derivative, the next
-        # gradient). A whole gradient set formed before any block steps
-        # breaks the bound (about 82 MB against about 67).
+        # layer weight's, formed in the backward pass and dropped once
+        # stepped, so none is held through the forward pass), one forward
+        # trace (the input batch and every activation) and the backward
+        # pass's largest temporaries: two batch x widest-layer arrays (the
+        # chained gradient and the next one), 62.68 MB in all. A gradient
+        # block kept from one step to the next breaks the bound (64.04 MB),
+        # and so does a whole gradient set formed before any block steps.
         arch, batch = nn.deep_arch(10), 500
         rng = derive_rng(1)
         ds = Dataset(rng.integers(0, 256, size=(3 * batch, 784), dtype=np.uint8),
@@ -292,7 +293,7 @@ class TestGradientBuffers:
         param_bytes = sum(p.nbytes for p in params)
         largest_block = max(p.nbytes for p in params)
         trace_bytes = 8 * batch * sum(arch.widths())
-        temporaries = 3 * 8 * batch * max(arch.widths())
+        temporaries = 2 * 8 * batch * max(arch.widths())
         assert peak <= param_bytes + largest_block + trace_bytes + temporaries, (
             f"peak {peak / 1e6:.1f} MB, parameters {param_bytes / 1e6:.1f} MB")
 
