@@ -170,17 +170,18 @@ def train_and_save(cfg, tcfg, train_ds, checkpoint, history_csv):
 
 def evaluate(cfg, noise, net, test_ds, seed, tag):
     """The evaluate step of ``eval`` and ``reproduce``: the report of the protocol
-    ``cfg`` names, run with its ``eval_noise`` on one network. A non-finite
-    robustness row fails naming ``tag``; a capped K-means fit warns on stderr."""
-    if cfg.eval_protocol == "robustness":
-        try:
+    ``cfg`` names, run with its ``eval_noise`` on one network. A numerical
+    failure (a non-finite robustness row, overflowing K-means weights) names
+    ``tag``; a capped K-means fit warns on stderr."""
+    try:
+        if cfg.eval_protocol == "robustness":
             rows = evaluation.robustness_sweep(net, test_ds, noise, derive_rng(seed, "robustness"))
-        except NumericalFailure as e:
-            raise NumericalFailure(f"{tag}: {e}") from None
-        return evaluation.RobustnessReport(tag, [seed], rows)
-    report = evaluation.cluster_eval(
-        net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
-        noise=noise, seed=seed, model_tag=tag)
+            return evaluation.RobustnessReport(tag, [seed], rows)
+        report = evaluation.cluster_eval(
+            net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
+            noise=noise, seed=seed, model_tag=tag)
+    except NumericalFailure as e:
+        raise NumericalFailure(f"{tag}: {e}") from None
     if report.kmeans_capped:
         print(f"warning: {tag}: {report.kmeans_capped} K-means run(s) stopped unconverged "
               f"after {evaluation.KMEANS_MAX_ITERS} Lloyd iterations", file=sys.stderr)

@@ -30,6 +30,7 @@ class ClusterResult:
     converged: bool = True   # False when KMEANS_MAX_ITERS stopped the Lloyd loop
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite seeding weights are the report
 def kmeans(codes, k, rng) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding until the assignment stops
     changing (or KMEANS_MAX_ITERS). Empty clusters are re-seeded to the point
@@ -38,6 +39,8 @@ def kmeans(codes, k, rng) -> ClusterResult:
     than k, no re-seed can lower the inertia, and the fit stops converged.
     A step that moves points but lowers no inertia only trades rounding (on
     near-duplicate codes), so the fit stops converged at the state before it.
+    Codes whose squared distances overflow (a diverged network's) make the
+    k-means++ weights non-finite, which raises NumericalFailure.
 
     Each iteration recomputes only the stale clusters, those whose member set
     changed since their centroid was set (at first, all of them): an unchanged
@@ -61,6 +64,9 @@ def kmeans(codes, k, rng) -> ClusterResult:
     closest = ((codes - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = closest.sum()
+        if not math.isfinite(total):
+            raise NumericalFailure(f"k-means++ seeding weights are not finite: the codes' "
+                                   f"squared distances sum to {total}")
         idx = int(rng.choice(n, p=closest / total)) if total > 0 else int(rng.integers(n))
         centroids[j] = codes[idx]
         closest = np.minimum(closest, ((codes - centroids[j]) ** 2).sum(axis=1))
@@ -200,8 +206,12 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     enter as P, the clean pass to the bit, Gaussian s as P + s * Q, the
     product of ``z * s + x`` up to rounding. So the Table-1 grid forms 5 such
     products per block, not 8, but one Gaussian level with no clean level
-    forms one more. Memory holds x, u, z, the buffer, P, Q, one forward pass
-    and a distance per image and spec. Gaussian-latent networks draw their
+    forms one more. The output layer is linear too: when it is identity and
+    narrower in than out, no level forms its reconstruction, and each reads
+    its distances from that layer's Gram matrix (``objectives.GramL2``),
+    equal to the reconstruction's within 1e-12 relative. Memory holds x, u,
+    z, the buffer, P, Q, the Gram target, one forward pass and a distance per
+    image and spec. Gaussian-latent networks draw their
     latent samples from ``rng``, per spec, after the block's draws. A
     diverged network's overflow and NaN raise no numpy warning: the
     RobustnessRow of its non-finite mean is the one report."""
@@ -209,9 +219,14 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
     dist = np.empty((len(specs), len(test)))
     blocks = row_blocks(len(test))
     buf = np.empty((max(b.stop - b.start for b in blocks), test.images.shape[1]))
+    last = len(net.layers) - 1
+    out = net.layers[last]
+    narrow = out.activation == "identity" and out.weights.shape[1] < out.weights.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is the report
+        gram = objectives.GramL2(out.weights, out.bias) if narrow else None
         for block in blocks:
-            clean = noise = pre = None  # P and Q, formed when first read; the last block's go
+            # the last block's P, Q, Gram target and pass go; each is formed when first read
+            clean = noise = pre = target = trace = None
             x = pixel_rows(test.images, block)
             draws = draw_noise(specs, x.shape, rng)
             for spec, row in zip(specs, dist):
@@ -222,8 +237,13 @@ def robustness_sweep(net: nn.Network, test: Dataset, specs, rng) -> list:
                 if spec.kind == "gaussian":
                     noise = noise or nn.input_products(net, draws[1], bias=False)
                     pre = [q * spec.level + p for p, q in zip(clean, noise)]
-                xhat = nn.forward(net, xin, rng=rng, pre=pre).xhat
-                row[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
+                if gram is None:
+                    xhat = nn.forward(net, xin, rng=rng, pre=pre).xhat
+                    row[block] = objectives.reconstruction_l2(np.subtract(xhat, x, out=xhat))
+                else:  # from the output layer's input
+                    trace = nn.forward(net, xin, rng=rng, pre=pre, output_layer=False)
+                    target = target or gram.target(x)
+                    row[block] = gram(trace.layer_input(last), target)
         return [RobustnessRow(s.kind, s.level, float(d.mean())) for s, d in zip(specs, dist)]
 
 

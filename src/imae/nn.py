@@ -170,6 +170,13 @@ class ForwardTrace:
         """The code: the latent layer's output, or the sample z."""
         return self.act[self.net.latent_index] if self.z is None else self.z
 
+    def layer_input(self, k):
+        """The input of layer ``k``: the sample z after the Gaussian heads,
+        else the batch or the previous layer's output."""
+        if self.z is not None and k == self.net.latent_index:
+            return self.z
+        return self.x if k == 0 else self.act[k - 1]
+
 
 def _glorot(rng, out_dim, in_dim):
     s = np.sqrt(6.0 / (in_dim + out_dim))
@@ -231,7 +238,8 @@ def input_products(net: Network, batch, bias=True) -> list:
     return [_linear(m, a) if bias else a @ m.weights.T for m in _input_maps(net)]
 
 
-def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
+def forward(net: Network, batch, rng=None, eps=None, pre=None,
+            output_layer=True) -> ForwardTrace:
     """Run the network on a batch, recording every activation and, when the
     code is a layer's output, its pre-activation (the only one the loss reads).
 
@@ -240,7 +248,9 @@ def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
     The pass starts from ``input_products(net, batch)``: ``pre``, if given,
     stands in for them, one product per map that reads the input, and any
     other count is a ShapeError. Given those very products, the trace is the
-    same.
+    same. With ``output_layer=False`` the pass stops before the output
+    layer's product: the trace ends at that layer's input,
+    ``layer_input(len(net.layers) - 1)``, and ``xhat`` is not the output.
     """
     a = as_matrix(batch)
     trace = ForwardTrace(net, a, [])
@@ -250,6 +260,7 @@ def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
         raise ShapeError(f"pre must hold one product per map that reads the input "
                          f"({len(maps)}), got {len(pre)}")
     heads_at = None if net.vae_heads is None else net.latent_index  # the layer after them
+    stop = None if output_layer else len(net.layers) - 1
     for k, layer in enumerate(net.layers):
         if k == heads_at:
             trace.mu, trace.logvar = pre if k == 0 else (_linear(h, a) for h in net.vae_heads)
@@ -260,6 +271,8 @@ def forward(net: Network, batch, rng=None, eps=None, pre=None) -> ForwardTrace:
             trace.eps = np.asarray(eps, dtype=np.float64)
             trace.std = np.exp(0.5 * trace.logvar)
             a = trace.z = trace.mu + trace.std * trace.eps
+        if k == stop:
+            break
         z = pre[0] if k == 0 and heads_at != 0 else _linear(layer, a)  # unless heads read x
         a = _activate(layer.activation, z)
         if k == net.latent_index and heads_at is None:
@@ -324,8 +337,7 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None)
         key = f"layers.{k if j is None else j}.W"
         if k == net.latent_index and "latent_pre" in loss:
             dz += loss["latent_pre"]
-        a_in = trace.x if k == 0 else trace.act[k - 1]  # at the heads, their input
-        a_prev = trace.z if heads_here else a_in  # the input of layer k
+        a_prev = trace.layer_input(k)
         if j is None:
             add(key, np.matmul, dz.T, a_prev)
         else:  # tied: the decoder's contribution, transposed, to its encoder's entry
@@ -340,6 +352,7 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None)
         if heads_here:
             # g is now d(loss)/d(sampled code); route through the heads
             mu_head, lv_head = net.vae_heads
+            a_in = trace.x if k == 0 else trace.act[k - 1]  # the heads' input
             dmu = g + loss["mu"]
             dlv = 0.5 * g * trace.eps * trace.std + loss["logvar"]
             add("heads.mu.W", np.matmul, dmu.T, a_in)

@@ -97,6 +97,40 @@ def reconstruction_l2(r) -> np.ndarray:
     return np.einsum("ij,ij->i", r, r)
 
 
+class GramL2:
+    """``reconstruction_l2`` of an identity output layer's residual
+    h Wᵀ + b − x (weights W, d × p; bias b), read from its Gram matrix
+    G = WᵀW (p × p) without forming h Wᵀ + b. With y = x − b,
+
+        ||h Wᵀ + b − x||² = h·(h G) − h·(2 y W) + ||y||²,
+
+    so once ``target(x)`` has formed 2 y W and ||y||² of a clean block, each
+    h costs a p × p product, not a p × d one: less work when p < d. Rounding
+    can push the sum of a near-perfect reconstruction below 0, so it is
+    clamped at 0."""
+
+    def __init__(self, weights, bias):
+        self.weights, self.bias = weights, bias
+        self.gram = weights.T @ weights
+
+    def target(self, x):
+        """(2 y W, ||y||² per row) of a clean block x; y is not kept."""
+        y = np.subtract(x, self.bias)
+        yw = y @ self.weights
+        yw *= 2.0
+        return yw, reconstruction_l2(y)
+
+    def __call__(self, h, target):
+        """The distance of each row of h, the output layer's input, from its
+        row of the block whose ``target`` this is."""
+        yw, yy = target
+        d = h @ self.gram
+        d -= yw
+        d = np.einsum("ij,ij->i", d, h)
+        d += yy
+        return np.maximum(d, 0.0, out=d)
+
+
 def sigmoid(z) -> np.ndarray:
     """1 / (1 + exp(-z)), formed in one new array; ``z`` itself is left
     unchanged (a forward trace keeps it as the latent pre-activation). Where

@@ -594,6 +594,25 @@ class TestEvalCommand:
         assert capsys.readouterr().err == "numerical failure: IMAE: mean L2 at mask 0 is inf\n"
         assert not (out / "robustness.csv").exists() and not (out / "report.json").exists()
 
+    def test_overflowing_cluster_codes_exit_two_before_any_report(self, idx_dir, tmp_path,
+                                                                  capsys):
+        # a shallow200 VAE whose mean-head weights are scaled by 1e200: its
+        # codes load and encode finite, but their squared distances overflow
+        cfg = training.TrainConfig(arch=nn.shallow_arch(200), loss=objectives.LossSpec("VAE"),
+                                   learning_rate=0.05, epochs=1, batch_size=100)
+        net = training.build_network(cfg, derive_rng(3))
+        net.vae_heads[0].weights *= 1e200
+        huge = tmp_path / "huge.ckpt"
+        training.save_checkpoint(net, cfg, huge)
+        out = tmp_path / "cl"
+        code = cli.main(["eval", "--checkpoint", str(huge), "--protocol", "cluster",
+                         "--data-dir", str(idx_dir), "--out", str(out),
+                         "--n", "200", "--iterations", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: VAE: k-means++ seeding weights are not finite")
+        assert not (out / "cluster.csv").exists() and not (out / "report.json").exists()
+
     @pytest.mark.parametrize("argv, setting", [
         (["--iterations", "0"], "iterations"),
         (["--iterations", "-2"], "iterations"),

@@ -14,8 +14,9 @@ from imae.errors import ConfigurationError, NumericalFailure
 from imae.evaluation import (check_cluster_settings, cluster_eval, encode_rows, export_codes,
                              kmeans, rand_index, robustness_sweep, sigma_prime)
 from imae.ndcore import ROW_BLOCK, derive_rng, row_blocks
-from imae.objectives import reconstruction_l2, sigmoid
+from imae.objectives import LossSpec, reconstruction_l2, sigmoid
 from imae.reference import GAUSSIAN_GRID, MASK_GRID
+from imae.training import TrainConfig, train
 
 
 def brute_force_rand(assignments, labels, k):
@@ -332,7 +333,8 @@ class TestRobustnessSweep:
         net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
         rows = robustness_sweep(net, digits_test, [NoiseSpec("none")], derive_rng(4))
         trace = nn.forward(net, digits_test.images)
-        assert rows[0].mean_l2 == reconstruction_l2(trace.xhat - digits_test.images).mean()
+        clean = reconstruction_l2(trace.xhat - digits_test.images).mean()
+        assert rows[0].mean_l2 == pytest.approx(clean, rel=1e-12, abs=0)  # read from the Gram form
 
     def test_non_finite_mean_fails_naming_its_level(self, digits_test):
         net = nn.init_params(nn.shallow_arch(12, digits_test.images.shape[1]), derive_rng(3))
@@ -363,6 +365,13 @@ def input_maps(net):
     """The linear maps that read a network's input: layer 0, or the two
     Gaussian heads of a network whose code is layer 0."""
     return net.vae_heads if net.vae_heads and net.latent_index == 0 else net.layers[:1]
+
+
+def reads_gram_form(net):
+    """Whether the sweep reads a network's distances from its output layer's
+    Gram matrix: an identity output layer narrower in than out."""
+    out = net.layers[-1]
+    return out.activation == "identity" and out.weights.shape[1] < out.weights.shape[0]
 
 
 def one_shot_sweep(net, test, specs, rng):
@@ -436,7 +445,7 @@ class TestChunkedSweep:
         rng_chunked, rng_one_shot = derive_rng(23), derive_rng(23)
         rows = robustness_sweep(net, odd_test_set, self.SPECS, rng_chunked)
         expected = one_shot_sweep(net, odd_test_set, self.SPECS, rng_one_shot)
-        assert [r.mean_l2 for r in rows] == expected
+        assert [r.mean_l2 for r in rows] == pytest.approx(expected, rel=1e-12, abs=0)  # Gram form
         assert rng_chunked.bit_generator.state == rng_one_shot.bit_generator.state
 
 
@@ -482,7 +491,7 @@ class TestSweepFromInputProducts:
         expected = input_space_sweep(net, odd_test_set, specs, rng_input_space)
         assert rng.bit_generator.state == rng_input_space.bit_generator.state
         for row, value in zip(rows, expected):
-            if row.kind == "gaussian":
+            if row.kind == "gaussian" or reads_gram_form(net):
                 assert row.mean_l2 == pytest.approx(value, rel=1e-12, abs=0)
             else:
                 assert row.mean_l2 == value, (row.kind, row.level)
@@ -499,15 +508,94 @@ class TestSweepFromInputProducts:
         assert [a.tobytes() for a in given.act] == [a.tobytes() for a in plain.act]
 
 
+def xhat_sweep(net, test, specs, rng):
+    """Each level's mean L2 formed from its reconstruction, as
+    ``reconstruction_l2(xhat - x)``, on the sweep's blocks, draws, input
+    products and passes."""
+    dist = [[] for _ in specs]
+    for block in row_blocks(len(test)):
+        x = pixel_rows(test.images, block)
+        draws = data.draw_noise(specs, x.shape, rng)
+        clean = nn.input_products(net, x)
+        for spec, d in zip(specs, dist):
+            xin = x
+            if spec.kind != "gaussian":
+                xin = data.apply_noise(x, spec, draws, np.empty_like(x))
+            pre = clean if xin is x else None
+            if spec.kind == "gaussian":
+                noise = nn.input_products(net, draws[1], bias=False)
+                pre = [q * spec.level + p for p, q in zip(clean, noise)]
+            d.append(reconstruction_l2(nn.forward(net, xin, rng=rng, pre=pre).xhat - x))
+    return [float(np.concatenate(d).mean()) for d in dist]
+
+
+@pytest.fixture(scope="module")
+def trained_split():
+    """A 28x28 synthetic test split of 2345 rows, and a shallow200 tied AE
+    trained 2 epochs on its train split at the preset rate."""
+    train_ds, test_ds = data.synthetic_splits(2000, 2 * ROW_BLOCK + 345, seed=5, side=28)
+    cfg = TrainConfig(arch=nn.shallow_arch(200), loss=LossSpec("AE"), learning_rate=0.05,
+                      epochs=2, batch_size=500, tied=True, seed=3)
+    return train(cfg, train_ds)[0], test_ds
+
+
+class TestGramForm:
+    """A p < d identity output layer's distances are read from its Gram
+    matrix; every other network's are formed from its reconstruction."""
+
+    def test_trained_shallow200_agrees_with_the_reconstruction(self, trained_split):
+        net, test = trained_split
+        codes = encode_rows(net, test.images)
+        assert ((codes < 0.01) | (codes > 0.99)).mean() > 0.9  # saturated codes
+        rng, rng_xhat = derive_rng(40), derive_rng(40)
+        rows = robustness_sweep(net, test, TABLE1_GRID, rng)
+        expected = xhat_sweep(net, test, TABLE1_GRID, rng_xhat)
+        assert [r.mean_l2 for r in rows] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert rng.bit_generator.state == rng_xhat.bit_generator.state
+
+    NETS = {**PRESET_NETS,
+            "shallow1000-AE": lambda rng: nn.init_params(nn.shallow_arch(1000), rng)}
+
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_agrees_with_the_reconstruction(self, odd_test_set, name):
+        net = self.NETS[name](derive_rng(41))
+        assert reads_gram_form(net) == name.startswith("shallow200")
+        rng, rng_xhat = derive_rng(42), derive_rng(42)
+        rows = [r.mean_l2 for r in robustness_sweep(net, odd_test_set, TABLE1_GRID, rng)]
+        expected = xhat_sweep(net, odd_test_set, TABLE1_GRID, rng_xhat)
+        if reads_gram_form(net):
+            assert rows == pytest.approx(expected, rel=1e-12, abs=0)
+        else:  # p >= d: the reconstruction's own path, to the bit
+            assert rows == expected
+        assert rng.bit_generator.state == rng_xhat.bit_generator.state
+
+    def test_exact_reconstruction_is_never_negative(self):
+        # an identity-activation 64-8-64 network that reconstructs its
+        # decoder's column space exactly: each Gram sum is 0 up to rounding,
+        # of either sign, and the distance clamps it at 0
+        rng = derive_rng(43)
+        w = np.linalg.qr(rng.standard_normal((64, 8)))[0]  # orthonormal columns
+        net = nn.init_params(nn.Arch(((8, "identity"), (64, "identity")), 0), rng)
+        b = np.full(64, 0.5)
+        net.layers[0].weights[:], net.layers[0].bias[:] = w.T, -w.T @ b
+        net.layers[1].weights[:], net.layers[1].bias[:] = w, b
+        assert reads_gram_form(net)
+        x = b + 0.1 * rng.standard_normal((40, 8)) @ w.T
+        specs = [NoiseSpec("none"), NoiseSpec("mask", 0.0)]
+        for row in x:  # one image per sweep: each row is one image's distance
+            one = Dataset(row[None], np.zeros(1, dtype=int))
+            assert all(r.mean_l2 >= 0.0 for r in robustness_sweep(net, one, specs, rng))
+
+
 class TestSharedDraws:
     @staticmethod
     def forward_inputs(monkeypatch):
         """Copies of every input the sweep runs forward (its buffer is reused)."""
         seen, real = [], nn.forward
 
-        def recording(net, batch, rng=None, eps=None, pre=None):
+        def recording(net, batch, rng=None, eps=None, pre=None, output_layer=True):
             seen.append(np.array(batch))
-            return real(net, batch, rng=rng, eps=eps, pre=pre)
+            return real(net, batch, rng=rng, eps=eps, pre=pre, output_layer=output_layer)
 
         monkeypatch.setattr(nn, "forward", recording)
         return seen
@@ -534,7 +622,8 @@ class TestSharedDraws:
         trace = nn.forward(net, digits_test.images)
         clean = reconstruction_l2(trace.xhat - digits_test.images).mean()
         assert (rows[0].kind, rows[1].level) == ("none", 0.0)
-        assert rows[0].mean_l2 == rows[1].mean_l2 == clean
+        assert rows[0].mean_l2 == rows[1].mean_l2
+        assert rows[0].mean_l2 == pytest.approx(clean, rel=1e-12, abs=0)  # read from the Gram form
 
     @pytest.mark.parametrize("kind, levels, draw", [
         ("mask", MASK_GRID, lambda rng, shape: rng.random(shape)),
@@ -641,6 +730,17 @@ class TestClusterEval:
         assert json.loads((tmp_path / "report.json").read_text())["kmeans_capped"] == 4
         evaluation.cluster_to_csv(capped, tmp_path / "cluster.csv")
         assert "kmeans_capped" not in (tmp_path / "cluster.csv").read_text()
+
+    def test_overflowing_codes_fail_without_a_warning(self, digits_test):
+        # a shallow200 VAE whose mean-head weights are scaled by 1e200: its
+        # codes are finite, their squared distances overflow, and the k-means++
+        # weights are inf / inf. Under pytest's error::RuntimeWarning filter a
+        # warning escaping K-means would surface in place of the failure
+        net = nn.init_params(nn.shallow_arch(200, digits_test.images.shape[1]),
+                             derive_rng(6), vae=True)
+        net.vae_heads[0].weights *= 1e200
+        with pytest.raises(NumericalFailure, match=r"^k-means\+\+ seeding weights are not finite"):
+            cluster_eval(net, digits_test, iterations=2, n=200, k=10, seed=1)
 
     def test_vae_report_has_no_sigma_prime(self, digits_test):
         net = nn.init_params(nn.shallow_arch(8, digits_test.images.shape[1]),
