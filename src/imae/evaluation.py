@@ -42,12 +42,13 @@ def kmeans(codes, k, rng) -> ClusterResult:
     Codes whose squared distances overflow (a diverged network's) make the
     k-means++ weights non-finite, which raises NumericalFailure.
 
-    Each iteration recomputes only the stale clusters, those whose member set
-    changed since their centroid was set (at first, all of them): an unchanged
-    set has the same sum, so the same centroid and distance row. A centroid
-    sums its members in point order: a reduction over the rows of a block adds
-    them in row order only when the block has more than one column (a single
-    column is summed pairwise), and ``accumulate`` is sequential by definition.
+    Seeding measures each centroid's distance row as it draws it, and the first
+    assignment reads those rows. Each iteration then recomputes only the stale
+    clusters, those whose member set changed since their centroid was set (at
+    first, all): an unchanged set has the same sum, so the same centroid and
+    distance row. A centroid sums its members in point order: a block's row
+    reduction adds them in row order only with more than one column (one column
+    is summed pairwise), and ``accumulate`` is sequential by definition.
     """
     # imported on first use: with scipy.linalg, ~0.15 s and 10 MB that only clustering needs
     from scipy.spatial.distance import cdist
@@ -59,19 +60,18 @@ def kmeans(codes, k, rng) -> ClusterResult:
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points {n}")
 
-    centroids = np.empty((k, codes.shape[1]))
-    centroids[0] = codes[int(rng.integers(n))]
-    closest = ((codes - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = closest.sum()
-        if not math.isfinite(total):
-            raise NumericalFailure(f"k-means++ seeding weights are not finite: the codes' "
-                                   f"squared distances sum to {total}")
-        idx = int(rng.choice(n, p=closest / total)) if total > 0 else int(rng.integers(n))
-        centroids[j] = codes[idx]
-        closest = np.minimum(closest, ((codes - centroids[j]) ** 2).sum(axis=1))
-
-    d2 = cdist(centroids, codes, "sqeuclidean")  # one row per centroid
+    d2 = np.empty((k, n))  # one row per centroid, measured as it is drawn
+    drawn = [rng.integers(n)]
+    for j in range(k):
+        d2[j] = cdist(codes[drawn[-1:]], codes, "sqeuclidean")
+        if j + 1 < k:  # k-means++: draw the next by each point's squared distance so far
+            closest = d2[:j + 1].min(axis=0)
+            total = closest.sum()
+            if not math.isfinite(total):
+                raise NumericalFailure(f"k-means++ seeding weights are not finite: the codes' "
+                                       f"squared distances sum to {total}")
+            drawn.append(rng.choice(n, p=closest / total) if total > 0 else rng.integers(n))
+    centroids = codes[drawn]
     assign = d2.argmin(axis=0)
     rows = np.arange(n)
     inertia = float(d2[assign, rows].sum())

@@ -218,8 +218,9 @@ class TestKmeans:
         assert_same_as_add_at(codes, 10, seed=21)
 
     def test_recomputes_only_stale_distance_rows(self, rng, monkeypatch):
-        # seeding and the first iteration measure every centroid; later
-        # iterations only those of clusters whose members changed
+        # seeding measures each centroid's row once, as it is drawn; the first
+        # iteration measures every centroid, later iterations only those of
+        # clusters whose members changed
         import scipy.spatial.distance
 
         rows = []
@@ -231,9 +232,11 @@ class TestKmeans:
         codes = rng.standard_normal((600, 8))
         monkeypatch.setattr(scipy.spatial.distance, "cdist", counted)
         result = kmeans(codes, 10, derive_rng(19))
-        assert len(rows) == result.n_iter + 1 > 2
-        assert rows[0] == 10
-        assert sum(rows[1:]) < 10 * (len(rows) - 1)
+        seeding, lloyd = rows[:10], rows[10:]
+        assert seeding == [1] * 10
+        assert len(lloyd) == result.n_iter > 2
+        assert lloyd[0] == 10
+        assert max(lloyd[1:]) <= 10 and sum(lloyd[1:]) < 10 * (len(lloyd) - 1)
 
     def test_bad_k(self, rng):
         codes = rng.standard_normal((5, 2))
