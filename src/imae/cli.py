@@ -168,20 +168,27 @@ def train_and_save(cfg, tcfg, train_ds, checkpoint, history_csv):
     return net
 
 
+@contextmanager
+def naming(tag):
+    """Raise a NumericalFailure again, its message prefixed by the model ``tag``."""
+    try:
+        yield
+    except NumericalFailure as e:
+        raise NumericalFailure(f"{tag}: {e}") from None
+
+
 def evaluate(cfg, noise, net, test_ds, seed, tag):
     """The evaluate step of ``eval`` and ``reproduce``: the report of the protocol
     ``cfg`` names, run with its ``eval_noise`` on one network. A numerical
-    failure (a non-finite robustness row, overflowing K-means weights) names
-    ``tag``; a capped K-means fit warns on stderr."""
-    try:
+    failure (a non-finite robustness row or code, overflowing K-means weights)
+    names ``tag``; a capped K-means fit warns on stderr."""
+    with naming(tag):
         if cfg.eval_protocol == "robustness":
             rows = evaluation.robustness_sweep(net, test_ds, noise, derive_rng(seed, "robustness"))
             return evaluation.RobustnessReport(tag, [seed], rows)
         report = evaluation.cluster_eval(
             net, test_ds, iterations=cfg.eval_iterations, n=cfg.eval_n, k=cfg.eval_k,
             noise=noise, seed=seed, model_tag=tag)
-    except NumericalFailure as e:
-        raise NumericalFailure(f"{tag}: {e}") from None
     if report.kmeans_capped:
         print(f"warning: {tag}: {report.kmeans_capped} K-means run(s) stopped unconverged "
               f"after {evaluation.KMEANS_MAX_ITERS} Lloyd iterations", file=sys.stderr)
@@ -211,7 +218,8 @@ def cmd_eval(args) -> int:
     test_ds = load_split(cfg, "test", tcfg.arch.widths()[0])
     out, resolved = start_run(cfg)
     if cfg.eval_protocol == "codes":
-        evaluation.export_codes(net, test_ds, out / "codes.csv")
+        with naming(tcfg.loss.tag):
+            evaluation.export_codes(net, test_ds, out / "codes.csv")
         print(f"wrote {out / 'codes.csv'}")
         return 0
     report = evaluate(cfg, noise, net, test_ds, derive_seed(cfg.seed, "eval"), tcfg.loss.tag)

@@ -132,12 +132,13 @@ def rand_index(assignments, labels, k) -> float:
     return float(contingency[rows, cols].sum()) / len(a)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite code is the report
 def encode_rows(net: nn.Network, pixels, noise: NoiseSpec = None, rng=None) -> np.ndarray:
     """Codes of every row of a pixel matrix (uint8 or float, see
     ``pixel_rows``), encoded one row block at a time into one code matrix.
     With ``noise``, each block is corrupted from ``rng`` before encoding;
     drawn block by block in row order, these are the draws of one full-size
-    corruption."""
+    corruption. A code that is not finite raises NumericalFailure."""
     codes = None
     for block in row_blocks(len(pixels)):
         x = pixel_rows(pixels, block)
@@ -147,6 +148,8 @@ def encode_rows(net: nn.Network, pixels, noise: NoiseSpec = None, rng=None) -> n
         if codes is None:
             codes = np.empty((len(pixels), c.shape[1]))
         codes[block] = c
+    if not np.isfinite(codes).all():
+        raise NumericalFailure(f"a code is not finite: {codes[~np.isfinite(codes)][0]}")
     return codes
 
 

@@ -183,6 +183,20 @@ def _glorot(rng, out_dim, in_dim):
     return rng.uniform(-s, s, size=(out_dim, in_dim))
 
 
+def check_network(arch: Arch, *, vae=False, tied=False) -> None:
+    """Raise ConfigurationError unless ``init_params`` can build ``arch`` so."""
+    widths = arch.widths()
+    if vae and arch.latent_index == len(arch.layers) - 1:
+        raise ConfigurationError(f"VAE's Gaussian heads replace the code layer, so a decoder "
+                                 f"layer must follow it; got the code as the last layer of "
+                                 f"{widths}", field="layers")
+    if vae and tied:
+        raise ConfigurationError("tied weights are not supported with Gaussian-latent heads")
+    if tied and (len(arch.layers) % 2 or widths != widths[::-1]):
+        raise ConfigurationError(f"tied weights need a mirror image: an even layer count "
+                                 f"and palindromic widths, got {widths}")
+
+
 def init_params(arch: Arch, rng, *, vae=False, tied=False) -> Network:
     """Build a network with freshly initialized parameters.
 
@@ -191,16 +205,8 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False) -> Network:
     ``tied=True`` stores encoder weights once and exposes decoder weights as
     transpose views of them.
     """
-    if vae and tied:
-        raise ConfigurationError("tied weights are not supported with Gaussian-latent heads")
+    check_network(arch, vae=vae, tied=tied)
     widths = arch.widths()
-    n_layers = len(arch.layers)
-    if tied:
-        if n_layers % 2 != 0:
-            raise ConfigurationError("tied weights require an even layer count")
-        if list(widths) != list(reversed(widths)):
-            raise ConfigurationError(f"tied weights require palindromic widths, got {widths}")
-
     layers = []
     heads = None
     for k, (out_dim, act) in enumerate(arch.layers):
@@ -211,7 +217,7 @@ def init_params(arch: Arch, rng, *, vae=False, tied=False) -> Network:
             heads = tuple(DenseLayer(_glorot(rng, out_dim, in_dim), np.zeros(out_dim), "identity")
                           for _ in range(2))
             continue
-        j = mirror(tied, n_layers, k)
+        j = mirror(tied, len(arch.layers), k)
         w = _glorot(rng, out_dim, in_dim) if j is None else layers[j].weights.T
         layers.append(DenseLayer(w, np.zeros(out_dim), act))
     return Network(layers, arch.latent_index, tied, heads)
@@ -302,8 +308,8 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None)
     this function only chains the gradients through the layers and the
     reparameterized sample. Returns (total, terms, grads), with ``grads``
     keyed like ``Network.param_items``; gradients are means over the batch.
-    For tied networks the decoder contribution is accumulated, transposed,
-    into the shared encoder entry. A non-finite total chains nothing.
+    A tied decoder's W gradient, transposed, waits for its encoder layer's,
+    which adds it to itself. A non-finite total chains nothing.
 
     ``consume(name, grad)``, if given, takes each gradient in place of
     ``grads`` as soon as it is final, and after the gradient passed below
@@ -316,16 +322,7 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None)
         return total, terms, grads  # a diverged step moves no block
     n_layers = len(net.layers)
     consume = consume or grads.__setitem__
-    partial = {}  # each gradient from its first contribution until consumed
-
-    def add(key, form, *args, **kwargs):
-        """Add ``form(*args, **kwargs)`` to ``key``'s gradient: a first
-        contribution becomes its array, a later one is added in place."""
-        if key in partial:
-            partial[key] += form(*args, **kwargs)
-        else:
-            partial[key] = form(*args, **kwargs)
-
+    tied_dW = {}  # a tied decoder's W gradient, by its encoder's key
     g = loss.pop("xhat")  # d(loss)/d(output activations); freed once chained
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
@@ -338,30 +335,24 @@ def backward(net: Network, trace: ForwardTrace, spec, batch_clean, consume=None)
         if k == net.latent_index and "latent_pre" in loss:
             dz += loss["latent_pre"]
         a_prev = trace.layer_input(k)
-        if j is None:
-            add(key, np.matmul, dz.T, a_prev)
-        else:  # tied: the decoder's contribution, transposed, to its encoder's entry
-            add(key, np.matmul, a_prev.T, dz)
+        ready = {key: dz.T @ a_prev if j is None else a_prev.T @ dz}  # tied: transposed
         if key == f"layers.{net.latent_index}.W" and "latent_W" in loss:
-            partial[key] += loss.pop("latent_W")  # CAE's, added to the first contribution
-        bias = f"layers.{k}.b"
-        add(bias, np.sum, dz, axis=0)
-        final = [key, bias] if j is None else [bias]  # a tied decoder's W waits for its encoder
+            ready[key] += loss.pop("latent_W")  # CAE's, added to the entry's first product
+        if j is not None:
+            tied_dW[key] = ready.pop(key)
+        elif key in tied_dW:
+            ready[key] += tied_dW.pop(key)
+        ready[f"layers.{k}.b"] = dz.sum(axis=0)
         if k > 0 or heads_here:  # d(loss)/d(input) is never used
             g = dz @ layer.weights
-        if heads_here:
-            # g is now d(loss)/d(sampled code); route through the heads
-            mu_head, lv_head = net.vae_heads
+        if heads_here:  # g is now d(loss)/d(sampled code): route it through the heads
             a_in = trace.x if k == 0 else trace.act[k - 1]  # the heads' input
             dmu = g + loss["mu"]
             dlv = 0.5 * g * trace.eps * trace.std + loss["logvar"]
-            add("heads.mu.W", np.matmul, dmu.T, a_in)
-            add("heads.logvar.W", np.matmul, dlv.T, a_in)
-            add("heads.mu.b", np.sum, dmu, axis=0)
-            add("heads.logvar.b", np.sum, dlv, axis=0)
-            final += [name for name in partial if name.startswith("heads.")]
+            ready.update({"heads.mu.W": dmu.T @ a_in, "heads.logvar.W": dlv.T @ a_in,
+                          "heads.mu.b": dmu.sum(axis=0), "heads.logvar.b": dlv.sum(axis=0)})
             if k > 0:
-                g = dmu @ mu_head.weights + dlv @ lv_head.weights
-        for name in final:
-            consume(name, partial.pop(name))
+                g = dmu @ net.vae_heads[0].weights + dlv @ net.vae_heads[1].weights
+        for name in list(ready):
+            consume(name, ready.pop(name))
     return total, terms, grads

@@ -38,10 +38,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("learning_rate", 0), ("epochs", 1), ("batch_size", 1)):
             check_range(name, getattr(self, name), low)
-        if self.loss.record.heads and self.arch.latent_index == len(self.arch.layers) - 1:
-            raise ConfigurationError(f"{self.loss.variant}'s Gaussian heads replace the code "
-                                     f"layer, so a decoder layer must follow it; got the code "
-                                     f"as the last layer of {self.arch.widths()}", field="layers")
+        nn.check_network(self.arch, vae=self.loss.record.heads, tied=self.tied)
         objectives.check_code_fits(self.loss, self.arch)
 
 
@@ -65,6 +62,7 @@ def build_network(cfg: TrainConfig, rng) -> nn.Network:
     return nn.init_params(cfg.arch, rng, vae=cfg.loss.record.heads, tied=cfg.tied)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss is the report
 def train(cfg: TrainConfig, ds: Dataset):
     """Train a fresh network on ``ds``; returns (network, records), one
     EpochRecord per epoch.
@@ -73,7 +71,7 @@ def train(cfg: TrainConfig, ds: Dataset):
     ``nn.backward`` once its gradient is final, from a fresh array the step
     then drops. Everything random (init, batch order, corruption draws,
     latent samples) derives from cfg.seed, so equal configs give
-    bit-identical parameters. A non-finite loss aborts first.
+    bit-identical parameters. A non-finite loss raises TrainingDiverged before its step.
     """
     if ds.images.shape[1] != cfg.arch.widths()[0]:
         raise ConfigurationError(

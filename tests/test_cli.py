@@ -613,6 +613,26 @@ class TestEvalCommand:
             "numerical failure: VAE: k-means++ seeding weights are not finite")
         assert not (out / "cluster.csv").exists() and not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("protocol", ["codes", "cluster"])
+    def test_non_finite_codes_exit_two_before_any_output(self, idx_dir, tmp_path, capsys,
+                                                         protocol):
+        # a deep10 IMAE whose first two layers' weights are scaled by 1e300:
+        # it loads, and encodes every image to NaN
+        cfg = training.TrainConfig(arch=nn.deep_arch(10), loss=objectives.LossSpec("IMAE"),
+                                   learning_rate=0.005, epochs=1, batch_size=100)
+        net = training.build_network(cfg, derive_rng(3))
+        for layer in net.layers[:2]:
+            layer.weights *= 1e300
+        huge = tmp_path / "huge.ckpt"
+        training.save_checkpoint(net, cfg, huge)
+        out = tmp_path / protocol
+        code = cli.main(["eval", "--checkpoint", str(huge), "--protocol", protocol,
+                         "--data-dir", str(idx_dir), "--out", str(out),
+                         "--n", "200", "--iterations", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: IMAE: a code is not finite: nan\n"
+        assert [p.name for p in out.iterdir()] == ["config.resolved.ini"]
+
     @pytest.mark.parametrize("argv, setting", [
         (["--iterations", "0"], "iterations"),
         (["--iterations", "-2"], "iterations"),

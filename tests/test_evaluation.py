@@ -754,6 +754,29 @@ class TestClusterEval:
         assert 0.0 <= report.rand_clean <= 1.0
 
 
+class TestNonFiniteCodes:
+    """A deep10 IMAE whose first two layers' weights are scaled by 1e300
+    encodes every image to NaN. Under pytest's error::RuntimeWarning filter a
+    warning escaping the encoder would surface in place of the failure."""
+
+    @pytest.fixture(scope="class")
+    def net(self, digits_test):
+        net = nn.init_params(nn.deep_arch(10, digits_test.images.shape[1]), derive_rng(3))
+        for layer in net.layers[:2]:
+            layer.weights *= 1e300
+        return net
+
+    def test_cluster_eval_fails(self, net, digits_test):
+        with pytest.raises(NumericalFailure, match="^a code is not finite: nan$"):
+            cluster_eval(net, digits_test, iterations=2, n=200, k=10, seed=1)
+
+    def test_export_codes_fails_before_writing(self, net, digits_test, tmp_path):
+        path = tmp_path / "codes.csv"
+        with pytest.raises(NumericalFailure, match="^a code is not finite: nan$"):
+            export_codes(net, digits_test, path)
+        assert not path.exists()
+
+
 class TestExportCodes:
     def test_csv_contract(self, tmp_path, digits_test):
         latent = 9

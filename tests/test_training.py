@@ -56,6 +56,20 @@ class TestTrainConfig:
             tiny_config(arch=arch, loss=LossSpec(loss))
         assert info.value.field == "layers"
 
+    @pytest.mark.parametrize("arch, loss, rule", [
+        (nn.deep_arch(10), "VAE", "tied weights are not supported with Gaussian-latent heads"),
+        # palindromic widths (16, 6, 6, 16), but the middle layer would mirror itself
+        (nn.Arch(((6, "sigmoid"), (6, "softplus"), (16, "identity")), 0), "AE",
+         "tied weights need a mirror image: an even layer count and palindromic widths"),
+        (nn.Arch(((6, "sigmoid"), (7, "softplus"), (8, "softplus"), (16, "identity")), 0), "AE",
+         "tied weights need a mirror image: an even layer count and palindromic widths, "
+         "got (16, 6, 7, 8, 16)"),
+    ], ids=["tied-vae", "odd-layer-count", "not-palindromic"])
+    def test_tied_network_must_be_buildable(self, arch, loss, rule):
+        # the config refuses what build_network would refuse
+        with pytest.raises(ConfigurationError, match="^" + re.escape(rule)):
+            tiny_config(arch=arch, loss=LossSpec(loss), tied=True)
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
@@ -150,6 +164,15 @@ class TestTrain:
             train(cfg, ds)
         assert err.value.epoch >= 0
         assert "total" in err.value.terms
+
+    def test_vae_overflow_aborts_without_a_warning(self):
+        # a deep VAE at rate 1 overflows exp(logvar / 2) in its first epoch;
+        # under pytest's error::RuntimeWarning filter a warning escaping the
+        # loop would surface in place of TrainingDiverged
+        cfg = tiny_config(arch=nn.deep_arch(3, 16, trunk=(12, 8)), loss=LossSpec("VAE"),
+                          learning_rate=1.0)
+        with pytest.raises(TrainingDiverged, match="^non-finite loss at epoch 0"):
+            train(cfg, tiny_dataset())
 
     def test_history_csv(self, tmp_path):
         _, history = train(tiny_config(), tiny_dataset())
@@ -444,7 +467,7 @@ class TestCheckpoints:
          b"noise_level = 1.3",
          "config block key model.noise_level: mask probability must be in [0,1]"),
         (LossSpec("AE"), True, b"variant = AE", b"variant = VAE",
-         "tied weights are not supported with Gaussian-latent heads"),
+         "config block: tied weights are not supported with Gaussian-latent heads"),
         (LossSpec("AE"), False, b"learning_rate = 0.05", b"learning_rate =  nan",
          "config block key train.learning_rate: must be finite, got nan"),
     ], ids=["value", "network", "non-finite"])
